@@ -89,14 +89,6 @@ class RatInterval:
     def __rtruediv__(self, other):
         return _iv(other) * self.inv()
 
-    def round_str(self, digits):
-        """Decimal string, valid only if both endpoints round identically."""
-        lo = round(float(self.lo), digits)
-        hi = round(float(self.hi), digits)
-        if lo != hi:
-            raise ValueError("interval too wide for %d digits" % digits)
-        return "%.*f" % (digits, lo)
-
 
 def _iv(x):
     return x if isinstance(x, RatInterval) else RatInterval(x)

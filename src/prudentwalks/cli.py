@@ -22,7 +22,7 @@ from prudentwalks.sampler import (
     UniformSampler,
     kinetic_sample,
 )
-from prudentwalks.series import SeriesError
+from prudentwalks.series import CPoly, SeriesError
 from prudentwalks.walks import (
     SquareWalk,
     TriWalk,
@@ -79,46 +79,30 @@ def cmd_count(args):
     _emit_json(args, {"class": wc.value, "route": "oracle", "counts": counts})
 
 
-def _series_cpoly(wc, order, refined=None):
-    if refined == "sum":
-        if wc is not WalkClass.TWO_SIDED:
-            raise CliError("--refined applies to the 2-sided class only")
-        return funceq.solve_2sided_refined_sum(order)[1]
-    if refined == "diagonal":
-        if wc is not WalkClass.TWO_SIDED:
-            raise CliError("--refined applies to the 2-sided class only")
-        return funceq.solve_2sided_diagonal(order)[1]
-    if wc is WalkClass.ONE_SIDED:
-        return None
-    if wc is WalkClass.TWO_SIDED:
-        return funceq.iterate_2sided(order)[1]
-    if wc is WalkClass.THREE_SIDED:
-        return funceq.iterate_3sided(order)[2]
-    if wc is WalkClass.PRUDENT4:
-        return funceq.iterate_4sided(order)[1]
-    return funceq.iterate_triangular(order)[1]
-
-
 def cmd_series(args):
     wc = _walk_class(args.walk_class)
     if args.order < 0 or args.order > 400:
         raise CliError("--order out of range")
     if wc is WalkClass.PRUDENT4 and args.order > 80:
         raise CliError("4-sided iteration beyond order 80 exceeds the time budget")
-    p = _series_cpoly(wc, args.order, args.refined)
-    if p is None:
-        counts = funceq.iterate_1sided(args.order).integer_coeffs()
-        out = {"class": wc.value, "route": "iteration", "counts": counts}
+    if args.refined:
+        if wc is not WalkClass.TWO_SIDED:
+            raise CliError("--refined applies to the 2-sided class only")
+        if args.refined == "sum":
+            p = funceq.solve_2sided_refined_sum(args.order)[1]
+        else:
+            p = funceq.solve_2sided_diagonal(args.order)[1]
     else:
-        out = {
-            "class": wc.value,
-            "route": "iteration",
-            "counts": p.specialize_ones().integer_coeffs(),
-        }
-        if args.refined:
-            out["refined"] = args.refined
-        if args.full:
-            out["series"] = p.to_json()
+        p = funceq.length_series(wc, args.order)
+    out = {
+        "class": wc.value,
+        "route": "iteration",
+        "counts": p.specialize_ones().integer_coeffs(),
+    }
+    if args.refined:
+        out["refined"] = args.refined
+    if args.full and isinstance(p, CPoly):  # the 1-sided TSeries is not exported
+        out["series"] = p.to_json()
     _emit_json(args, out)
 
 
@@ -126,23 +110,11 @@ def cmd_closedform(args):
     wc = _walk_class(args.walk_class)
     if args.order < 0 or args.order > 400:
         raise CliError("--order out of range")
-    if wc is WalkClass.PRUDENT4:
+    series = closedforms.length_series(wc, args.order)
+    if series is None:
         raise CliError(
             "no closed form exists for general prudent walks (open problem)"
         )
-    series = None
-    if wc is WalkClass.ONE_SIDED:
-        from prudentwalks.series import TSeries, ts_inv
-
-        series = TSeries.from_terms(args.order, {0: 1, 1: 1}) * ts_inv(
-            TSeries.from_terms(args.order, {0: 1, 1: -2, 2: -1})
-        )
-    elif wc is WalkClass.TWO_SIDED:
-        series = closedforms.two_sided_closed(args.order)[2]
-    elif wc is WalkClass.THREE_SIDED:
-        series = closedforms.three_sided_length_series(args.order)[1]
-    else:
-        series = closedforms.triangular_closed(args.order)[2]
     out = {
         "class": wc.value,
         "route": "closed-form",
@@ -157,14 +129,10 @@ def cmd_asym(args):
     wc = _walk_class(args.walk_class)
     coeffs = None
     if args.growth_order:
-        if wc is WalkClass.PRUDENT4:
+        series = closedforms.length_series(wc, args.growth_order)
+        if series is None:
             raise CliError("no growth series target for general prudent walks")
-        coeffs = {
-            WalkClass.ONE_SIDED: lambda n: funceq.iterate_1sided(n).integer_coeffs(),
-            WalkClass.TWO_SIDED: lambda n: closedforms.two_sided_closed(n)[2].integer_coeffs(),
-            WalkClass.THREE_SIDED: lambda n: closedforms.three_sided_length_series(n)[1].integer_coeffs(),
-            WalkClass.TRIANGULAR: lambda n: closedforms.triangular_closed(n)[2].integer_coeffs(),
-        }[wc](args.growth_order)
+        coeffs = series.integer_coeffs()
     consts = asymptotics.constants(wc, coeffs=coeffs)
     out = {
         "class": wc.value,

@@ -16,11 +16,11 @@ from prudentwalks.series import (
     CPoly,
     SeriesError,
     TSeries,
-    pochhammer,
     ts_compose,
     ts_inv,
     ts_sqrt,
 )
+from prudentwalks.walks import WalkClass
 
 
 class TruncationError(SeriesError):
@@ -100,7 +100,8 @@ def y_series(order):
     disc = _ts(N, {0: 1, 1: -1}) * _ts(N, {0: 1, 1: -3, 2: -1, 3: -1})
     num = _ts(N, {0: 1, 1: -2, 2: -1}) - ts_sqrt(disc)
     Y = (num.shift_down(2) / 2).normalized().truncate(order)
-    assert y_alg_residual_of(Y).is_zero(), "Y fails its algebraic equation"
+    if not y_alg_residual_of(Y).is_zero():
+        raise RuntimeError("Y fails its algebraic equation")
     return Y
 
 
@@ -279,54 +280,82 @@ def two_sided_endpoint_closed(order):
 # --------------------------------------------------------------------------
 
 def _phi(x):
-    """(x - t)/(t (1 - t x)) for a kernel-root series x = t + O(t^2)."""
+    """(x - t)/(t (1 - t x)) for a kernel-root series x = t + O(t^2), over
+    TSeries or CPoly alike."""
     N = x.order
-    return ((x - TSeries.t(N)).shift_down(1) * ts_inv(1 - x.truncate(N - 1).shift(1))).normalized()
+    return ((x.shift_down(1) - 1) * (1 - x.truncate(N - 1).shift(1)).inv()).normalized()
 
 
-def three_sided_length_series(order, k_terms=None):
-    """(T(t;1,t), P(t;1)) for 3-sided walks from the iterated sum at u=1.
+def _kernel_setup(order):
+    """(U(t;w), q^m, A, B) shared by both 3-sided expansions.
 
-    The k-th summand gains at least three orders of valuation per step, so
-    the loop stops once a summand vanishes modulo t^(order+1).
+    U(t;w) and the powers q^m of q = U(t;1) are kept to order + 2;
+    A = t/(1-tq) and B = tq/(q-t) = (1-tq)/(1-t^2) to the internal order
+    order + 1, since phi consumes one.
     """
-    N = order
-    M = N + 1  # internal order; phi consumes one
+    M = order + 1
     Uw = kernel_root_u_of_w(M + 1)
     q = ts_compose(Uw, 1).normalized()
     qpow = [TSeries.one(M + 1), q]
 
-    def u_of_qi(i):
-        while len(qpow) <= i:
+    def q_power(m):
+        while len(qpow) <= m:
             qpow.append((qpow[-1] * q).normalized())
-        if i == 0:
-            return q.truncate(M)
-        return ts_compose(Uw, qpow[i]).normalized().truncate(M)
+        return qpow[m]
 
-    A = (TSeries.t(M) * ts_inv(1 - (q.truncate(M) * TSeries.t(M)))).normalized()  # t/(1-tq)
-    B = ((1 - q.truncate(M).shift(1)) * ts_inv(_ts(M, {0: 1, 2: -1}))).normalized()  # tq/(q-t)
-    us = [u_of_qi(0), u_of_qi(1)]
-    T = TSeries.zero(N)
-    numprod = TSeries.one(M)
-    invden = ts_inv(B - us[0])
+    qM = q.truncate(M)
+    A = (TSeries.t(M) * ts_inv(1 - (qM * TSeries.t(M)))).normalized()
+    B = ((1 - qM.shift(1)) * ts_inv(_ts(M, {0: 1, 2: -1}))).normalized()
+    return Uw, q_power, A, B
+
+
+def _kernel_sum(u_at, A, B, one, order, k_terms):
+    """The iterated kernel sum for T(t;u,tu), over TSeries or CPoly alike:
+
+        sum_k (-1)^k prod_{i<k} (A - U_i) / prod_{i<=k} (B - U_i)
+                     * (1 + phi(U_k) + phi(U_{k+1})),   U_i = u_at(i).
+
+    The k-th summand gains at least three orders of valuation per step, so
+    the loop stops once a summand vanishes modulo t^(order+1).  `one` is the
+    ring's unit at the internal order of A, B and the U_i.
+    """
+    us = [u_at(0), u_at(1)]
+    total = one.truncate(order) * 0
+    numprod = one
+    invden = (B - us[0]).inv()
     k = 0
     while True:
-        while len(us) < k + 2:
-            us.append(u_of_qi(len(us)))
         if k > 0:
+            us.append(u_at(k + 1))
             numprod = (numprod * (A - us[k])).normalized()
-            invden = (invden * ts_inv(B - us[k])).normalized()
-        term = (numprod.truncate(N) * invden.truncate(N)
-                * (1 + _phi(us[k]).truncate(N) + _phi(us[k + 1]).truncate(N))).normalized()
+            invden = (invden * (B - us[k]).inv()).normalized()
+        term = (numprod.truncate(order) * invden.truncate(order)
+                * (1 + _phi(us[k]).truncate(order) + _phi(us[k + 1]).truncate(order))).normalized()
         if term.is_zero():
             break
         if k_terms is not None and k >= k_terms:
             raise TruncationError(
-                "k_terms=%d leaves a nonzero summand at order %d" % (k_terms, N)
+                "k_terms=%d leaves a nonzero summand at order %d" % (k_terms, order)
             )
-        T = T + (term if k % 2 == 0 else -term)
+        total = total + (term if k % 2 == 0 else -term)
         k += 1
-    qN = q.truncate(N)
+    return total
+
+
+def three_sided_length_series(order, k_terms=None):
+    """(T(t;1,t), P(t;1)) for 3-sided walks from the iterated sum at u=1."""
+    N = order
+    M = N + 1
+    Uw, q_power, A, B = _kernel_setup(N)
+
+    def u_of_qi(i):
+        """U(q^i) as a TSeries."""
+        if i == 0:
+            return q_power(1).truncate(M)  # U(1) = q
+        return ts_compose(Uw, q_power(i)).normalized().truncate(M)
+
+    T = _kernel_sum(u_of_qi, A, B, TSeries.one(M), N, k_terms)
+    qN = q_power(1).truncate(N)
     P1 = (
         ts_inv(_ts(N, {0: 1, 1: -2, 2: -1}))
         * (2 * qN.shift(2) * T + _ts(N, {0: 1, 1: 1}) * (_ts(N, {0: 2, 1: -1}) - qN.shift(2)) * ts_inv(1 - qN.shift(1)))
@@ -342,65 +371,26 @@ def three_sided_closed(order, k_terms=None):
     term carries an explicit (1-u) factor, so the u=1 specialization reduces
     to the displayed length series.
     """
-    M = order + 1  # internal order: phi consumes one
-    Uw = kernel_root_u_of_w(M + 1)
-    q = ts_compose(Uw, 1).normalized()
-    qpow = [TSeries.one(M + 1)]
-
-    def qp(m):
-        while len(qpow) <= m:
-            qpow.append((qpow[-1] * q).normalized())
-        return qpow[m]
-
+    M = order + 1
+    Uw, q_power, A, B = _kernel_setup(order)
     uvar = ("u",)
 
     def u_of_uqi(i):
         """U(u q^i) = sum_j coeff_j(t) q^(i j) u^j as a CPoly in u."""
         out = CPoly(uvar, M)
         for (j,), coeff in Uw.terms().items():
-            piece = (coeff * qp(i * j)).normalized() if i * j else coeff
+            piece = (coeff * q_power(i * j)).normalized() if i * j else coeff
             for n, c in enumerate(piece.coeffs[: M + 1]):
                 if c:
                     out.slices[n][(j,)] = out.slices[n].get((j,), 0) + c
         return out.normalized()
 
-    A = (TSeries.t(M) * ts_inv(1 - (q.truncate(M) * TSeries.t(M)))).normalized()
-    B = ((1 - q.truncate(M).shift(1)) * ts_inv(_ts(M, {0: 1, 2: -1}))).normalized()
-    A_u = CPoly.from_tseries(uvar, A)
-    B_u = CPoly.from_tseries(uvar, B)
-
-    def phi_u(X):
-        return (X - CPoly.from_tseries(uvar, TSeries.t(X.order))).shift_down(1) * (
-            CPoly.constant(uvar, X.order - 1) - X.truncate(X.order - 1).shift(1)
-        ).inv()
-
-    us = [u_of_uqi(0), u_of_uqi(1)]
-    T = CPoly.zero(uvar, order)
-    numprod = CPoly.constant(uvar, M)
-    invden = (B_u - us[0]).inv()
-    k = 0
-    while True:
-        while len(us) < k + 2:
-            us.append(u_of_uqi(len(us)))
-        if k > 0:
-            numprod = (numprod * (A_u - us[k])).normalized()
-            invden = (invden * (B_u - us[k]).inv()).normalized()
-        one = CPoly.constant(uvar, order)
-        term = (
-            numprod.truncate(order) * invden.truncate(order)
-            * (one + phi_u(us[k]).truncate(order) + phi_u(us[k + 1]).truncate(order))
-        ).normalized()
-        if term.is_zero():
-            break
-        if k_terms is not None and k >= k_terms:
-            raise TruncationError(
-                "k_terms=%d leaves a nonzero summand at order %d" % (k_terms, order)
-            )
-        T = T + (term if k % 2 == 0 else -term)
-        k += 1
-    T = T.normalized()
+    T = _kernel_sum(
+        u_of_uqi, CPoly.from_tseries(uvar, A), CPoly.from_tseries(uvar, B),
+        CPoly.constant(uvar, M), order, k_terms,
+    ).normalized()
     Nt = T.order
-    Uu = us[0].truncate(Nt)
+    Uu = u_of_uqi(0).truncate(Nt)
     inv_1tU = (CPoly.constant(uvar, Nt) - Uu.shift(1)).inv()
     c1 = CPoly.from_tseries(uvar, ts_inv(_ts(Nt, {0: 1, 1: -2, 2: -1})))
     one_t = CPoly.from_tseries(uvar, _ts(Nt, {0: 1, 1: 1}))
@@ -468,6 +458,20 @@ def triangular_closed(order, k_terms=None):
         * (one + _ts(N, {1: 1, 2: 2}) * R1t)
     ).normalized()
     return Y, R1t, P1
+
+
+def length_series(walk_class, order):
+    """P(t;1) for one class from its closed form, or None for general
+    prudent walks, which have none."""
+    if walk_class is WalkClass.ONE_SIDED:
+        return _ts(order, {0: 1, 1: 1}) * ts_inv(_ts(order, {0: 1, 1: -2, 2: -1}))
+    if walk_class is WalkClass.TWO_SIDED:
+        return two_sided_closed(order)[2]
+    if walk_class is WalkClass.THREE_SIDED:
+        return three_sided_length_series(order)[1]
+    if walk_class is WalkClass.TRIANGULAR:
+        return triangular_closed(order)[2]
+    return None
 
 
 def triangular_box_total(k):

@@ -15,14 +15,26 @@ monomial-wise: u^i -> sum_k t^k u^(i-k) v^(j+k), k = 0..i.
 from __future__ import annotations
 
 from prudentwalks.series import CPoly, TSeries, geometric
+from prudentwalks.walks import WalkClass
 
-# monomials u^i v^j w^h with i+j+h > n at t^n cannot occur for walk series
-# (the relevant box dimensions are bounded by the length); the solvers use
-# this to skip dead monomials.  Soundness is checked by test_pruning.
+# The solvers truncate by t-order only: a contribution to slice m is kept iff
+# m <= N, and no monomial is skipped for its degree.  Every stored monomial
+# u^i v^j w^h at t^n has i+j+h <= n anyway, since the box dimensions are
+# bounded by the length (checked by test_pruning_soundness).
 
 
-def _result_counts(p_cpoly):
-    return p_cpoly.specialize_ones().integer_coeffs()
+def length_series(walk_class, order):
+    """The series `prudent series` prints for one class: P(t;u) as a CPoly
+    in u, or the length series of 1-sided walks as a TSeries."""
+    if walk_class is WalkClass.ONE_SIDED:
+        return iterate_1sided(order)
+    if walk_class is WalkClass.TWO_SIDED:
+        return solve_2sided(order)[1]
+    if walk_class is WalkClass.THREE_SIDED:
+        return solve_3sided(order)[2]
+    if walk_class is WalkClass.PRUDENT4:
+        return solve_4sided(order)[1]
+    return solve_triangular(order)[1]
 
 
 # --------------------------------------------------------------------------
@@ -93,11 +105,6 @@ def rhs_2sided(T):
     out = out + (one_tu * T).mul_mono((1,), 2)
     out = out + T.mul_mono((1,)).divided_difference("u", "t").mul_mono(tpow=1)
     return out
-
-
-def iterate_2sided(order):
-    T, P = solve_2sided(order)
-    return T, P
 
 
 # --------------------------------------------------------------------------
@@ -185,10 +192,6 @@ def rhs_3sided(T, R):
     return Tp, Rp
 
 
-def iterate_3sided(order):
-    return solve_3sided(order)
-
-
 # --------------------------------------------------------------------------
 # 4-sided (general prudent) walks: T(u,v,w) top-enders
 # --------------------------------------------------------------------------
@@ -222,6 +225,11 @@ def solve_4sided(order):
                     add(n + 1 + k, (i + k, j - k, h + 1), c)
                 add(n + 1, (i, j, h + 1), -c)
 
+    # the decomposition is symmetric in u, v; fail loudly if that ever breaks
+    for n in range(min(N, 20) + 1):
+        for (i, j, h), c in slices[n].items():
+            if slices[n].get((j, i, h), 0) != c:
+                raise RuntimeError("4-sided symmetry violated at t^%d" % n)
     T = CPoly(("u", "v", "w"), N)
     for n in range(N + 1):
         T.slices[n] = dict(slices[n])
@@ -252,15 +260,6 @@ def rhs_4sided(T):
     out = out + T.mul_mono((0, 1, 0)).divided_difference("v", ("t", "u")).mul_mono((0, 0, 1), 1)
     out = out - T.mul_mono((0, 0, 1), 1)
     return out
-
-
-def iterate_4sided(order):
-    T, P = solve_4sided(order)
-    # the decomposition is symmetric in u, v; fail loudly if that ever breaks
-    for n in range(min(order, 20) + 1):
-        for (i, j, h), c in T.slices[n].items():
-            assert T.slices[n].get((j, i, h), 0) == c, "4-sided symmetry violated"
-    return T, P
 
 
 # --------------------------------------------------------------------------
@@ -324,10 +323,6 @@ def rhs_triangular(R):
     out = out + R.mul_mono((1, 0)).divided_difference("u", ("t", "v")).mul_mono((0, 1), 1) * one_plus_t
     out = out + R.mul_mono((0, 1)).divided_difference("v", ("t", "u")).mul_mono((1, 0), 1) * one_plus_t
     return out
-
-
-def iterate_triangular(order):
-    return solve_triangular(order)
 
 
 # --------------------------------------------------------------------------
@@ -405,16 +400,3 @@ def solve_2sided_diagonal(order):
         T.slices[n] = dict(slices[n])
     P = T + T.invert_var("z") - T.substitute("u", 0)
     return T, P
-
-
-def iterate_2sided_refined_sum(order):
-    return solve_2sided_refined_sum(order)
-
-
-def iterate_2sided_diagonal(order):
-    return solve_2sided_diagonal(order)
-
-
-def counts_2sided_refined(P):
-    """z-marginal consistency helper: specialize u=z=1."""
-    return P.specialize_ones().integer_coeffs()

@@ -202,11 +202,6 @@ class UniformSampler:
             kids = self._children_of(pick)
 
 
-def build_ext_table(walk_class, n, max_entries=DEFAULT_MAX_ENTRIES):
-    """Precompute the extension numbers for generating length-n walks."""
-    return ExtTable(walk_class, n, max_entries=max_entries)
-
-
 def children(walk_class, plabel):
     """The refined-label children multiset, in the fixed rule order."""
     return RULES[walk_class].p_children(plabel)
@@ -239,7 +234,8 @@ def exact_distribution(walk_class, n):
             q = prob * Fraction(w, total)
             if m == 1:
                 walk = make(sub)
-                assert walk not in out, "refined tree revisits a walk"
+                if walk in out:
+                    raise RuntimeError("refined tree revisits a walk")
                 out[walk] = q
             else:
                 rec(rules.p_children(p), m - 1, sub, q)
@@ -295,7 +291,8 @@ def kinetic_sample(n, seed):
     steps = []
     for _ in range(n):
         avail = state.available()
-        assert avail, "prudent walk unexpectedly stuck"
+        if not avail:
+            raise RuntimeError("prudent walk unexpectedly stuck")
         d = avail[rng.randrange(len(avail))]
         state.push(d)
         steps.append(d)

@@ -164,6 +164,11 @@ class TSeries:
             out.append(f.numerator)
         return out
 
+    def specialize_ones(self):
+        """The series itself, which has no catalytic variables to set to 1;
+        lets a TSeries stand wherever a CPoly is specialized to counts."""
+        return self
+
     def normalized(self):
         """Same series with integral Fractions demoted to plain ints."""
         return TSeries(
@@ -301,10 +306,6 @@ class TSeries:
 
 
 # spec-named wrappers ------------------------------------------------------
-
-def ts_add(a, b):
-    return a + b
-
 
 def ts_mul(a, b):
     return a * b
@@ -499,16 +500,8 @@ class CPoly:
         cs = [slc.get(exps, 0) for slc in self.slices]
         return TSeries(cs, self.order)
 
-    def t_slice(self, n):
-        return dict(self.slices[n])
-
     def is_zero(self):
         return all(not slc for slc in self.slices)
-
-    def max_degree(self, var):
-        k = self._vi(var)
-        degs = [key[k] for slc in self.slices for key in slc]
-        return max(degs) if degs else 0
 
     def __eq__(self, other):
         if not isinstance(other, CPoly):
@@ -862,10 +855,6 @@ class CPoly:
         for n, slc in enumerate(self.slices):
             cs[n] = sum(slc.values())
         return TSeries(cs, self.order)
-
-    def counting_coeffs(self):
-        """Specialize all variables to 1 and assert integrality (walk counts)."""
-        return self.specialize_ones().integer_coeffs()
 
     # -- serialization -----------------------------------------------------
 

@@ -30,44 +30,16 @@ def first_divergence(routes):
     return worst
 
 
-def _closed_form_counts(walk_class, order):
-    if walk_class is WalkClass.ONE_SIDED:
-        from prudentwalks.series import TSeries, ts_inv
-
-        num = TSeries.from_terms(order, {0: 1, 1: 1})
-        den = TSeries.from_terms(order, {0: 1, 1: -2, 2: -1})
-        return (num * ts_inv(den)).integer_coeffs()
-    if walk_class is WalkClass.TWO_SIDED:
-        return closedforms.two_sided_closed(order)[2].integer_coeffs()
-    if walk_class is WalkClass.THREE_SIDED:
-        return closedforms.three_sided_length_series(order)[1].integer_coeffs()
-    if walk_class is WalkClass.TRIANGULAR:
-        return closedforms.triangular_closed(order)[2].integer_coeffs()
-    return None  # no closed form for general prudent walks
-
-
-def _iteration_counts(walk_class, order):
-    if walk_class is WalkClass.ONE_SIDED:
-        return funceq.iterate_1sided(order).integer_coeffs()
-    if walk_class is WalkClass.TWO_SIDED:
-        return funceq.iterate_2sided(order)[1].specialize_ones().integer_coeffs()
-    if walk_class is WalkClass.THREE_SIDED:
-        return funceq.iterate_3sided(order)[2].specialize_ones().integer_coeffs()
-    if walk_class is WalkClass.PRUDENT4:
-        return funceq.iterate_4sided(order)[1].specialize_ones().integer_coeffs()
-    return funceq.iterate_triangular(order)[1].specialize_ones().integer_coeffs()
-
-
 def verify_class(walk_class, max_n_oracle, series_order, table_order=None):
     """Compute the four counting routes for one class and compare them."""
+    closed = closedforms.length_series(walk_class, series_order)
     routes = {
         "oracle": enumerate_counts(walk_class, max_n_oracle),
-        "iteration": _iteration_counts(walk_class, series_order),
+        "iteration": funceq.length_series(walk_class, series_order).specialize_ones().integer_coeffs(),
         "ext_table": ExtTable(walk_class, table_order or series_order).counts(),
+        "closed_form": None if closed is None else closed.integer_coeffs(),
     }
-    closed = _closed_form_counts(walk_class, series_order)
-    if closed is not None:
-        routes["closed_form"] = closed
+    routes = {name: counts for name, counts in routes.items() if counts is not None}
     divergence = first_divergence(routes)
     return {
         "class": walk_class.value,
@@ -113,9 +85,7 @@ def run_verify(max_n_oracle=12, series_order=60, classes=None, tri_box_k=4):
         entry = verify_class(wc, cap, series_order)
         report["classes"].append(entry)
         report["agree"] = report["agree"] and entry["agree"]
-    if tri_box_k is not None and (
-        classes is None or WalkClass.TRIANGULAR in classes
-    ):
+    if tri_box_k is not None and WalkClass.TRIANGULAR in classes:
         box = verify_tri_box(tri_box_k)
         report["tri_box"] = box
         report["agree"] = report["agree"] and box["agree"]

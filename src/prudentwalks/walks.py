@@ -402,9 +402,6 @@ class TriState:
         self.visited.discard((self.x, self.y))
         (self.x, self.y, self.x_min, self.y_min, self.s_max) = self.trail.pop()
 
-    def box(self):
-        return TriBox(self.x_min, self.y_min, self.s_max)
-
 
 def _make_state(walk_class):
     if walk_class is WalkClass.TRIANGULAR:
@@ -416,93 +413,95 @@ def _make_state(walk_class):
 # Membership predicates
 # --------------------------------------------------------------------------
 
+def _follows(state, steps):
+    """True iff every step is legal from the state reached before it."""
+    legal, push = state.legal, state.push
+    for d in steps:
+        if not legal(d):
+            return False
+        push(d)
+    return True
+
+
 def is_prudent(walk):
     """True iff no step of the square walk points at a visited vertex."""
-    state = SquareState(k=None)
-    for d in walk.steps:
-        if not state.legal(d):
-            return False
-        state.push(d)
-    return True
+    return _follows(SquareState(k=None), walk.steps)
 
 
 def is_k_sided(walk, k):
     """True iff the walk is prudent and its continuous-time endpoint stays on
     the k allowed edges (k=1 top, k=2 top+right, k=3 top+right+left)."""
-    if k == 4:
-        return is_prudent(walk)
-    if k not in (1, 2, 3):
+    if k not in (1, 2, 3, 4):
         raise ValueError("k must be in 1..4")
-    state = SquareState(k=k)
-    for d in walk.steps:
-        if not state.legal(d):
-            return False
-        state.push(d)
-    return True
+    return _follows(SquareState(k=None if k == 4 else k), walk.steps)
 
 
 def is_triangular_prudent(walk):
-    state = TriState()
-    for d in walk.steps:
-        if not state.legal(d):
-            return False
-        state.push(d)
-    return True
+    return _follows(TriState(), walk.steps)
 
 
 def in_class(walk, walk_class):
-    if walk_class is WalkClass.TRIANGULAR:
-        return is_triangular_prudent(walk)
-    return is_k_sided(walk, walk_class.sides)
+    return _follows(_make_state(walk_class), walk.steps)
 
 
 # --------------------------------------------------------------------------
 # Brute-force oracle
 # --------------------------------------------------------------------------
 
-def enumerate_counts(walk_class, n_max):
-    """Number of walks of each length 0..n_max in the class (exact, by DFS)."""
-    state = _make_state(walk_class)
-    ndirs = 6 if walk_class is WalkClass.TRIANGULAR else 4
-    counts = [0] * (n_max + 1)
-    counts[0] = 1
+def _dfs(state, ndirs, visit):
+    """Depth-first search over the walks that extend `state`.
+
+    Calls visit(state, depth) at every walk, the starting one included, and
+    extends a walk only while visit returns true.
+    """
+    legal, push, pop = state.legal, state.push, state.pop
     dirs = range(ndirs)
 
     def rec(depth):
-        if depth == n_max:
-            return
+        depth += 1
         for d in dirs:
-            if state.legal(d):
-                state.push(d)
-                counts[depth + 1] += 1
-                rec(depth + 1)
-                state.pop()
+            if legal(d):
+                push(d)
+                if visit(state, depth):
+                    rec(depth)
+                pop()
 
-    rec(0)
+    if visit(state, 0):
+        rec(0)
+
+
+def _ndirs(walk_class):
+    return 6 if walk_class is WalkClass.TRIANGULAR else 4
+
+
+def enumerate_counts(walk_class, n_max):
+    """Number of walks of each length 0..n_max in the class (exact, by DFS)."""
+    counts = [0] * (n_max + 1)
+
+    def visit(state, depth):
+        counts[depth] += 1
+        return depth < n_max
+
+    _dfs(_make_state(walk_class), _ndirs(walk_class), visit)
     return counts
 
 
 def enumerate_walks(walk_class, n):
     """All length-n walks of the class (exhaustive; for small n)."""
-    state = _make_state(walk_class)
-    ndirs = 6 if walk_class is WalkClass.TRIANGULAR else 4
-    make = TriWalk if walk_class is WalkClass.TRIANGULAR else SquareWalk
+    tri = walk_class is WalkClass.TRIANGULAR
+    make = TriWalk if tri else SquareWalk
+    code = {v: d for d, v in enumerate(TRI_STEP_VECTORS if tri else SQ_STEP_VECTORS)}
     out = []
-    steps = []
 
-    def rec(depth):
-        if depth == n:
-            out.append(make(tuple(steps)))
-            return
-        for d in range(ndirs):
-            if state.legal(d):
-                state.push(d)
-                steps.append(d)
-                rec(depth + 1)
-                steps.pop()
-                state.pop()
+    def visit(state, depth):
+        if depth < n:
+            return True
+        # the trail holds the vertices before each step, the state the last one
+        pts = [entry[:2] for entry in state.trail] + [(state.x, state.y)]
+        out.append(make(tuple(code[(b[0] - a[0], b[1] - a[1])] for a, b in zip(pts, pts[1:]))))
+        return False
 
-    rec(0)
+    _dfs(_make_state(walk_class), _ndirs(walk_class), visit)
     return out
 
 
@@ -514,35 +513,21 @@ def enumerate_tri_by_box(k):
     corner and j from the SE corner.  Walks of every length are counted;
     the search is confined to boxes of size <= k, hence finite.
     """
-    state = TriState()
     total = 0
     r = Counter()
 
-    def visit():
+    def visit(state, depth):
         nonlocal total
-        if state.box().size != k:
-            return
+        size = state.s_max - state.x_min - state.y_min
+        if size != k:
+            return size < k
         total += 1
         if state.x + state.y == state.s_max:  # right edge
             i = state.x - state.x_min
             r[(i, k - i)] += 1
+        return True
 
-    def rec():
-        for d in range(6):
-            if not state.legal(d):
-                continue
-            dx, dy = TRI_STEP_VECTORS[d]
-            px, py = state.x + dx, state.y + dy
-            s_new = max(state.s_max, px + py)
-            if s_new - min(state.x_min, px) - min(state.y_min, py) > k:
-                continue
-            state.push(d)
-            visit()
-            rec()
-            state.pop()
-
-    visit()
-    rec()
+    _dfs(TriState(), 6, visit)
     return total, dict(r)
 
 
@@ -552,15 +537,15 @@ def endpoint_stats(walk_class, n):
     Square classes: 'sum' (X+Y), 'diff' (X-Y), 'ne_dist' (distance from the
     endpoint to the NE box corner), 'width'.  Triangular: 'box_size'.
     """
-    state = _make_state(walk_class)
-    ndirs = 6 if walk_class is WalkClass.TRIANGULAR else 4
     tri = walk_class is WalkClass.TRIANGULAR
     stats = {
         key: Counter()
         for key in (("box_size",) if tri else ("sum", "diff", "ne_dist", "width"))
     }
 
-    def record():
+    def visit(state, depth):
+        if depth < n:
+            return True
         if tri:
             stats["box_size"][state.s_max - state.x_min - state.y_min] += 1
         else:
@@ -569,18 +554,9 @@ def endpoint_stats(walk_class, n):
             stats["diff"][x - y] += 1
             stats["ne_dist"][(state.x_max - x) + (state.y_max - y)] += 1
             stats["width"][state.x_max - state.x_min] += 1
+        return False
 
-    def rec(depth):
-        if depth == n:
-            record()
-            return
-        for d in range(ndirs):
-            if state.legal(d):
-                state.push(d)
-                rec(depth + 1)
-                state.pop()
-
-    rec(0)
+    _dfs(_make_state(walk_class), _ndirs(walk_class), visit)
     return stats
 
 

@@ -57,33 +57,17 @@ def oracle_counts():
 @pytest.fixture(scope="session")
 def iteration_counts():
     return {
-        WalkClass.ONE_SIDED: funceq.iterate_1sided(ITER_ORDER).integer_coeffs(),
-        WalkClass.TWO_SIDED: funceq.iterate_2sided(ITER_ORDER)[1]
-        .specialize_ones().integer_coeffs(),
-        WalkClass.THREE_SIDED: funceq.iterate_3sided(ITER_ORDER)[2]
-        .specialize_ones().integer_coeffs(),
-        WalkClass.PRUDENT4: funceq.iterate_4sided(ITER_ORDER)[1]
-        .specialize_ones().integer_coeffs(),
-        WalkClass.TRIANGULAR: funceq.iterate_triangular(ITER_ORDER)[1]
-        .specialize_ones().integer_coeffs(),
+        wc: funceq.length_series(wc, ITER_ORDER).specialize_ones().integer_coeffs()
+        for wc in WalkClass
     }
 
 
 @pytest.fixture(scope="session")
 def closed_counts():
-    from prudentwalks.series import TSeries, ts_inv
-
-    one_sided = (
-        TSeries.from_terms(ITER_ORDER, {0: 1, 1: 1})
-        * ts_inv(TSeries.from_terms(ITER_ORDER, {0: 1, 1: -2, 2: -1}))
-    ).integer_coeffs()
     return {
-        WalkClass.ONE_SIDED: one_sided,
-        WalkClass.TWO_SIDED: closedforms.two_sided_closed(ITER_ORDER)[2].integer_coeffs(),
-        WalkClass.THREE_SIDED: closedforms.three_sided_length_series(ITER_ORDER)[1]
-        .integer_coeffs(),
-        WalkClass.TRIANGULAR: closedforms.triangular_closed(ITER_ORDER)[2]
-        .integer_coeffs(),
+        wc: closedforms.length_series(wc, ITER_ORDER).integer_coeffs()
+        for wc in WalkClass
+        if wc is not WalkClass.PRUDENT4  # general prudent walks have no closed form
     }
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -156,3 +157,52 @@ def test_run_verify_report_shape():
     assert report["agree"]
     assert len(report["classes"]) == 5
     assert report["tri_box"]["agree"]
+
+
+# SHA-256 of stdout for the fast README examples, `--full` exports of every
+# class and both refinements, recorded at commit 8c118d8 (before the per-class
+# dispatch moved into funceq.length_series / closedforms.length_series).  Any
+# byte that changes in these outputs fails here.
+GOLDEN_STDOUT = [
+    ("count --class 2-sided --n-max 10", 0,
+     "4b5fa7b2f370e802e62f745e207e1c41e417d2d45e072cc7e2a266b88b0c5db8"),
+    ("series --class triangular --order 40", 0,
+     "4493b8c1ac019b43cd0b01bf51caaad33c8fc850f40f31f3c153f952f082b380"),
+    ("series --class 2-sided --order 30 --refined diagonal", 0,
+     "35794b2837ff792a052f39763f2eca8ce5efad62ee489a8eb37897887598f811"),
+    ("closedform --class 3-sided --order 60", 0,
+     "75afb8b2f609a463161c17887f32cf97ebabd8658fb85521a6e08e8d3abc0dec"),
+    ("asym --class triangular --growth-order 200", 0,
+     "99d3d9b844693f38251efae75e063309deb50c076e6a9fcf1b302f8c1b4f3ec1"),
+    ("render --steps NEENNWS --format ascii", 0,
+     "6ca5c160db2f26bcb729e0312a316a18cb755ca21f8501f7085870911302d274"),
+    ("series --class 2-sided --order 12 --refined sum --full", 0,
+     "515999aeafc7f3e7d880bc4c82efab7cd9499e60d7060ced26e890f428fb7d5f"),
+    ("series --class 1-sided --order 12 --full", 0,
+     "7dae38f3be59cff5a72a036d8e8c0d1a0e982805f326ea79d57971b30033f8f5"),
+    ("series --class 2-sided --order 12 --full", 0,
+     "58e8d9edfccbbe3753f013e8a01b6e8dd45fb98a7ff0ada53ce6c8b1df6da803"),
+    ("series --class 3-sided --order 12 --full", 0,
+     "1ccdc11365c71a76dbd5688703e9f7a9e6baac2d19bb8cc2a2a67dd1290381fe"),
+    ("series --class 4-sided --order 12 --full", 0,
+     "9c149173ff29123f9d07c63f8de2aea35c589ddf1d9697860e62767f5c101680"),
+    ("series --class triangular --order 12 --full", 0,
+     "822f7e499b5d38fc599c549faa994b82847b285bc9a61d973e1a2f569a574b3b"),
+    ("closedform --class 1-sided --order 12 --full", 0,
+     "42eece5b823aef391c96d5481c6e0ef0e20b3281bed265773af9b96aa23e0158"),
+    ("closedform --class 2-sided --order 12 --full", 0,
+     "2542a38da52d4b524b4ddf74f9f2275e6f9e78cfd89f7731eb82d9c914519a4a"),
+    ("closedform --class 3-sided --order 12 --full", 0,
+     "943285b490bd1c3524f9ef0343b73bd7d576b78c4a916419f87f73837711e3b1"),
+    ("closedform --class 4-sided --order 12 --full", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("closedform --class triangular --order 12 --full", 0,
+     "c922445d4bd3fdf7d13c4f9b7f05a0169a432e35076ddb3e1818d674f7c9aecd"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN_STDOUT, ids=[g[0] for g in GOLDEN_STDOUT])
+def test_stdout_byte_identical(capsys, argv, code, digest):
+    got, out, _ = run(capsys, *argv.split())
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -21,10 +21,10 @@ from prudentwalks.closedforms import (
     y_series,
 )
 from prudentwalks.funceq import (
-    iterate_2sided,
-    iterate_3sided,
-    iterate_triangular,
+    solve_2sided,
     solve_2sided_refined_sum,
+    solve_3sided,
+    solve_triangular,
 )
 from prudentwalks.series import TSeries, ts_compose, ts_inv
 from prudentwalks.walks import enumerate_tri_by_box
@@ -75,7 +75,7 @@ def test_two_sided_closed_matches_everything():
     assert P1.integer_coeffs()[:6] == [1, 4, 10, 26, 66, 168]
     assert two_sided_p1_display(14) == P1
     # full catalytic agreement with the functional-equation route
-    assert P.normalized() == iterate_2sided(14)[1].normalized()
+    assert P.normalized() == solve_2sided(14)[1].normalized()
     # the sqrt-formula root coincides with the fixed-point q, byte for byte
     assert U == q_series(14)
 
@@ -117,7 +117,7 @@ def test_three_sided_closed_cross_checks():
     assert P1 == P1f.truncate(P1.order)
     assert P1.integer_coeffs()[:9] == [1, 4, 12, 34, 90, 236, 612, 1580, 4060]
     # Ptu-expr agrees with the iterated functional equation in full
-    ref = iterate_3sided(12)[2]
+    ref = solve_3sided(12)[2]
     assert Pu.normalized() == ref.truncate(Pu.order).normalized()
 
 
@@ -150,7 +150,7 @@ def test_q_homogeneity():
 def test_triangular_closed_values():
     Y, R1t, P1 = triangular_closed(14)
     assert P1.integer_coeffs()[:2] == [1, 6]
-    assert P1.integer_coeffs() == iterate_triangular(14)[1].specialize_ones().integer_coeffs()
+    assert P1.integer_coeffs() == solve_triangular(14)[1].specialize_ones().integer_coeffs()
     assert y_alg_residual_of(Y).is_zero()
 
 

@@ -2,16 +2,16 @@ from fractions import Fraction
 
 from prudentwalks.funceq import (
     iterate_1sided,
-    iterate_2sided,
-    iterate_3sided,
-    iterate_4sided,
-    iterate_triangular,
     rhs_2sided,
     rhs_3sided,
     rhs_4sided,
     rhs_triangular,
+    solve_2sided,
     solve_2sided_diagonal,
     solve_2sided_refined_sum,
+    solve_3sided,
+    solve_4sided,
+    solve_triangular,
 )
 from prudentwalks.series import CPoly
 from prudentwalks.walks import (
@@ -35,7 +35,7 @@ def test_1sided_series():
 
 
 def test_2sided_series_vs_oracle():
-    T, P = iterate_2sided(N)
+    T, P = solve_2sided(N)
     got = counts(P)
     assert got[:6] == [1, 4, 10, 26, 66, 168]
     assert got[: 11] == enumerate_counts(WalkClass.TWO_SIDED, 10)
@@ -44,7 +44,7 @@ def test_2sided_series_vs_oracle():
 def test_2sided_corner_enders():
     # T(t;0) counts walks ending at the NE box corner; at n=1 both N and E
     # end there (E's degenerate box has its NE corner at the endpoint)
-    T, _ = iterate_2sided(6)
+    T, _ = solve_2sided(6)
     t0 = T.substitute("u", 0).specialize_ones().integer_coeffs()
     corner = []
     for n in range(5):
@@ -61,7 +61,7 @@ def test_2sided_corner_enders():
 
 
 def test_3sided_series_vs_oracle():
-    T, R, P = iterate_3sided(N)
+    T, R, P = solve_3sided(N)
     got = counts(P)
     assert got[:3] == [1, 4, 12]
     assert got[:11] == enumerate_counts(WalkClass.THREE_SIDED, 10)
@@ -78,32 +78,32 @@ def test_3sided_first_divergence_from_2sided():
 
 
 def test_3sided_symmetry():
-    T, R, P = iterate_3sided(10)
+    T, R, P = solve_3sided(10)
     swapped = T.rename({"u": "x", "v": "u"}).rename({"x": "v"}).reorder(("u", "v"))
     assert T == swapped
 
 
 def test_4sided_series_vs_oracle():
-    T, P = iterate_4sided(N)
+    T, P = solve_4sided(N)
     got = counts(P)
     assert got[:3] == [1, 4, 12]
     assert got[:11] == enumerate_counts(WalkClass.PRUDENT4, 10)
 
 
 def test_4sided_halfperimeter_constant_term():
-    T, P = iterate_4sided(6)
+    T, P = solve_4sided(6)
     assert P.slices[0] == {(0,): 1}  # empty walk, no u dependence
 
 
 def test_triangular_series_vs_oracle():
-    R, P = iterate_triangular(N)
+    R, P = solve_triangular(N)
     got = counts(P)
     assert got[:2] == [1, 6]
     assert got[:10] == enumerate_counts(WalkClass.TRIANGULAR, 9)
 
 
 def test_triangular_symmetry():
-    R, P = iterate_triangular(10)
+    R, P = solve_triangular(10)
     swapped = R.rename({"u": "x", "v": "u"}).rename({"x": "v"}).reorder(("u", "v"))
     assert R == swapped
 
@@ -114,7 +114,7 @@ def test_triangular_homogeneous_components_match_box_formula():
     # most (k+1)(k+2)/2 - 1, so order 14 covers k <= 3
     from prudentwalks.closedforms import triangular_box_r
 
-    R, _ = iterate_triangular(14)
+    R, _ = solve_triangular(14)
     totals = {}
     for slc in R.slices:
         for key, c in slc.items():
@@ -127,14 +127,14 @@ def test_triangular_homogeneous_components_match_box_formula():
 # -- residual and contraction properties ------------------------------------
 
 def test_residuals_are_fixed_points():
-    T2, _ = iterate_2sided(12)
+    T2, _ = solve_2sided(12)
     assert rhs_2sided(T2) == T2
-    T3, R3, _ = iterate_3sided(12)
+    T3, R3, _ = solve_3sided(12)
     Tp, Rp = rhs_3sided(T3, R3)
     assert Tp == T3 and Rp == R3
-    T4, _ = iterate_4sided(9)
+    T4, _ = solve_4sided(9)
     assert rhs_4sided(T4) == T4
-    Rt, _ = iterate_triangular(12)
+    Rt, _ = solve_triangular(12)
     assert rhs_triangular(Rt) == Rt
 
 
@@ -147,14 +147,14 @@ def _truncate_above(p, m):
 
 def test_contraction_property():
     # two iterates agreeing mod t^m map to iterates agreeing mod t^(m+1)
-    T2, _ = iterate_2sided(10)
+    T2, _ = solve_2sided(10)
     for m in (3, 6):
         a = _truncate_above(T2, m)
         b = _truncate_above(T2, m + 2)
         ra, rb = rhs_2sided(a), rhs_2sided(b)
         for n in range(m + 1):
             assert ra.slices[n] == rb.slices[n]
-    Rt, _ = iterate_triangular(10)
+    Rt, _ = solve_triangular(10)
     for m in (3, 6):
         a = _truncate_above(Rt, m)
         b = Rt
@@ -165,19 +165,19 @@ def test_contraction_property():
 
 def test_inclusion_chain_on_coefficients():
     c1 = iterate_1sided(N).integer_coeffs()
-    c2 = counts(iterate_2sided(N)[1])
-    c3 = counts(iterate_3sided(N)[2])
-    c4 = counts(iterate_4sided(N)[1])
+    c2 = counts(solve_2sided(N)[1])
+    c3 = counts(solve_3sided(N)[2])
+    c4 = counts(solve_4sided(N)[1])
     for n in range(N + 1):
         assert c1[n] <= c2[n] <= c3[n] <= c4[n]
 
 
 def test_nonnegative_integer_coefficients():
     for p in (
-        iterate_2sided(10)[1],
-        iterate_3sided(10)[2],
-        iterate_4sided(10)[1],
-        iterate_triangular(10)[1],
+        solve_2sided(10)[1],
+        solve_3sided(10)[2],
+        solve_4sided(10)[1],
+        solve_triangular(10)[1],
     ):
         assert all(c >= 0 for c in counts(p))
 
@@ -186,13 +186,13 @@ def test_pruning_soundness():
     # the structural bound i+j+h <= n holds on every stored monomial of the
     # walk systems, so monomials beyond it may be skipped without changing
     # any specialization at u=v=w=1
-    T3, R3, _ = iterate_3sided(12)
+    T3, R3, _ = solve_3sided(12)
     for n in range(13):
         for (i, j) in T3.slices[n]:
             assert i + j <= n
         for (a, b) in R3.slices[n]:
             assert a + b <= n
-    T4, _ = iterate_4sided(10)
+    T4, _ = solve_4sided(10)
     for n in range(11):
         for (i, j, h) in T4.slices[n]:
             assert i + j + h <= n
@@ -202,10 +202,10 @@ def test_pruning_soundness():
 
 def test_refined_sum_marginal_and_moments():
     T, P = solve_2sided_refined_sum(8)
-    ref = counts(iterate_2sided(8)[1])
+    ref = counts(solve_2sided(8)[1])
     assert counts(P) == ref  # z = 1 marginal
     # the whole u-refined structure survives the z = 1 specialization
-    assert P.substitute("z", 1).reorder(("u",)) == iterate_2sided(8)[1]
+    assert P.substitute("z", 1).reorder(("u",)) == solve_2sided(8)[1]
     assert P.slices[1] == {(1, -1): 2, (0, 1): 2}  # n=1: two z, two 1/z
     # exact mean of X+Y at n = 6 equals the exhaustive value
     sl = P.slices[6]
@@ -217,7 +217,7 @@ def test_refined_sum_marginal_and_moments():
 def test_diagonal_symmetry_and_variance():
     T, P = solve_2sided_diagonal(8)
     assert P == P.invert_var("z")  # z <-> 1/z
-    assert counts(P) == counts(iterate_2sided(8)[1])
+    assert counts(P) == counts(solve_2sided(8)[1])
     sl = P.slices[8]
     tot = sum(sl.values())
     var = Fraction(sum(f * f * c for (_, f), c in sl.items()), tot)
