@@ -315,7 +315,7 @@ def main(argv=None):
     except ResourceBudgetError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
-    except SeriesError as exc:
+    except (SeriesError, asymptotics.NotAvailableError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_ARGS
     return EXIT_OK

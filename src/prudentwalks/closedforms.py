@@ -399,10 +399,13 @@ def three_sided_closed(order, k_terms=None):
         + one_t * (CPoly.from_tseries(uvar, _ts(Nt, {0: 2, 1: -1})) - Uu.shift(2)) * inv_1tU
     )
     one_minus_u = CPoly.constant(uvar, Nt) - CPoly.monomial(uvar, Nt, (1,))
-    den2 = CPoly(uvar, Nt)
-    den2.slices[0][(0,)] = 1
-    den2.slices[1] = {(0,): -1, (1,): -1}
-    den2.slices[2] = {(1,): -1}
+    # 1 - t - tu - t^2 u, truncated like every other factor at t^Nt
+    den2 = (
+        CPoly.constant(uvar, Nt)
+        - CPoly.monomial(uvar, Nt, (0,), tpow=1)
+        - CPoly.monomial(uvar, Nt, (1,), tpow=1)
+        - CPoly.monomial(uvar, Nt, (1,), tpow=2)
+    )
     second = (
         (CPoly.constant(uvar, Nt) - Uu) * one_t * one_minus_u * c1 * den2.inv()
         * (T.shift(2) + one_t.shift(1) * inv_1tU) * -2

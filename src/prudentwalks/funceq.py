@@ -8,8 +8,17 @@ times, but each coefficient is computed once).  ``rhs_*`` apply one full RHS
 pass through the generic CPoly operations; the solved series are their exact
 fixed points, which the tests verify directly.
 
-Divided-difference terms like (u*T(u,v) - tv*T(tv,v))/(u - tv) are expanded
-monomial-wise: u^i -> sum_k t^k u^(i-k) v^(j+k), k = 0..i.
+Divided-difference terms like t (u*T(u,v) - tv*T(tv,v))/(u - tv) send a
+monomial u^i v^j at t^n to t^(n+1+k) u^(i-k) v^(j+k), k = 0..i.  The solvers
+carry the part landing on slice n as a running sum D_n instead of expanding
+it: D_(n+1)(i, j) = T_n(i, j) + D_n(i+1, j-1), i.e. advance D by moving every
+key (a, b) with a >= 1 to (a-1, b+1) and dropping those with a = 0, then add
+T_n.  Geometric runs like t^2 u/(1-tu) T are carried the same way:
+G_(n+1) = u (T_(n-1) + G_n).  A slice then costs time linear in the number of
+its monomials, which also bounds the size of the running sums, so solving to
+order N costs O(N^4) for 4-sided walks, O(N^3) for 3-sided and triangular
+walks and the 2-sided refinements, and O(N^2) for 2-sided walks; expanding
+the terms monomial-wise would cost one power of N more.
 """
 
 from __future__ import annotations
@@ -18,9 +27,17 @@ from prudentwalks.series import CPoly, TSeries, geometric
 from prudentwalks.walks import WalkClass
 
 # The solvers truncate by t-order only: a contribution to slice m is kept iff
-# m <= N, and no monomial is skipped for its degree.  Every stored monomial
-# u^i v^j w^h at t^n has i+j+h <= n anyway, since the box dimensions are
-# bounded by the length (checked by test_pruning_soundness).
+# m <= N, and no monomial is skipped for its degree.  A running sum holds
+# exactly the contributions to the slice being built, so stopping after slice
+# N is the truncation.  Every stored monomial u^i v^j w^h at t^n has
+# i+j+h <= n anyway, since the box dimensions are bounded by the length
+# (checked by test_pruning_soundness).
+
+
+def _merge(dst, src):
+    """Add the dict src into the dict dst, key by key."""
+    for key, c in src.items():
+        dst[key] = dst.get(key, 0) + c
 
 
 def length_series(walk_class, order):
@@ -65,28 +82,29 @@ def solve_2sided(order):
     Returns (T, P) with P = 2T - T(0); P(t;1) counts 2-sided walks.
     """
     N = order
-    slices = [dict() for _ in range(N + 1)]
-    acc = [dict() for _ in range(N + 1)]
+    slices = []
+    acc = [{n: 1} for n in range(N + 1)]  # 1/(1-tu)
+    D = {}  # t dd_u(uT, u->t) on slice n: D_(n+1)(i) = T_n(i) + D_n(i+1)
+    G = {}  # t^2 u/(1-tu) T on slice n: G_(n+1) = u (T_(n-1) + G_n)
+    prev = {}
     for n in range(N + 1):
-        acc[n][n] = 1  # 1/(1-tu)
-    for n in range(N + 1):
-        cur = {i: c for i, c in acc[n].items() if c}
-        slices[n] = cur
+        cur = acc[n]
+        _merge(cur, D)
+        _merge(cur, G)
+        cur = {i: c for i, c in cur.items() if c}
+        slices.append(cur)
+        if n == N:
+            break
+        _merge(G, prev)
+        G = {i + 1: c for i, c in G.items()}
+        D = {i - 1: c for i, c in D.items() if i}
         for i, c in cur.items():
+            D[i] = D.get(i, 0) + c
             # t * T[u:=t]
             m = n + 1 + i
             if m <= N:
                 acc[m][0] = acc[m].get(0, 0) + c
-            # t^2 u/(1-tu) * T
-            for a in range(N - n - 1):
-                m = n + 2 + a
-                e = i + 1 + a
-                acc[m][e] = acc[m].get(e, 0) + c
-            # t * dd_u(u T, u -> t)
-            for k in range(min(i, N - n - 1) + 1):
-                m = n + 1 + k
-                e = i - k
-                acc[m][e] = acc[m].get(e, 0) + c
+        prev = cur
     T = CPoly(("u",), N)
     P = CPoly(("u",), N)
     for n in range(N + 1):
@@ -114,52 +132,59 @@ def rhs_2sided(T):
 def solve_3sided(order):
     """Fixed point of the coupled Lemma system; returns (T, R, P)."""
     N = order
-    Ts = [dict() for _ in range(N + 1)]  # keys (i, j) exponents of u, v
-    Rs = [dict() for _ in range(N + 1)]  # keys (a, b) exponents of u, w
+    Ts = []  # keys (i, j) exponents of u, v
+    Rs = []  # keys (a, b) exponents of u, w
     accT = [dict() for _ in range(N + 1)]
-    accR = [dict() for _ in range(N + 1)]
+    accR = [{(n, 0): 1} for n in range(N + 1)]  # 1/(1-tu)
     accT[0][(0, 0)] = 1  # empty walk
+    # running sums of the terms landing on slice n (module docstring)
+    DU = {}  # t dd_u(uT, u->tv): DU_(n+1)(i, j) = T_n(i, j) + DU_n(i+1, j-1)
+    DV = {}  # t dd_v(vT, v->tu): DV_(n+1)(i, j) = T_n(i, j) + DV_n(i-1, j+1)
+    DR = {}  # t w dd_u(uR, u->t): DR_(n+1)(a, b+1) = R_n(a, b) + DR_n(a+1, b+1)
+    GR = {}  # t^2 uw/(1-tu) R: GR_(n+1) = u (w R_(n-1) + GR_n)
+    prevR = {}
     for n in range(N + 1):
-        accR[n][(n, 0)] = 1  # 1/(1-tu)
-
-    def add(acc, m, key, c):
-        acc[m][key] = acc[m].get(key, 0) + c
-
-    for n in range(N + 1):
-        curT = {k: c for k, c in accT[n].items() if c}
-        curR = {k: c for k, c in accR[n].items() if c}
-        Ts[n], Rs[n] = curT, curR
-        for (i, j), c in curT.items():
-            # T-equation: t dd_u(uT, u->tv) + t dd_v(vT, v->tu) - t T
-            lim = N - n - 1
-            if lim >= 0:
-                for k in range(min(i, lim) + 1):
-                    add(accT, n + 1 + k, (i - k, j + k), c)
-                for k in range(min(j, lim) + 1):
-                    add(accT, n + 1 + k, (i + k, j - k), c)
-                add(accT, n + 1, (i, j), -c)
+        curT = accT[n]
+        _merge(curT, DU)
+        _merge(curT, DV)
+        curR = accR[n]
+        _merge(curR, DR)
+        _merge(curR, GR)
+        curT = {k: c for k, c in curT.items() if c}
+        curR = {k: c for k, c in curR.items() if c}
+        Ts.append(curT)
+        Rs.append(curR)
+        if n == N:
+            break
+        nxtT = accT[n + 1]
+        DU = {(i - 1, j + 1): c for (i, j), c in DU.items() if i}
+        DV = {(i + 1, j - 1): c for (i, j), c in DV.items() if j}
+        for key, c in curT.items():
+            DU[key] = DU.get(key, 0) + c
+            DV[key] = DV.get(key, 0) + c
+            nxtT[key] = nxtT.get(key, 0) - c  # - t T
             # R-equation: t T(tw, w) -> slice n+1+i, key (0, i+j)
+            i, j = key
             m = n + 1 + i
             if m <= N:
-                add(accR, m, (0, i + j), c)
+                tgt = accR[m]
+                tgt[(0, i + j)] = tgt.get((0, i + j), 0) + c
+        for (a, b), c in prevR.items():
+            GR[(a, b + 1)] = GR.get((a, b + 1), 0) + c
+        GR = {(a + 1, b): c for (a, b), c in GR.items()}
+        DR = {(a - 1, b): c for (a, b), c in DR.items() if a}
         for (a, b), c in curR.items():
+            DR[(a, b + 1)] = DR.get((a, b + 1), 0) + c
             # T-equation: tu R(t,u) + tv R(t,v); R(t,x): u_R := t, w -> x
             m = n + 1 + a
             if m <= N:
-                add(accT, m, (b + 1, 0), c)
-                add(accT, m, (0, b + 1), c)
-            # R-equation: t^2 u w/(1-tu) R
-            for e in range(N - n - 1):
-                add(accR, n + 2 + e, (a + 1 + e, b + 1), c)
-            # R-equation: t w dd_u(uR, u->t)
-            for k in range(min(a, N - n - 1) + 1):
-                add(accR, n + 1 + k, (a - k, b + 1), c)
+                tgt = accT[m]
+                tgt[(b + 1, 0)] = tgt.get((b + 1, 0), 0) + c
+                tgt[(0, b + 1)] = tgt.get((0, b + 1), 0) + c
+        prevR = curR
 
-    T = CPoly(("u", "v"), N)
-    R = CPoly(("u", "w"), N)
-    for n in range(N + 1):
-        T.slices[n] = dict(Ts[n])
-        R.slices[n] = dict(Rs[n])
+    T = CPoly(("u", "v"), N, Ts)
+    R = CPoly(("u", "w"), N, Rs)
     # P(t;u) = T(u,u) + 2 R(1,u) - 2 T(u,0) - t/(1-t)
     P = T.substitute("v", "u").reorder(("u",))
     P = P + (R.substitute("u", 1).reorder(("w",)).rename({"w": "u"}) * 2)
@@ -200,39 +225,43 @@ def solve_4sided(order):
     """Fixed point of T = 1 + G(w,u) + G(w,v) + tw dd_u(uT,tv) + tw dd_v(vT,tu)
     - tw T with G(x,y) = t y T(x, tx, y); returns (T, P)."""
     N = order
-    slices = [dict() for _ in range(N + 1)]  # keys (i, j, h)
+    slices = []  # keys (i, j, h)
     acc = [dict() for _ in range(N + 1)]
     acc[0][(0, 0, 0)] = 1
-
-    def add(m, key, c):
-        acc[m][key] = acc[m].get(key, 0) + c
-
+    # t w dd_u(u T, u -> tv) on slice n, and its mirror image (docstring):
+    DU = {}  # DU_(n+1)(i, j, h+1) = T_n(i, j, h) + DU_n(i+1, j-1, h+1)
+    DV = {}  # DV_(n+1)(i, j, h+1) = T_n(i, j, h) + DV_n(i-1, j+1, h+1)
     for n in range(N + 1):
-        cur = {k: c for k, c in acc[n].items() if c}
-        slices[n] = cur
+        cur = acc[n]
+        _merge(cur, DU)
+        _merge(cur, DV)
+        cur = {k: c for k, c in cur.items() if c}
+        slices.append(cur)
+        if n == N:
+            break
+        nxt = acc[n + 1]
+        DU = {(i - 1, j + 1, h): c for (i, j, h), c in DU.items() if i}
+        DV = {(i + 1, j - 1, h): c for (i, j, h), c in DV.items() if j}
         for (i, j, h), c in cur.items():
+            key = (i, j, h + 1)
+            DU[key] = DU.get(key, 0) + c
+            DV[key] = DV.get(key, 0) + c
+            nxt[key] = nxt.get(key, 0) - c  # - t w T
             # G(w, u) = t u T(w, tw, u): monomial -> t^(j+1) u^(h+1) w^(i+j)
             m = n + 1 + j
             if m <= N:
-                add(m, (h + 1, 0, i + j), c)
-                add(m, (0, h + 1, i + j), c)  # G(w, v)
-            lim = N - n - 1
-            if lim >= 0:
-                # t w dd_u(u T, u -> tv) and symmetric
-                for k in range(min(i, lim) + 1):
-                    add(n + 1 + k, (i - k, j + k, h + 1), c)
-                for k in range(min(j, lim) + 1):
-                    add(n + 1 + k, (i + k, j - k, h + 1), c)
-                add(n + 1, (i, j, h + 1), -c)
+                tgt = acc[m]
+                ku = (h + 1, 0, i + j)
+                kv = (0, h + 1, i + j)  # G(w, v)
+                tgt[ku] = tgt.get(ku, 0) + c
+                tgt[kv] = tgt.get(kv, 0) + c
 
     # the decomposition is symmetric in u, v; fail loudly if that ever breaks
     for n in range(min(N, 20) + 1):
         for (i, j, h), c in slices[n].items():
             if slices[n].get((j, i, h), 0) != c:
                 raise RuntimeError("4-sided symmetry violated at t^%d" % n)
-    T = CPoly(("u", "v", "w"), N)
-    for n in range(N + 1):
-        T.slices[n] = dict(slices[n])
+    T = CPoly(("u", "v", "w"), N, slices)
     # P(t;u) = 1 + 4 T(u,u,u) - 4 T(0,u,u)
     P = CPoly.constant(("u",), N)
     for n in range(N + 1):
@@ -270,36 +299,43 @@ def solve_triangular(order):
     """Fixed point of R = 1 + tu(1+t) R(u,tu) + tv(1+t) R(tv,v)
     + tv(1+t) dd_u(uR, tv) + tu(1+t) dd_v(vR, tu); returns (R, P)."""
     N = order
-    slices = [dict() for _ in range(N + 1)]
+    slices = []
+    # R = 1 + (1+t) Y: acc[n] collects the single jumps of Y on slice n, and
+    # E, F carry its divided differences (module docstring)
     acc = [dict() for _ in range(N + 1)]
-    acc[0][(0, 0)] = 1
-
-    def add(m, key, c):
-        if m <= N:
-            acc[m][key] = acc[m].get(key, 0) + c
-
+    E = {}  # tv dd_u(uR, u->tv): E_(n+1)(i, j+1) = R_n(i, j) + E_n(i+1, j)
+    F = {}  # tu dd_v(vR, v->tu): F_(n+1)(i+1, j) = R_n(i, j) + F_n(i, j+1)
+    prevY = {}
     for n in range(N + 1):
-        cur = {k: c for k, c in acc[n].items() if c}
-        slices[n] = cur
+        Y = acc[n]
+        _merge(Y, E)
+        _merge(Y, F)
+        cur = {(0, 0): 1} if n == 0 else dict(prevY)
+        _merge(cur, Y)
+        cur = {k: c for k, c in cur.items() if c}
+        slices.append(cur)
+        if n == N:
+            break
+        prevY = Y
+        E = {(i - 1, j + 1): c for (i, j), c in E.items() if i}
+        F = {(i + 1, j - 1): c for (i, j), c in F.items() if j}
         for (i, j), c in cur.items():
-            # tu(1+t) R(u, tu): v^j -> t^j u^j
-            add(n + 1 + j, (i + j + 1, 0), c)
-            add(n + 2 + j, (i + j + 1, 0), c)
-            # tv(1+t) R(tv, v)
-            add(n + 1 + i, (0, i + j + 1), c)
-            add(n + 2 + i, (0, i + j + 1), c)
-            # tv(1+t) dd_u(u R, u -> tv)
-            for k in range(min(i, N - n - 1) + 1):
-                add(n + 1 + k, (i - k, j + k + 1), c)
-                add(n + 2 + k, (i - k, j + k + 1), c)
-            # tu(1+t) dd_v(v R, v -> tu)
-            for k in range(min(j, N - n - 1) + 1):
-                add(n + 1 + k, (i + k + 1, j - k), c)
-                add(n + 2 + k, (i + k + 1, j - k), c)
+            ke = (i, j + 1)
+            kf = (i + 1, j)
+            E[ke] = E.get(ke, 0) + c
+            F[kf] = F.get(kf, 0) + c
+            # tu R(u, tu): v^j -> t^j u^j
+            m = n + 1 + j
+            if m <= N:
+                tgt = acc[m]
+                tgt[(i + j + 1, 0)] = tgt.get((i + j + 1, 0), 0) + c
+            # tv R(tv, v)
+            m = n + 1 + i
+            if m <= N:
+                tgt = acc[m]
+                tgt[(0, i + j + 1)] = tgt.get((0, i + j + 1), 0) + c
 
-    R = CPoly(("u", "v"), N)
-    for n in range(N + 1):
-        R.slices[n] = dict(slices[n])
+    R = CPoly(("u", "v"), N, slices)
     # P(t;u) = 1 + 3 R(u,u) - 3 R(u,0)
     P = CPoly.constant(("u",), N)
     for n in range(N + 1):
@@ -330,73 +366,58 @@ def rhs_triangular(R):
 # diagonal distance (z marks X-Y, Laurent in z)
 # --------------------------------------------------------------------------
 
+def _solve_2sided_z(N, s):
+    """Slices of the refined 2-sided T(t,z;u), keys (u-exponent, z-exponent).
+
+    s = 1: z marks X+Y; s = -1: z marks X-Y.  Either way East is t z and
+    West is t u / z, North is t z^s, and the jump back to the NE corner is
+    t z T(z^s; t z^s) with the z-exponents of T raised to the power s.
+    """
+    slices = []
+    acc = [{(n, -n): 1} for n in range(N + 1)]  # West run: sum (t u / z)^m
+    # North step then bounded East run: t z^s dd_u(u T, u -> t z), and
+    # North step then m >= 1 West steps: sum_a t^(1+a) u^(i+a) z^(f+s-a)
+    D = {}  # D_(n+1)(i, f+s) = T_n(i, f) + D_n(i+1, f+s-1)
+    G = {}  # G_(n+1) = (u/z) (z^s T_(n-1) + G_n)
+    prev = {}
+    for n in range(N + 1):
+        cur = acc[n]
+        _merge(cur, D)
+        _merge(cur, G)
+        cur = {k: c for k, c in cur.items() if c}
+        slices.append(cur)
+        if n == N:
+            break
+        for (i, f), c in prev.items():
+            G[(i, f + s)] = G.get((i, f + s), 0) + c
+        G = {(i + 1, f - 1): c for (i, f), c in G.items()}
+        D = {(i - 1, f + 1): c for (i, f), c in D.items() if i}
+        for (i, f), c in cur.items():
+            D[(i, f + s)] = D.get((i, f + s), 0) + c
+            m = n + 1 + i
+            if m <= N:
+                key = (0, s * (f + i) + 1)
+                acc[m][key] = acc[m].get(key, 0) + c
+        prev = cur
+    return slices
+
+
 def solve_2sided_refined_sum(order):
     """T(t,z;u) for top-enders with z marking X+Y; returns (T, P).
 
     P = 2T - T(u:=0); coefficient of t^n z^s u^i counts 2-sided walks of
     length n with X+Y = s at NE-distance i.
     """
-    N = order
-    slices = [dict() for _ in range(N + 1)]  # keys (i, f): u- and z-exponents
-    acc = [dict() for _ in range(N + 1)]
-    for n in range(N + 1):
-        acc[n][(n, -n)] = 1  # West run: z/(z - tu) = sum (t u / z)^m
-
-    def add(m, key, c):
-        acc[m][key] = acc[m].get(key, 0) + c
-
-    for n in range(N + 1):
-        cur = {k: c for k, c in acc[n].items() if c}
-        slices[n] = cur
-        for (i, f), c in cur.items():
-            # t z T[u := t z]
-            add_m = n + 1 + i
-            if add_m <= N:
-                add(add_m, (0, f + i + 1), c)
-            # North step then m >= 1 West steps: sum_a t^(1+a) u^(i+a) z^(f+1-a)
-            for a in range(1, N - n):
-                add(n + 1 + a, (i + a, f + 1 - a), c)
-            # North step then bounded East run: t z dd_u(u T, u -> t z)
-            for k in range(min(i, N - n - 1) + 1):
-                add(n + 1 + k, (i - k, f + 1 + k), c)
-
-    T = CPoly(("u", "z"), N)
-    P = CPoly(("u", "z"), N)
-    for n in range(N + 1):
-        for (i, f), c in slices[n].items():
-            T.slices[n][(i, f)] = c
-            P.slices[n][(i, f)] = c if i == 0 else 2 * c
+    slices = _solve_2sided_z(order, 1)
+    T = CPoly(("u", "z"), order, slices)
+    P = CPoly(("u", "z"), order, [
+        {(i, f): c if i == 0 else 2 * c for (i, f), c in slc.items()} for slc in slices
+    ])
     return T, P
 
 
 def solve_2sided_diagonal(order):
     """P(t,z;u) with Laurent z marking X-Y; P = T(z;u) + T(zbar;u) - T(z;0)."""
-    N = order
-    slices = [dict() for _ in range(N + 1)]
-    acc = [dict() for _ in range(N + 1)]
-    for n in range(N + 1):
-        acc[n][(n, -n)] = 1  # West run: each W is t u / z
-
-    def add(m, key, c):
-        acc[m][key] = acc[m].get(key, 0) + c
-
-    for n in range(N + 1):
-        cur = {k: c for k, c in acc[n].items() if c}
-        slices[n] = cur
-        for (i, f), c in cur.items():
-            # t z T(zbar; t zbar): invert z, substitute u := t/z, multiply tz
-            m = n + 1 + i
-            if m <= N:
-                add(m, (0, -f - i + 1), c)
-            # North then West run (m >= 1): t^(1+a) u^(i+a) z^(f-1-a)
-            for a in range(1, N - n):
-                add(n + 1 + a, (i + a, f - 1 - a), c)
-            # North then bounded East run: t zbar dd_u(u T, u -> t z)
-            for k in range(min(i, N - n - 1) + 1):
-                add(n + 1 + k, (i - k, f - 1 + k), c)
-
-    T = CPoly(("u", "z"), N)
-    for n in range(N + 1):
-        T.slices[n] = dict(slices[n])
+    T = CPoly(("u", "z"), order, _solve_2sided_z(order, -1))
     P = T + T.invert_var("z") - T.substitute("u", 0)
     return T, P

@@ -59,6 +59,15 @@ def test_asym_report(capsys):
     assert all(c["provenance"] in ("paper-closed-form", "empirical") for c in obj["constants"])
 
 
+def test_asym_prudent4_exits_2_without_traceback(capsys):
+    # no closed-form constants exist for 4-sided walks: an error line, exit 2
+    code, out, err = run(capsys, "asym", "--class", "4-sided")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "open problem" in err
+    assert "Traceback" not in err
+
+
 def test_sample_deterministic(capsys):
     args = ("sample", "--class", "triangular", "--length", "15", "--count", "2", "--seed", "7")
     code1, out1, _ = run(capsys, *args)

@@ -121,6 +121,15 @@ def test_three_sided_closed_cross_checks():
     assert Pu.normalized() == ref.truncate(Pu.order).normalized()
 
 
+def test_three_sided_closed_low_orders():
+    # the 1 - t - tu - t^2 u denominator is truncated like every other factor
+    expected = [[1], [1, 4], [1, 4, 12], [1, 4, 12, 34]]
+    for order in range(4):
+        P1 = three_sided_closed(order)[2]
+        assert P1 == three_sided_length_series(order)[1]
+        assert P1.integer_coeffs() == expected[order]
+
+
 def test_three_sided_summand_valuations_grow():
     # successive summands gain at least three orders of valuation each, so
     # the measured-valuation auto truncation terminates

@@ -224,3 +224,44 @@ def test_diagonal_symmetry_and_variance():
     stats = endpoint_stats(WalkClass.TWO_SIDED, 8)["diff"]
     assert exact_mean(stats) == 0
     assert var == exact_variance(stats)
+
+
+# -- running sums at larger orders --------------------------------------------
+# The solvers carry divided differences and geometric runs as running sums
+# from slice to slice; truncation at slice N is where such a sum would go
+# wrong, so these checks run well past the orders used above.
+
+def test_residuals_are_fixed_points_at_larger_orders():
+    T2, _ = solve_2sided(40)
+    assert rhs_2sided(T2) == T2
+    T3, R3, _ = solve_3sided(24)
+    assert rhs_3sided(T3, R3) == (T3, R3)
+    T4, _ = solve_4sided(18)
+    assert rhs_4sided(T4) == T4
+    Rt, _ = solve_triangular(24)
+    assert rhs_triangular(Rt) == Rt
+
+
+def test_refinements_specialize_to_2sided_at_order_40():
+    P2 = solve_2sided(40)[1]
+    _, P = solve_2sided_refined_sum(40)
+    assert P.substitute("z", 1).reorder(("u",)) == P2
+    _, Pd = solve_2sided_diagonal(40)
+    assert counts(Pd) == counts(P2)
+
+
+def test_lower_order_solutions_are_prefixes():
+    # a solution to order n is the first n+1 slices of one to a higher order,
+    # including the orders 0 and 1 where the running sums are still empty
+    for solve, top in (
+        (solve_2sided, 30),
+        (solve_3sided, 16),
+        (solve_4sided, 12),
+        (solve_triangular, 16),
+        (solve_2sided_refined_sum, 16),
+        (solve_2sided_diagonal, 16),
+    ):
+        full = solve(top)
+        for n in (0, 1, 2, top // 2):
+            for a, b in zip(solve(n), full):
+                assert a.slices == b.slices[: n + 1]
