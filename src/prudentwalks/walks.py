@@ -3,7 +3,11 @@ and the brute-force enumeration oracle.
 
 The oracle is a plain depth-first search with incremental box and
 visited-set updates and no memoization; every other counting route in the
-package is validated against it.
+package is validated against it.  `enumerate_counts` searches from one first
+step per orbit of the class's symmetries (`FIRST_STEP_ORBITS`) and multiplies
+by the orbit size; `enumerate_walks`, `endpoint_stats` and
+`enumerate_tri_by_box` search every first step, because what they report is
+not invariant under those symmetries.
 """
 
 from __future__ import annotations
@@ -280,6 +284,8 @@ class SquareState:
     degenerate box edge counts as all the edges it coincides with.
     """
 
+    lattice = "square"
+
     def __init__(self, k=None):
         self.k = k
         self.x = self.y = 0
@@ -290,62 +296,54 @@ class SquareState:
     def __len__(self):
         return len(self.trail)
 
-    def _prudent(self, d):
+    def legal(self, d):
         x, y = self.x, self.y
         dx, dy = SQ_STEP_VECTORS[d]
         visited = self.visited
+        # prudence: no visited vertex on the forward ray inside the box
         if dx:
             bound = self.x_max if dx > 0 else self.x_min
-            xx = x + dx
-            while (xx - bound) * dx <= 0:
+            for xx in range(x + dx, bound + dx, dx):
                 if (xx, y) in visited:
                     return False
-                xx += dx
         else:
             bound = self.y_max if dy > 0 else self.y_min
-            yy = y + dy
-            while (yy - bound) * dy <= 0:
+            for yy in range(y + dy, bound + dy, dy):
                 if (x, yy) in visited:
                     return False
-                yy += dy
-        return True
-
-    def _on_allowed_edge(self, px, py):
-        # doubled coordinates; instantaneous box = committed box extended by the point
-        bx0 = min(2 * self.x_min, px)
-        bx1 = max(2 * self.x_max, px)
-        by1 = max(2 * self.y_max, py)
-        if py == by1:
-            return True
         k = self.k
-        if k >= 2 and px == bx1:
+        if k is None:
             return True
-        if k >= 3 and px == bx0:
-            return True
-        return False
-
-    def legal(self, d):
-        if not self._prudent(d):
-            return False
-        if self.k is not None:
-            dx, dy = SQ_STEP_VECTORS[d]
-            mx, my = 2 * self.x + dx, 2 * self.y + dy
-            if not self._on_allowed_edge(mx, my):
-                return False
-            if not self._on_allowed_edge(mx + dx, my + dy):
+        # the midpoint, then the endpoint, in doubled coordinates, must lie on
+        # an allowed edge of the committed box extended by that point
+        top, right, left = 2 * self.y_max, 2 * self.x_max, 2 * self.x_min
+        px, py = 2 * x, 2 * y
+        for _ in (0, 1):
+            px += dx
+            py += dy
+            if not (py >= top or (k >= 2 and px >= right) or (k >= 3 and px <= left)):
                 return False
         return True
 
     def push(self, d):
         dx, dy = SQ_STEP_VECTORS[d]
-        self.trail.append((self.x, self.y, self.x_min, self.x_max, self.y_min, self.y_max))
-        self.x += dx
-        self.y += dy
-        self.visited.add((self.x, self.y))
-        self.x_min = min(self.x_min, self.x)
-        self.x_max = max(self.x_max, self.x)
-        self.y_min = min(self.y_min, self.y)
-        self.y_max = max(self.y_max, self.y)
+        x, y = self.x, self.y
+        self.trail.append((x, y, self.x_min, self.x_max, self.y_min, self.y_max))
+        if dx:
+            x += dx
+            self.x = x
+            if x > self.x_max:
+                self.x_max = x
+            elif x < self.x_min:
+                self.x_min = x
+        else:
+            y += dy
+            self.y = y
+            if y > self.y_max:
+                self.y_max = y
+            elif y < self.y_min:
+                self.y_min = y
+        self.visited.add((x, y))
 
     def pop(self):
         self.visited.discard((self.x, self.y))
@@ -356,6 +354,11 @@ class TriState:
     """Triangular prudent walk state: each step either strictly inflates the
     box, or keeps it fixed while the step lies along one box edge and points
     at no visited vertex."""
+
+    lattice = "tri"
+    # steps that would inflate the box past this size are refused (only
+    # enumerate_tri_by_box sets it)
+    _max_size = float("inf")
 
     def __init__(self):
         self.x = self.y = 0
@@ -368,20 +371,22 @@ class TriState:
 
     def legal(self, d):
         dx, dy = TRI_STEP_VECTORS[d]
-        px, py = self.x + dx, self.y + dy
-        if px < self.x_min or py < self.y_min or px + py > self.s_max:
-            return True  # inflating: the whole forward ray leaves the box
-        # box unchanged: both endpoints must share a box edge
         x, y = self.x, self.y
+        x_min, y_min, s_max = self.x_min, self.y_min, self.s_max
+        px, py = x + dx, y + dy
+        if px < x_min or py < y_min or px + py > s_max:
+            # inflating: the whole forward ray leaves the box
+            return s_max - x_min - y_min < self._max_size
+        # box unchanged: both endpoints must share a box edge
         if not (
-            (x == self.x_min and px == self.x_min)
-            or (y == self.y_min and py == self.y_min)
-            or (x + y == self.s_max and px + py == self.s_max)
+            (x == x_min and px == x_min)
+            or (y == y_min and py == y_min)
+            or (x + y == s_max and px + py == s_max)
         ):
             return False
         # prudence along the edge: scan the forward half-line inside the box
         visited = self.visited
-        while self.x_min <= px and self.y_min <= py and px + py <= self.s_max:
+        while x_min <= px and y_min <= py and px + py <= s_max:
             if (px, py) in visited:
                 return False
             px += dx
@@ -390,13 +395,22 @@ class TriState:
 
     def push(self, d):
         dx, dy = TRI_STEP_VECTORS[d]
-        self.trail.append((self.x, self.y, self.x_min, self.y_min, self.s_max))
-        self.x += dx
-        self.y += dy
-        self.visited.add((self.x, self.y))
-        self.x_min = min(self.x_min, self.x)
-        self.y_min = min(self.y_min, self.y)
-        self.s_max = max(self.s_max, self.x + self.y)
+        x, y = self.x, self.y
+        self.trail.append((x, y, self.x_min, self.y_min, self.s_max))
+        x += dx
+        y += dy
+        self.x, self.y = x, y
+        self.visited.add((x, y))
+        # each step can move one bound only: NW and W x_min, SE and SW y_min,
+        # NE and E s_max
+        if dx < 0:
+            if x < self.x_min:
+                self.x_min = x
+        elif dy < 0:
+            if y < self.y_min:
+                self.y_min = y
+        elif x + y > self.s_max:
+            self.s_max = x + y
 
     def pop(self):
         self.visited.discard((self.x, self.y))
@@ -413,10 +427,14 @@ def _make_state(walk_class):
 # Membership predicates
 # --------------------------------------------------------------------------
 
-def _follows(state, steps):
-    """True iff every step is legal from the state reached before it."""
+def _follows(state, walk):
+    """True iff every step of the walk is legal from the state reached before it."""
+    if walk.lattice != state.lattice:
+        raise ValueError(
+            "a %s-lattice walk cannot be checked on the %s lattice" % (walk.lattice, state.lattice)
+        )
     legal, push = state.legal, state.push
-    for d in steps:
+    for d in walk.steps:
         if not legal(d):
             return False
         push(d)
@@ -425,7 +443,7 @@ def _follows(state, steps):
 
 def is_prudent(walk):
     """True iff no step of the square walk points at a visited vertex."""
-    return _follows(SquareState(k=None), walk.steps)
+    return _follows(SquareState(k=None), walk)
 
 
 def is_k_sided(walk, k):
@@ -433,15 +451,15 @@ def is_k_sided(walk, k):
     the k allowed edges (k=1 top, k=2 top+right, k=3 top+right+left)."""
     if k not in (1, 2, 3, 4):
         raise ValueError("k must be in 1..4")
-    return _follows(SquareState(k=None if k == 4 else k), walk.steps)
+    return _follows(SquareState(k=None if k == 4 else k), walk)
 
 
 def is_triangular_prudent(walk):
-    return _follows(TriState(), walk.steps)
+    return _follows(TriState(), walk)
 
 
 def in_class(walk, walk_class):
-    return _follows(_make_state(walk_class), walk.steps)
+    return _follows(_make_state(walk_class), walk)
 
 
 # --------------------------------------------------------------------------
@@ -474,20 +492,55 @@ def _ndirs(walk_class):
     return 6 if walk_class is WalkClass.TRIANGULAR else 4
 
 
+def _check_length(n):
+    if n < 0:
+        raise ValueError("walk length must be >= 0, got %d" % n)
+
+
+# Orbits of the first step under a symmetry group of each class: the group's
+# step permutations map the class onto itself, so every first step of an
+# orbit starts equally many walks of each length.  1- and 3-sided: the
+# reflection x -> -x (E <-> W; S is illegal for 1-sided walks); 2-sided: the
+# reflection in x = y (N <-> E, S <-> W); 4-sided: the 90-degree rotation;
+# triangular: x <-> y (0 <-> 3, 1 <-> 2, 4 <-> 5) and the 120-degree rotation
+# (0 -> 2 -> 4, 1 -> 3 -> 5).
+FIRST_STEP_ORBITS = {
+    WalkClass.ONE_SIDED: ((0,), (1, 3), (2,)),
+    WalkClass.TWO_SIDED: ((0, 1), (2, 3)),
+    WalkClass.THREE_SIDED: ((0,), (1, 3), (2,)),
+    WalkClass.PRUDENT4: ((0, 1, 2, 3),),
+    WalkClass.TRIANGULAR: ((0, 1, 2, 3, 4, 5),),
+}
+
+
 def enumerate_counts(walk_class, n_max):
-    """Number of walks of each length 0..n_max in the class (exact, by DFS)."""
-    counts = [0] * (n_max + 1)
+    """Number of walks of each length 0..n_max in the class (exact, by DFS).
+
+    The search runs once per first-step orbit (FIRST_STEP_ORBITS), from the
+    orbit's first step, and counts each walk it finds once per orbit member.
+    """
+    _check_length(n_max)
+    tail = [0] * n_max  # tail[i] counts the walks of length i + 1
+    weight = 0
 
     def visit(state, depth):
-        counts[depth] += 1
-        return depth < n_max
+        tail[depth] += weight
+        return depth < n_max - 1
 
-    _dfs(_make_state(walk_class), _ndirs(walk_class), visit)
-    return counts
+    if n_max:
+        state, ndirs = _make_state(walk_class), _ndirs(walk_class)
+        for orbit in FIRST_STEP_ORBITS[walk_class]:
+            if state.legal(orbit[0]):
+                weight = len(orbit)
+                state.push(orbit[0])
+                _dfs(state, ndirs, visit)
+                state.pop()
+    return [1] + tail
 
 
 def enumerate_walks(walk_class, n):
     """All length-n walks of the class (exhaustive; for small n)."""
+    _check_length(n)
     tri = walk_class is WalkClass.TRIANGULAR
     make = TriWalk if tri else SquareWalk
     code = {v: d for d, v in enumerate(TRI_STEP_VECTORS if tri else SQ_STEP_VECTORS)}
@@ -518,16 +571,16 @@ def enumerate_tri_by_box(k):
 
     def visit(state, depth):
         nonlocal total
-        size = state.s_max - state.x_min - state.y_min
-        if size != k:
-            return size < k
-        total += 1
-        if state.x + state.y == state.s_max:  # right edge
-            i = state.x - state.x_min
-            r[(i, k - i)] += 1
+        if state.s_max - state.x_min - state.y_min == k:
+            total += 1
+            if state.x + state.y == state.s_max:  # right edge
+                i = state.x - state.x_min
+                r[(i, k - i)] += 1
         return True
 
-    _dfs(TriState(), 6, visit)
+    state = TriState()
+    state._max_size = k
+    _dfs(state, 6, visit)
     return total, dict(r)
 
 
@@ -537,6 +590,7 @@ def endpoint_stats(walk_class, n):
     Square classes: 'sum' (X+Y), 'diff' (X-Y), 'ne_dist' (distance from the
     endpoint to the NE box corner), 'width'.  Triangular: 'box_size'.
     """
+    _check_length(n)
     tri = walk_class is WalkClass.TRIANGULAR
     stats = {
         key: Counter()

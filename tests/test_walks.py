@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from prudentwalks.walks import (
+    FIRST_STEP_ORBITS,
     SQUARE_CLASSES,
     SquareWalk,
     TriWalk,
@@ -19,6 +20,7 @@ from prudentwalks.walks import (
     is_triangular_prudent,
     walk_from_json,
 )
+from prudentwalks import walks
 
 # exhaustive reference counts, themselves frozen from this oracle and
 # cross-checked against the series routes in test_acceptance
@@ -160,3 +162,79 @@ def test_boxes():
 def test_in_class_dispatch():
     assert in_class(SquareWalk("EN"), WalkClass.ONE_SIDED)
     assert in_class(TriWalk("21"), WalkClass.TRIANGULAR)
+
+
+# generators of each class's symmetry group, as step-code permutations
+SYMMETRIES = {
+    WalkClass.ONE_SIDED: [(0, 3, 2, 1)],  # x -> -x
+    WalkClass.TWO_SIDED: [(1, 0, 3, 2)],  # reflection in x = y
+    WalkClass.THREE_SIDED: [(0, 3, 2, 1)],
+    WalkClass.PRUDENT4: [(1, 2, 3, 0)],  # 90-degree rotation
+    WalkClass.TRIANGULAR: [(3, 2, 1, 0, 5, 4), (2, 3, 4, 5, 0, 1)],  # x <-> y, 120 degrees
+}
+
+
+def _unreduced_counts(wc, n_max):
+    counts = [0] * (n_max + 1)
+
+    def visit(state, depth):
+        counts[depth] += 1
+        return depth < n_max
+
+    walks._dfs(walks._make_state(wc), walks._ndirs(wc), visit)
+    return counts
+
+
+@pytest.mark.parametrize("wc", list(WalkClass))
+def test_orbit_reduced_counts_match_unreduced_dfs(wc):
+    n_max = 6 if wc is WalkClass.TRIANGULAR else 8
+    expected = _unreduced_counts(wc, n_max)
+    assert expected[: len(COUNTS[wc])] == COUNTS[wc][: n_max + 1]
+    for n in range(n_max + 1):
+        assert enumerate_counts(wc, n) == expected[: n + 1]
+        assert len(enumerate_walks(wc, n)) == expected[n]
+
+
+@pytest.mark.parametrize("wc", list(WalkClass))
+def test_first_step_orbits_are_symmetry_orbits(wc):
+    ndirs = 6 if wc is WalkClass.TRIANGULAR else 4
+    # every generator maps the class onto itself
+    for n in range(1, 6 if wc is WalkClass.TRIANGULAR else 8):
+        ws = {w.steps for w in enumerate_walks(wc, n)}
+        for g in SYMMETRIES[wc]:
+            assert {tuple(g[s] for s in steps) for steps in ws} == ws
+    # the table lists each orbit of the group on the steps once
+    orbits = set()
+    for d in range(ndirs):
+        orbit = {d}
+        while True:
+            grown = orbit | {g[s] for g in SYMMETRIES[wc] for s in orbit}
+            if grown == orbit:
+                break
+            orbit = grown
+        orbits.add(frozenset(orbit))
+    table = FIRST_STEP_ORBITS[wc]
+    assert sorted(map(sorted, orbits)) == sorted(map(sorted, table))
+
+
+def test_lattice_mismatch_raises():
+    square, tri = SquareWalk("NNN"), TriWalk("555")
+    with pytest.raises(ValueError):
+        in_class(square, WalkClass.TRIANGULAR)
+    for wc in SQUARE_CLASSES:
+        with pytest.raises(ValueError):
+            in_class(tri, wc)
+    with pytest.raises(ValueError):
+        is_prudent(tri)
+    with pytest.raises(ValueError):
+        is_k_sided(tri, 2)
+    with pytest.raises(ValueError):
+        is_triangular_prudent(square)
+
+
+@pytest.mark.parametrize("wc", list(WalkClass))
+def test_negative_length_raises(wc):
+    for search in (enumerate_counts, enumerate_walks, endpoint_stats):
+        with pytest.raises(ValueError):
+            search(wc, -1)
+    assert enumerate_counts(wc, 0) == [1]
