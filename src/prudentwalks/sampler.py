@@ -2,10 +2,14 @@
 
 The extension numbers Ex(l, m) -- the number of length-m continuations of
 any walk with L-label l -- are precomputed in per-remaining-length slabs
-over the compact L-labels only; the refined P-labels live in the sampling
-walk state.  Each step is drawn by comparing one integer in [0, Ex(l, m))
-(rejection-sampled by the seeded generator) against cumulative child sums,
-so every length-n walk has probability exactly 1/p_n.
+over the compact L-labels only (the recursive method).  Slab m holds the
+labels of depth <= n-m, a prefix of one depth-sorted label list; each slab
+is summed from the previous one through child-index columns, so l_children
+runs once per label.  The refined P-labels live in the sampling walk state:
+each P-label's children, their L-labels and their steps are cached as one
+record.  Each step is drawn by bisecting the cumulative child weights
+Ex(child, m-1) at one integer in [0, Ex(l, m)) (rejection-sampled by the
+seeded generator), so every length-n walk has probability exactly 1/p_n.
 """
 
 from __future__ import annotations
@@ -13,6 +17,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
+from itertools import accumulate, islice, zip_longest
+from math import comb
+from operator import add
 
 from prudentwalks.labels import RULES
 from prudentwalks.walks import (
@@ -77,29 +84,38 @@ def _slab_labels(walk_class, d):
                 yield (ty, i, j)
 
 
+def _label_depth(label):
+    """Distance sum of an L-label: slab m holds exactly the labels of depth <= n-m."""
+    return sum(label[1:])
+
+
+def _quarter_squares(k):
+    """Sum of floor(e^2 / 4) over e = 0..k."""
+    return k * (k + 2) * (2 * k - 1) // 24
+
+
+def _quarter_squares_2(k):
+    """Sum of _quarter_squares(e) over e = 0..k."""
+    return (k * (k + 1) ** 2 * (k + 2) // 12 - (k + 1) ** 2 // 4) // 4
+
+
 def estimate_entries(walk_class, n):
-    """Number of (label, remaining-length) entries the table will hold."""
+    """Number of (label, remaining-length) entries the table will hold.
+
+    Exact and O(1): slab m holds the labels of depth <= d = n-m, of which
+    there are 2 (1-sided), 3(d+1) (2-sided), floor((d+2)^2/4) + 2(d+1)(d+2)
+    (3-sided), C(d+3,3) + sum_{e<=d} floor((e+2)^2/4) (4-sided) and d(d+1)
+    (triangular); the sum over d = 0..n-1 is taken in closed form.
+    """
     if walk_class is WalkClass.ONE_SIDED:
         return 2 * n
-    total = 0
-    for d in range(1, n + 1):
-        if walk_class is WalkClass.TWO_SIDED:
-            total += 3 * (d + 1)
-        elif walk_class is WalkClass.THREE_SIDED:
-            iv = sum(1 for i in range(d + 1) for _ in range(i, d + 1 - i))
-            total += iv + 4 * (d + 1) * (d + 2) // 2
-        elif walk_class is WalkClass.PRUDENT4:
-            asym = sum(
-                (d + 1 - h) * (d + 2 - h) // 2 for h in range(d + 1)
-            )
-            sym = sum(
-                sum(len(range(i, d + 1 - h - i)) for i in range(d + 1 - h))
-                for h in range(d + 1)
-            )
-            total += asym + sym
-        else:
-            total += d * (d + 1)
-    return total
+    if walk_class is WalkClass.TWO_SIDED:
+        return 3 * n * (n + 1) // 2
+    if walk_class is WalkClass.THREE_SIDED:
+        return _quarter_squares(n + 1) + 2 * n * (n + 1) * (n + 2) // 3
+    if walk_class is WalkClass.PRUDENT4:
+        return comb(n + 3, 4) + _quarter_squares_2(n + 1)
+    return (n - 1) * n * (n + 1) // 3
 
 
 class ExtTable:
@@ -107,6 +123,13 @@ class ExtTable:
 
     slab[m] maps each L-label reachable at depth n-m to its extension count;
     slab 0 is the constant function 1 and is not materialized.
+
+    The labels of depth < n are listed once, sorted by depth, so every slab's
+    labels are a prefix of that list and every slab dict shares the same key
+    tuples.  l_children runs once per label: its children become index
+    columns (one per child position, padded with -1, which reads 0), and each
+    slab is summed column by column with C-level maps over the previous
+    slab's values.
     """
 
     def __init__(self, walk_class, n, max_entries=DEFAULT_MAX_ENTRIES):
@@ -116,24 +139,31 @@ class ExtTable:
         self.walk_class = walk_class
         self.n = n
         self.rules = RULES[walk_class]
-        l_children = self.rules.l_children
         slabs = [None] * (n + 1)
-        prev = None  # slab m-1; None encodes the all-ones slab 0
-        for m in range(1, n + 1):
-            slab = {}
-            if prev is None:
-                for label in _slab_labels(walk_class, n - m):
-                    slab[label] = len(l_children(label))
-            else:
-                get = prev.__getitem__
-                for label in _slab_labels(walk_class, n - m):
-                    acc = 0
-                    for child in l_children(label):
-                        acc += get(child)
-                    slab[label] = acc
-            slabs[m] = slab
-            prev = slab
         self.slabs = slabs
+        if n == 0:
+            return
+        labels = sorted(_slab_labels(walk_class, n - 1), key=_label_depth)
+        depths = list(map(_label_depth, labels))
+        ends = [bisect_left(depths, d) for d in range(n + 1)]  # labels of depth < d
+        kids = list(map(self.rules.l_children, labels))
+        vals = list(map(len, kids))  # slab 1, since Ex(., 0) = 1
+        slabs[1] = dict(zip(labels, vals))
+        # one index column per child position, over the labels of depth < n-1
+        # (deeper labels are read by slab 1 only); -1 pads the shorter rows
+        index = dict(zip(labels, range(len(labels)))).__getitem__
+        cols = list(zip_longest(*[map(index, ks) for ks in kids[:ends[n - 1]]], fillvalue=-1))
+        first, *rest = cols or [()]  # no columns: every slab from 2 on is empty
+        del kids, index, cols
+        for m in range(2, n + 1):
+            k = ends[n - m + 1]
+            vals.append(0)  # what the pad index -1 reads
+            get = vals.__getitem__
+            acc = list(map(get, islice(first, k)))
+            for col in rest:
+                acc = list(map(add, acc, map(get, islice(col, k))))
+            vals = acc
+            slabs[m] = dict(zip(labels, vals))
 
     def ex(self, label, m):
         if m == 0:
@@ -165,41 +195,40 @@ class UniformSampler:
         self.rules = RULES[walk_class]
         self.table = table if table is not None else ExtTable(walk_class, n, max_entries)
         self._child_cache = {}
-        self._make = TriWalk if walk_class is WalkClass.TRIANGULAR else SquareWalk
+        self._make = TriWalk._trusted if walk_class is WalkClass.TRIANGULAR else SquareWalk._trusted
 
-    def _children_of(self, plabel):
+    def _record(self, plabel):
+        """(P-children, their L-labels, their steps) of a P-label; None is the root."""
         cached = self._child_cache.get(plabel)
         if cached is None:
-            cached = self.rules.p_children(plabel)
+            rules = self.rules
+            kids = rules.root if plabel is None else rules.p_children(plabel)
+            cached = (kids, tuple(map(rules.l_of_p, kids)), tuple(map(rules.step_of, kids)))
             if len(self._child_cache) < (1 << 20):
                 self._child_cache[plabel] = cached
         return cached
 
     def sample(self, rng):
+        """One walk: m > 1 remaining steps pick child i with weight
+        Ex(L-label of child i, m-1) by bisecting the cumulative weights at
+        randrange(total); the last step is uniform, since Ex(., 0) = 1."""
         n = self.n
         if n == 0:
             return self._make(())
-        rules = self.rules
-        l_of_p = rules.l_of_p
-        ex = self.table.ex
+        slabs = self.table.slabs
+        record = self._record
+        randrange = rng.randrange
         steps = []
-        kids = rules.root
-        m = n
-        while True:
-            weights = [ex(l_of_p(p), m - 1) for p in kids]
-            total = sum(weights)
-            r = rng.randrange(total)
-            idx = 0
-            acc = weights[0]
-            while r >= acc:
-                idx += 1
-                acc += weights[idx]
+        pick = None
+        for m in range(n, 1, -1):
+            kids, lkids, kid_steps = record(pick)
+            cum = list(accumulate(map(slabs[m - 1].__getitem__, lkids)))
+            idx = bisect_right(cum, randrange(cum[-1]))
+            steps.append(kid_steps[idx])
             pick = kids[idx]
-            steps.append(rules.step_of(pick))
-            m -= 1
-            if m == 0:
-                return self._make(tuple(steps))
-            kids = self._children_of(pick)
+        kids, _, kid_steps = record(pick)
+        steps.append(kid_steps[randrange(len(kids))])
+        return self._make(tuple(steps))
 
 
 def children(walk_class, plabel):
@@ -216,32 +245,34 @@ def uniform_sample(walk_class, n, seed, table=None):
 def exact_distribution(walk_class, n):
     """The sampler's induced law, as exact path probabilities per walk.
 
-    Multiplies the exact branch probabilities Ex(child, m-1)/Ex(label, m)
-    along every root-to-depth-n path of the refined tree.
+    Walks the refined tree through the sampler's own child records and
+    slabs, multiplying the branch probabilities Ex(child, m-1)/Ex(label, m)
+    along every root-to-depth-n path as an integer numerator and
+    denominator; one Fraction per walk.
     """
-    rules = RULES[walk_class]
-    table = ExtTable(walk_class, n)
-    make = TriWalk if walk_class is WalkClass.TRIANGULAR else SquareWalk
+    sampler = UniformSampler(walk_class, n)
+    slabs = sampler.table.slabs
+    make = sampler._make
     out = {}
 
-    def rec(kids, m, steps, prob):
-        weights = [table.ex(rules.l_of_p(p), m - 1) for p in kids]
-        total = sum(weights)
-        for p, w in zip(kids, weights):
-            if not w:
-                continue
-            sub = steps + (rules.step_of(p),)
-            q = prob * Fraction(w, total)
-            if m == 1:
-                walk = make(sub)
+    def rec(plabel, m, steps, num, den):
+        kids, lkids, kid_steps = sampler._record(plabel)
+        if m == 1:
+            total = len(kids)
+            for s in kid_steps:
+                walk = make(steps + (s,))
                 if walk in out:
                     raise RuntimeError("refined tree revisits a walk")
-                out[walk] = q
-            else:
-                rec(rules.p_children(p), m - 1, sub, q)
+                out[walk] = Fraction(num, den * total)
+            return
+        weights = list(map(slabs[m - 1].__getitem__, lkids))
+        den *= sum(weights)
+        for p, w, s in zip(kids, weights, kid_steps):
+            if w:
+                rec(p, m - 1, steps + (s,), num * w, den)
 
     if n > 0:
-        rec(rules.root, n, (), Fraction(1))
+        rec(None, n, (), 1, 1)
     else:
         out[make(())] = Fraction(1)
     return out
@@ -296,4 +327,4 @@ def kinetic_sample(n, seed):
         d = avail[rng.randrange(len(avail))]
         state.push(d)
         steps.append(d)
-    return SquareWalk(tuple(steps))
+    return SquareWalk._trusted(tuple(steps))

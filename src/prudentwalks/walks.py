@@ -160,6 +160,13 @@ class SquareWalk:
         self.steps = _parse_square_steps(steps)
 
     @classmethod
+    def _trusted(cls, steps):
+        """Walk from a tuple of step codes known to be valid, without parsing."""
+        walk = cls.__new__(cls)
+        walk.steps = steps
+        return walk
+
+    @classmethod
     def from_text(cls, text):
         return cls(text.strip())
 
@@ -216,6 +223,13 @@ class TriWalk:
 
     def __init__(self, steps=()):
         self.steps = _parse_tri_steps(steps)
+
+    @classmethod
+    def _trusted(cls, steps):
+        """Walk from a tuple of step codes known to be valid, without parsing."""
+        walk = cls.__new__(cls)
+        walk.steps = steps
+        return walk
 
     @classmethod
     def from_text(cls, text):

@@ -207,6 +207,25 @@ GOLDEN_STDOUT = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("closedform --class triangular --order 12 --full", 0,
      "c922445d4bd3fdf7d13c4f9b7f05a0169a432e35076ddb3e1818d674f7c9aecd"),
+    # `sample` outputs of every class, format and the kinetic sampler,
+    # recorded at commit 7618ddf (before the index-column extension tables
+    # and the cached child records of the sampler)
+    ("sample --class 2-sided --length 500 --format svg", 0,
+     "d420de468597832ceb2592ab1505d3abe268ac7b3d0240060d54029abf1f88e2"),
+    ("sample --class 4-sided --length 40 --count 4 --seed 7", 0,
+     "cc8f142ffb9c4aa972d3b3fa8d96a5303d4e1ab6cce062770e677d0be1dcf59f"),
+    ("sample --class triangular --length 80 --count 4 --seed 1 --format json", 0,
+     "806a7a2b49ebe0f6080dd253f36a4d67b0e9189605401d2308e9e9c74f6fba5f"),
+    ("sample --class 3-sided --length 60 --count 5 --seed 3", 0,
+     "9310c51f05da260cf578b30287ad2893041bb7e52267845c3e00aa15ef811516"),
+    ("sample --class 1-sided --length 40 --count 5 --seed 4", 0,
+     "1aa11126a6e3389585ca37bcfd82afc34f9efa10be91ce811c7b0d44ac15578b"),
+    ("sample --class 4-sided --length 2000 --kinetic --format svg", 0,
+     "60c69336a278abeb57654bcf0d87ada848a86e4f5421249ffb8b1f734ab566a1"),
+    ("sample --class 2-sided --length 0 --seed 2", 0,
+     "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
+    ("sample --class triangular --length 1 --count 6 --seed 5", 0,
+     "d2dd4f4d35a1a7e122d86f84c35c4d86e0b45ce4f9f01b1c75e0e9cfafc7378b"),
 ]
 
 

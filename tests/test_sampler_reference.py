@@ -1,0 +1,141 @@
+"""The extension table and the sampler against plain reference loops.
+
+ExtTable builds its slabs from index columns and UniformSampler bisects
+cumulative weights from cached child records; the references below are the
+direct forms: one l_children call per (label, remaining length) entry, and a
+linear scan over Ex(child, m-1) at every step.  Both must give the same
+slabs and the same draws for the same seed.
+"""
+
+import random
+import time
+from fractions import Fraction
+
+import pytest
+
+from prudentwalks.cli import main
+from prudentwalks.labels import RULES
+from prudentwalks.sampler import (
+    ExtTable,
+    UniformSampler,
+    _slab_labels,
+    estimate_entries,
+    exact_distribution,
+)
+from prudentwalks.walks import SquareWalk, TriWalk, WalkClass
+
+
+def reference_slabs(walk_class, n):
+    l_children = RULES[walk_class].l_children
+    slabs = [None] * (n + 1)
+    prev = None
+    for m in range(1, n + 1):
+        slab = {}
+        for label in _slab_labels(walk_class, n - m):
+            kids = l_children(label)
+            slab[label] = len(kids) if prev is None else sum(prev[c] for c in kids)
+        slabs[m] = slab
+        prev = slab
+    return slabs
+
+
+def reference_sample(walk_class, table, rng):
+    rules = RULES[walk_class]
+    make = TriWalk if walk_class is WalkClass.TRIANGULAR else SquareWalk
+    steps = []
+    kids = rules.root
+    for m in range(table.n, 0, -1):
+        weights = [table.ex(rules.l_of_p(p), m - 1) for p in kids]
+        r = rng.randrange(sum(weights))
+        idx = 0
+        acc = weights[0]
+        while r >= acc:
+            idx += 1
+            acc += weights[idx]
+        steps.append(rules.step_of(kids[idx]))
+        kids = rules.p_children(kids[idx])
+    return make(tuple(steps))
+
+
+def reference_distribution(walk_class, n):
+    rules = RULES[walk_class]
+    table = ExtTable(walk_class, n)
+    make = TriWalk if walk_class is WalkClass.TRIANGULAR else SquareWalk
+    out = {}
+
+    def rec(kids, m, steps, prob):
+        weights = [table.ex(rules.l_of_p(p), m - 1) for p in kids]
+        total = sum(weights)
+        for p, w in zip(kids, weights):
+            sub = steps + (rules.step_of(p),)
+            if m == 1:
+                out[make(sub)] = prob * Fraction(w, total)
+            elif w:
+                rec(rules.p_children(p), m - 1, sub, prob * Fraction(w, total))
+
+    rec(rules.root, n, (), Fraction(1))
+    return out
+
+
+@pytest.mark.parametrize("walk_class", list(WalkClass), ids=lambda wc: wc.value)
+def test_slabs_match_reference_recursion(walk_class):
+    for n in range(13):
+        assert ExtTable(walk_class, n).slabs == reference_slabs(walk_class, n)
+
+
+def test_three_sided_slabs_match_reference_at_60():
+    wc = WalkClass.THREE_SIDED
+    assert ExtTable(wc, 60).slabs == reference_slabs(wc, 60)
+
+
+def test_slabs_share_key_tuples():
+    table = ExtTable(WalkClass.TWO_SIDED, 20)
+    keys = {id(label) for slab in table.slabs[1:] for label in slab}
+    assert len(keys) == len(table.slabs[1])
+
+
+@pytest.mark.parametrize("walk_class", list(WalkClass), ids=lambda wc: wc.value)
+def test_estimate_entries_is_exact(walk_class):
+    for n in range(16):
+        table = ExtTable(walk_class, n)
+        assert estimate_entries(walk_class, n) == sum(len(s) for s in table.slabs[1:])
+
+
+@pytest.mark.parametrize("walk_class", ["3-sided", "4-sided"])
+def test_huge_sample_refused_fast(capsys, walk_class):
+    start = time.perf_counter()
+    code = main(["sample", "--class", walk_class, "--length", "100000"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "entries" in err
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("walk_class", list(WalkClass), ids=lambda wc: wc.value)
+def test_draws_match_reference_linear_scan(walk_class):
+    for n in (1, 2, 7, 40):
+        table = ExtTable(walk_class, n)
+        sampler = UniformSampler(walk_class, n, table=table)
+        for seed in (11, 2024):
+            rng_a, rng_b = random.Random(seed), random.Random(seed)
+            for _ in range(200):
+                assert sampler.sample(rng_a) == reference_sample(walk_class, table, rng_b)
+            assert rng_a.getstate() == rng_b.getstate()
+
+
+@pytest.mark.parametrize("walk_class", list(WalkClass), ids=lambda wc: wc.value)
+def test_exact_distribution_matches_reference(walk_class):
+    for n in (1, 3, 5):
+        assert exact_distribution(walk_class, n) == reference_distribution(walk_class, n)
+
+
+def test_public_constructors_still_validate():
+    for bad in ((4,), "X"):
+        with pytest.raises(ValueError):
+            SquareWalk(bad)
+    for bad in ((6,), "X"):
+        with pytest.raises(ValueError):
+            TriWalk(bad)
+    assert SquareWalk._trusted((0, 1, 3)) == SquareWalk("NEW")
+    assert TriWalk._trusted((5, 0, 2)) == TriWalk("502")
