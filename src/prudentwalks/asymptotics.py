@@ -246,10 +246,15 @@ def constants(walk_class, coeffs=None, tol=Fraction(1, 10**12)):
 
 
 def _amplitude_estimate(coeffs, rho):
-    """Aitken-extrapolated limit of c_n rho^n (the simple-pole amplitude)."""
+    """Aitken-extrapolated limit of c_n rho^n (the simple-pole amplitude).
+
+    Two Aitken stages read only the last five terms, so only those are formed.
+    """
+    coeffs = list(coeffs)
+    start = max(len(coeffs) - 5, 0)
     seq = []
-    p = Fraction(1)
-    for c in coeffs:
+    p = Fraction(rho) ** start
+    for c in coeffs[start:]:
         seq.append(c * p)
         p *= rho
     for _ in range(2):
@@ -274,12 +279,15 @@ def growth_estimate(coeffs, stages=3):
     extrapolation.  Needs at least 20 coefficients.
 
     Returns (mu_hat, diagnostics); diagnostics holds the raw-ratio tail and
-    the last value of each extrapolation stage, all computed exactly.
+    the last value of each extrapolation stage, all computed exactly.  Stage s
+    reads three terms of stage s-1, so its last value depends only on the last
+    2s+1 ratios, and only those are formed.
     """
     coeffs = list(coeffs)
     if len(coeffs) < 20:
         raise ValueError("growth_estimate needs at least 20 coefficients")
-    ratios = [Fraction(coeffs[i + 1], coeffs[i]) for i in range(len(coeffs) - 1)]
+    tail = coeffs[-(2 * stages + 2):]
+    ratios = [Fraction(tail[i + 1], tail[i]) for i in range(len(tail) - 1)]
     diag = {"n_coeffs": len(coeffs), "raw_ratio_last": float(ratios[-1])}
     seq = ratios
     stage_values = []

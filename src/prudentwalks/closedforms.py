@@ -12,14 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from prudentwalks.series import (
-    CPoly,
-    SeriesError,
-    TSeries,
-    ts_compose,
-    ts_inv,
-    ts_sqrt,
-)
+from prudentwalks.series import CPoly, SeriesError, TSeries, ts_compose
 from prudentwalks.walks import WalkClass
 
 
@@ -98,7 +91,7 @@ def y_series(order):
     """
     N = order + 2
     disc = _ts(N, {0: 1, 1: -1}) * _ts(N, {0: 1, 1: -3, 2: -1, 3: -1})
-    num = _ts(N, {0: 1, 1: -2, 2: -1}) - ts_sqrt(disc)
+    num = _ts(N, {0: 1, 1: -2, 2: -1}) - disc.sqrt()
     Y = (num.shift_down(2) / 2).normalized().truncate(order)
     if not y_alg_residual_of(Y).is_zero():
         raise RuntimeError("Y fails its algebraic equation")
@@ -109,7 +102,7 @@ def y_alg_residual_of(Y):
     """Y - t/(1-t)(1+Y)(1+tY), which must vanish identically."""
     N = Y.order
     one = TSeries.one(N)
-    rhs = TSeries.t(N) * ts_inv(_ts(N, {0: 1, 1: -1})) * (one + Y) * (one + Y.shift(1))
+    rhs = TSeries.t(N) * _ts(N, {0: 1, 1: -1}).inv() * (one + Y) * (one + Y.shift(1))
     return Y - rhs
 
 
@@ -164,34 +157,29 @@ def x_of_u(order):
 def two_sided_closed(order):
     """U, P(t;u) and P(t;1) for 2-sided walks.
 
-    U = (1 - t + t^2 + t^3 - sqrt((1-t^4)(1-2t-t^2)))/(2t) via ts_sqrt;
+    U = (1 - t + t^2 + t^3 - sqrt((1-t^4)(1-2t-t^2)))/(2t) via TSeries.sqrt;
     P(t;u) = 2(1-t^2)(1-t) U / ((1-uU)(1-tU)(2t-U)) - 1.
     """
     N = order + 2
     disc = _ts(N, {0: 1, 4: -1}) * _ts(N, {0: 1, 1: -2, 2: -1})
-    num = _ts(N, {0: 1, 1: -1, 2: 1, 3: 1}) - ts_sqrt(disc)
+    num = _ts(N, {0: 1, 1: -1, 2: 1, 3: 1}) - disc.sqrt()
     U = (num.shift_down(1) / 2).normalized().truncate(order)
     V = num.shift_down(2) / 2  # U/t, constant term 1
     # U/(2t - U) = V/(2 - V); 2 - V has constant term 1
-    body = (V * ts_inv(2 - V)).normalized().truncate(order)
+    body = (V * (2 - V).inv()).normalized().truncate(order)
     pref = (
         _ts(order, {0: 2, 2: -2}) * _ts(order, {0: 1, 1: -1}) * body
-        * ts_inv(1 - U.shift(1))
+        * (1 - U.shift(1)).inv()
     )
-    # 1/(1 - uU) = sum_m u^m U^m
+    # 1/(1 - uU) = sum_m u^m U^m; coeff runs through pref * U^m
     P = CPoly.zero(("u",), order)
-    upow = TSeries.one(order)
+    coeff = pref.normalized()
     m = 0
-    while True:
-        coeff = (pref * upow).normalized()
-        if coeff.is_zero() and m > 0:
-            break
+    while m == 0 or not coeff.is_zero():
         for n, c in enumerate(coeff.coeffs):
             if c:
                 P.slices[n][(m,)] = c
-        upow = (upow * U).normalized()
-        if upow.is_zero():
-            break
+        coeff = (coeff * U).normalized()
         m += 1
     P = P - 1
     P1 = P.substitute("u", 1).specialize_ones().normalized()
@@ -202,9 +190,9 @@ def two_sided_p1_display(order):
     """The displayed P(t;1) = (1+t-t^3 + t(1-t) sqrt((1-t^4)/(1-2t-t^2)))
     / (1-2t-2t^2+2t^3)."""
     N = order
-    root = ts_sqrt((_ts(N, {0: 1, 4: -1}) * ts_inv(_ts(N, {0: 1, 1: -2, 2: -1}))))
+    root = (_ts(N, {0: 1, 4: -1}) * _ts(N, {0: 1, 1: -2, 2: -1}).inv()).sqrt()
     num = _ts(N, {0: 1, 1: 1, 3: -1}) + _ts(N, {1: 1, 2: -1}) * root
-    return (num * ts_inv(_ts(N, {0: 1, 1: -2, 2: -2, 3: 2}))).normalized()
+    return (num * _ts(N, {0: 1, 1: -2, 2: -2, 3: 2}).inv()).normalized()
 
 
 def two_sided_endpoint_kernel_root(order):
@@ -304,8 +292,8 @@ def _kernel_setup(order):
         return qpow[m]
 
     qM = q.truncate(M)
-    A = (TSeries.t(M) * ts_inv(1 - (qM * TSeries.t(M)))).normalized()
-    B = ((1 - qM.shift(1)) * ts_inv(_ts(M, {0: 1, 2: -1}))).normalized()
+    A = (TSeries.t(M) * (1 - (qM * TSeries.t(M))).inv()).normalized()
+    B = ((1 - qM.shift(1)) * _ts(M, {0: 1, 2: -1}).inv()).normalized()
     return Uw, q_power, A, B
 
 
@@ -357,9 +345,9 @@ def three_sided_length_series(order, k_terms=None):
     T = _kernel_sum(u_of_qi, A, B, TSeries.one(M), N, k_terms)
     qN = q_power(1).truncate(N)
     P1 = (
-        ts_inv(_ts(N, {0: 1, 1: -2, 2: -1}))
-        * (2 * qN.shift(2) * T + _ts(N, {0: 1, 1: 1}) * (_ts(N, {0: 2, 1: -1}) - qN.shift(2)) * ts_inv(1 - qN.shift(1)))
-        - ts_inv(_ts(N, {0: 1, 1: -1}))
+        _ts(N, {0: 1, 1: -2, 2: -1}).inv()
+        * (2 * qN.shift(2) * T + _ts(N, {0: 1, 1: 1}) * (_ts(N, {0: 2, 1: -1}) - qN.shift(2)) * (1 - qN.shift(1)).inv())
+        - _ts(N, {0: 1, 1: -1}).inv()
     ).normalized()
     return T, P1
 
@@ -392,7 +380,7 @@ def three_sided_closed(order, k_terms=None):
     Nt = T.order
     Uu = u_of_uqi(0).truncate(Nt)
     inv_1tU = (CPoly.constant(uvar, Nt) - Uu.shift(1)).inv()
-    c1 = CPoly.from_tseries(uvar, ts_inv(_ts(Nt, {0: 1, 1: -2, 2: -1})))
+    c1 = CPoly.from_tseries(uvar, _ts(Nt, {0: 1, 1: -2, 2: -1}).inv())
     one_t = CPoly.from_tseries(uvar, _ts(Nt, {0: 1, 1: 1}))
     first = c1 * (
         Uu.shift(2) * T * 2
@@ -410,7 +398,7 @@ def three_sided_closed(order, k_terms=None):
         (CPoly.constant(uvar, Nt) - Uu) * one_t * one_minus_u * c1 * den2.inv()
         * (T.shift(2) + one_t.shift(1) * inv_1tU) * -2
     )
-    P = (first + second - CPoly.from_tseries(uvar, ts_inv(_ts(Nt, {0: 1, 1: -1})))).normalized()
+    P = (first + second - CPoly.from_tseries(uvar, _ts(Nt, {0: 1, 1: -1}).inv())).normalized()
     T1t = T.substitute("u", 1).specialize_ones().normalized()
     P1 = P.substitute("u", 1).specialize_ones().normalized()
     return T1t, P, P1
@@ -434,7 +422,7 @@ def triangular_closed(order, k_terms=None):
     total = TSeries.zero(N)
     ypow = one
     numfac = one
-    invden = ts_inv(one - YB)  # (Y(1-2t^2); t)_1 inverse
+    invden = (one - YB).inv()  # (Y(1-2t^2); t)_1 inverse
     k = 0
     while True:
         tri = k * (k + 1) // 2
@@ -443,7 +431,7 @@ def triangular_closed(order, k_terms=None):
         if k > 0:
             ypow = (ypow * Y).normalized()
             numfac = (numfac * (_ts(N, {0: 1, 2: -2}) - Y.shift(k + 1))).normalized()
-            invden = (invden * ts_inv(one - YB.shift(k))).normalized()
+            invden = (invden * (one - YB.shift(k)).inv()).normalized()
         term = (ypow.shift(tri) * numfac * invden).normalized()
         if term.is_zero():
             break
@@ -457,7 +445,7 @@ def triangular_closed(order, k_terms=None):
     P1 = (
         1
         + _ts(N, {1: 6, 2: 6})
-        * ts_inv(_ts(N, {0: 1, 1: -3, 2: -2}))
+        * _ts(N, {0: 1, 1: -3, 2: -2}).inv()
         * (one + _ts(N, {1: 1, 2: 2}) * R1t)
     ).normalized()
     return Y, R1t, P1
@@ -467,7 +455,7 @@ def length_series(walk_class, order):
     """P(t;1) for one class from its closed form, or None for general
     prudent walks, which have none."""
     if walk_class is WalkClass.ONE_SIDED:
-        return _ts(order, {0: 1, 1: 1}) * ts_inv(_ts(order, {0: 1, 1: -2, 2: -1}))
+        return _ts(order, {0: 1, 1: 1}) * _ts(order, {0: 1, 1: -2, 2: -1}).inv()
     if walk_class is WalkClass.TWO_SIDED:
         return two_sided_closed(order)[2]
     if walk_class is WalkClass.THREE_SIDED:
@@ -522,7 +510,7 @@ def euler_identity_check(order, a):
     while n * (n + 1) // 2 <= N:
         lhs = lhs + (poch_a * inv_poch_t).shift(n * (n + 1) // 2)
         poch_a = (poch_a * (one - a.shift(n))).normalized()
-        inv_poch_t = (inv_poch_t * ts_inv(one - TSeries.t(N, n + 1))).normalized()
+        inv_poch_t = (inv_poch_t * (one - TSeries.t(N, n + 1)).inv()).normalized()
         n += 1
     rhs = one
     va = a.valuation() if not a.is_zero() else N + 1

@@ -231,11 +231,6 @@ class UniformSampler:
         return self._make(tuple(steps))
 
 
-def children(walk_class, plabel):
-    """The refined-label children multiset, in the fixed rule order."""
-    return RULES[walk_class].p_children(plabel)
-
-
 def uniform_sample(walk_class, n, seed, table=None):
     """One uniformly random length-n walk from a 64-bit seed."""
     sampler = UniformSampler(walk_class, n, table=table)

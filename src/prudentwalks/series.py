@@ -7,12 +7,17 @@ mismatched orders truncate to the smaller one.
 
 Divided differences are computed monomial-wise through the finite geometric
 sum (x^i - r^i)/(x - r) = sum_k x^(i-1-k) r^k.  No rational-function
-arithmetic appears anywhere in this module.
+arithmetic appears anywhere in this module.  A CPoly product packs each
+exponent tuple into one mixed-radix int, so its inner loop adds ints, and
+unpacks the keys once per output slice.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from itertools import accumulate
+from operator import add, mul, sub
 
 Rat = Fraction  # exact rational coefficients; plain ints are used when no division occurs
 
@@ -246,7 +251,7 @@ class TSeries:
         """Multiplicative inverse; requires a nonzero constant term."""
         c0 = self.coeffs[0]
         if not c0:
-            raise SeriesError("ts_inv requires a nonzero constant term")
+            raise SeriesError("TSeries.inv requires a nonzero constant term")
         if c0 == 1:
             b0 = 1
         elif c0 == -1:
@@ -269,7 +274,7 @@ class TSeries:
     def sqrt(self):
         """Square root with constant term 1; r*r == self mod t^(order+1)."""
         if self.coeffs[0] != 1:
-            raise SeriesError("ts_sqrt requires constant term 1")
+            raise SeriesError("TSeries.sqrt requires constant term 1")
         n = self.order
         out = [0] * (n + 1)
         out[0] = 1
@@ -303,20 +308,6 @@ class TSeries:
     def from_json(cls, obj):
         (term,) = obj["terms"]
         return cls([coeff_from_str(s) for s in term["coeffs"]], obj["order"])
-
-
-# spec-named wrappers ------------------------------------------------------
-
-def ts_mul(a, b):
-    return a * b
-
-
-def ts_inv(a):
-    return a.inv()
-
-
-def ts_sqrt(a):
-    return a.sqrt()
 
 
 def geometric(order, shift=1, c=1):
@@ -574,14 +565,43 @@ class CPoly:
         self._check_vars(other)
         order = min(self.order, other.order)
         out = CPoly(self.vars, order)
-        for na in range(order + 1):
-            sa = self.slices[na]
-            if not sa:
-                continue
-            for nb in range(order + 1 - na):
-                sb = other.slices[nb]
-                if sb:
-                    _dict_add_into(out.slices[na + nb], _dict_mul(sa, sb))
+        a, b = self.slices[: order + 1], other.slices[: order + 1]
+        if not any(a) or not any(b):
+            return out
+        # Packed keys: variable i becomes the digit (e - lo_i) of a mixed-radix
+        # int whose radix fits every exponent of the product, so key sums are
+        # int additions; lo_i is each operand's least exponent, which may be
+        # negative for the Laurent variable z.
+        cols_a = list(zip(*[key for slc in a for key in slc]))
+        cols_b = list(zip(*[key for slc in b for key in slc]))
+        lo_a, lo_b = [min(col) for col in cols_a], [min(col) for col in cols_b]
+        los = list(map(add, lo_a, lo_b))
+        widths = [max(ca) + max(cb) - lo + 1 for ca, cb, lo in zip(cols_a, cols_b, los)]
+        strides = [1, *accumulate(widths[:-1], mul)]
+
+        def pack(slices, lo):
+            return [[(sum(map(mul, map(sub, key, lo), strides)), c) for key, c in slc.items()]
+                    for slc in slices]
+
+        pa, pb = pack(a, lo_a), pack(b, lo_b)
+        for n in range(order + 1):
+            acc = {}
+            get = acc.get
+            for na in range(n + 1):
+                sa, sb = pa[na], pb[n - na]
+                if sa and sb:
+                    for ka, ca in sa:
+                        for kb, cb in sb:
+                            k = ka + kb
+                            acc[k] = get(k, 0) + ca * cb
+            tgt = out.slices[n]
+            for k, c in acc.items():
+                if c:
+                    exps = []
+                    for lo, w in zip(los, widths):
+                        k, d = divmod(k, w)
+                        exps.append(lo + d)
+                    tgt[tuple(exps)] = c
         return out
 
     __rmul__ = __mul__
@@ -679,34 +699,26 @@ class CPoly:
         Monomials whose t-order exceeds the truncation order are dropped.
         """
         k = self._vi(var)
-        out = CPoly(self.vars, self.order)
         if image == 0:
-            for n, slc in enumerate(self.slices):
-                tgt = out.slices[n]
-                for key, c in slc.items():
-                    if key[k] == 0:
-                        _dict_add_into(tgt, {key: c})
-            return out
+            return CPoly(self.vars, self.order, [
+                {key: c for key, c in slc.items() if key[k] == 0} for slc in self.slices
+            ])
+        out = CPoly._accumulator(self.vars, self.order)
         if image == 1:
             for n, slc in enumerate(self.slices):
                 tgt = out.slices[n]
                 for key, c in slc.items():
-                    nk = list(key)
-                    nk[k] = 0
-                    _dict_add_into(tgt, {tuple(nk): c})
-            return out
+                    tgt[key[:k] + (0,) + key[k + 1:]] += c
+            return out._drop_zeros()
         if image == "t":
             for n, slc in enumerate(self.slices):
                 for key, c in slc.items():
                     e = key[k]
                     if e < 0:
                         raise SeriesError("cannot substitute t for a negative exponent")
-                    m = n + e
-                    if m <= self.order:
-                        nk = list(key)
-                        nk[k] = 0
-                        _dict_add_into(out.slices[m], {tuple(nk): c})
-            return out
+                    if n + e <= self.order:
+                        out.slices[n + e][key[:k] + (0,) + key[k + 1:]] += c
+            return out._drop_zeros()
         if isinstance(image, str):
             j = self._vi(image)
             for n, slc in enumerate(self.slices):
@@ -716,8 +728,8 @@ class CPoly:
                     e = nk[k]
                     nk[k] = 0
                     nk[j] += e
-                    _dict_add_into(tgt, {tuple(nk): c})
-            return out
+                    tgt[tuple(nk)] += c
+            return out._drop_zeros()
         if isinstance(image, tuple) and image and image[0] == "t":
             name = image[1]
             exp = image[2] if len(image) > 2 else 1
@@ -732,11 +744,11 @@ class CPoly:
                         nk = list(key)
                         nk[k] = 0 if j != k else nk[k] - e
                         nk[j] += e * exp
-                        _dict_add_into(out.slices[m], {tuple(nk): c})
-            return out
+                        out.slices[m][tuple(nk)] += c
+            return out._drop_zeros()
         if isinstance(image, TSeries):
             order = min(self.order, image.order)
-            out = CPoly(self.vars, order)
+            out = CPoly._accumulator(self.vars, order)
             powers = [TSeries.one(order)]
             for n in range(order + 1):
                 for key, c in self.slices[n].items():
@@ -745,17 +757,15 @@ class CPoly:
                         raise SeriesError("series image needs non-negative exponents")
                     while len(powers) <= e:
                         powers.append(powers[-1] * image)
-                    nk = list(key)
-                    nk[k] = 0
-                    nk = tuple(nk)
-                    for m, pc in enumerate(powers[e].coeffs):
-                        if pc and n + m <= order:
-                            _dict_add_into(out.slices[n + m], {nk: c * pc})
-            return out
+                    nk = key[:k] + (0,) + key[k + 1:]
+                    for m, pc in enumerate(powers[e].coeffs[: order + 1 - n]):
+                        if pc:
+                            out.slices[n + m][nk] += c * pc
+            return out._drop_zeros()
         if isinstance(image, CPoly):
             order = min(self.order, image.order)
             image = image.reorder(self.vars)
-            out = CPoly(self.vars, order)
+            out = CPoly._accumulator(self.vars, order)
             powers = [CPoly.constant(self.vars, order)]
             for n in range(order + 1):
                 for key, c in self.slices[n].items():
@@ -764,19 +774,12 @@ class CPoly:
                         raise SeriesError("cpoly image needs non-negative exponents")
                     while len(powers) <= e:
                         powers.append(powers[-1] * image)
-                    nk = list(key)
-                    nk[k] = 0
-                    nk = tuple(nk)
-                    pw = powers[e]
+                    nk = key[:k] + (0,) + key[k + 1:]
                     for m in range(order + 1 - n):
-                        slc = pw.slices[m]
-                        if slc:
-                            _dict_add_into(
-                                out.slices[n + m],
-                                {tuple(x + y for x, y in zip(nk, kk)): c * cc
-                                 for kk, cc in slc.items()},
-                            )
-            return out
+                        tgt = out.slices[n + m]
+                        for kk, cc in powers[e].slices[m].items():
+                            tgt[tuple(map(add, nk, kk))] += c * cc
+            return out._drop_zeros()
         raise SeriesError("unsupported substitution image %r" % (image,))
 
     def divided_difference(self, var, replacement):
@@ -793,7 +796,7 @@ class CPoly:
             exp = replacement[2] if len(replacement) > 2 else 1
         else:
             raise SeriesError("unsupported divided-difference replacement %r" % (replacement,))
-        out = CPoly(self.vars, self.order)
+        out = CPoly._accumulator(self.vars, self.order)
         for n, slc in enumerate(self.slices):
             for key, c in slc.items():
                 e = key[k]
@@ -808,8 +811,8 @@ class CPoly:
                     nk[k] = e - 1 - m
                     if j is not None:
                         nk[j] += m * exp
-                    _dict_add_into(out.slices[tn], {tuple(nk): c})
-        return out
+                    out.slices[tn][tuple(nk)] += c
+        return out._drop_zeros()
 
     def invert_var(self, var):
         """var -> 1/var (negate exponents; meaningful for the Laurent variable z)."""
@@ -846,8 +849,18 @@ class CPoly:
                 for i, v in enumerate(self.vars):
                     if v in pos:
                         nk[pos[v]] = key[i]
-                _dict_add_into(tgt, {tuple(nk): c})
+                tgt[tuple(nk)] = c  # injective: a dropped variable has exponent 0
         return out
+
+    @classmethod
+    def _accumulator(cls, vars, order):
+        """Zero CPoly whose slices add into missing keys; _drop_zeros ends it."""
+        return cls(vars, order, [defaultdict(int) for _ in range(order + 1)])
+
+    def _drop_zeros(self):
+        """Plain-dict slices without the keys whose sum cancelled to zero."""
+        self.slices = [{key: c for key, c in slc.items() if c} for slc in self.slices]
+        return self
 
     def specialize_ones(self):
         """TSeries obtained by setting every catalytic variable to 1."""
@@ -883,23 +896,9 @@ class CPoly:
                     if term.get(f, 0):
                         used.add(f)
             vars = tuple(f for f in cls._JSON_FIELDS if f in used) or ("u",)
-        p = cls(tuple(vars), order)
+        p = cls._accumulator(vars, order)
         for term in obj["terms"]:
             key = tuple(term.get(v, 0) for v in p.vars)
-            for n, s in enumerate(term["coeffs"]):
-                if n > order:
-                    break
-                c = coeff_from_str(s)
-                if c:
-                    _dict_add_into(p.slices[n], {key: c})
-        return p
-
-
-# spec-named wrappers ------------------------------------------------------
-
-def cp_substitute(f, var, image):
-    return f.substitute(var, image)
-
-
-def cp_divided_difference(f, var, replacement):
-    return f.divided_difference(var, replacement)
+            for n, s in enumerate(term["coeffs"][: order + 1]):
+                p.slices[n][key] += coeff_from_str(s)
+        return p._drop_zeros()

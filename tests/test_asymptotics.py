@@ -12,6 +12,7 @@ from prudentwalks.asymptotics import (
     POLY_TC_SQUARE,
     POLY_TC_TRI,
     RatInterval,
+    _amplitude_estimate,
     _poly_eval,
     constants,
     find_real_root,
@@ -134,3 +135,74 @@ def test_constant_json():
     obj = c.to_json()
     assert obj["provenance"] == "paper-closed-form"
     assert obj["error_bound"] <= float(TOL)
+
+
+# -- tail-only Aitken against the full-sequence extrapolation ------------------
+
+def _aitken_full(seq):
+    out = []
+    for x0, x1, x2 in zip(seq, seq[1:], seq[2:]):
+        d2 = x2 - 2 * x1 + x0
+        out.append(x2 if d2 == 0 else x0 - (x1 - x0) * (x1 - x0) / d2)
+    return out or list(seq)
+
+
+def _growth_full(coeffs, stages):
+    seq = [Fraction(b, a) for a, b in zip(coeffs, coeffs[1:])]
+    values = []
+    for _ in range(stages):
+        seq = _aitken_full(seq)
+        values.append(float(seq[-1]))
+    return seq[-1], values
+
+
+def _amplitude_full(coeffs, rho):
+    seq = [c * Fraction(rho) ** n for n, c in enumerate(coeffs)]
+    for _ in range(2):
+        seq = _aitken_full(seq)
+    return seq[-1]
+
+
+def _closed_form_counts(order):
+    from prudentwalks.closedforms import length_series
+
+    classes = (WalkClass.ONE_SIDED, WalkClass.TWO_SIDED, WalkClass.THREE_SIDED,
+               WalkClass.TRIANGULAR)
+    return {wc: length_series(wc, order).integer_coeffs() for wc in classes}
+
+
+def test_growth_estimate_equals_full_aitken():
+    inputs = list(_closed_form_counts(40).values())
+    inputs.append([n * n + 3 ** n for n in range(20)])
+    for coeffs in inputs:
+        for stages in (1, 2, 3, 4):
+            mu, diag = growth_estimate(coeffs, stages=stages)
+            exact, values = _growth_full(coeffs, stages)
+            assert diag["mu_hat_exact"] == exact
+            assert diag["stages"] == values
+            assert mu == float(exact)
+            assert diag["raw_ratio_last"] == float(Fraction(coeffs[-1], coeffs[-2]))
+
+
+def test_growth_estimate_stages_beyond_the_sequence():
+    # 19 ratios support 9 full stages; later stages repeat the last value
+    coeffs = [1, 1]
+    while len(coeffs) < 20:
+        coeffs.append(coeffs[-1] + coeffs[-2])
+    for stages in (9, 10, 12):
+        _, diag = growth_estimate(coeffs, stages=stages)
+        exact, values = _growth_full(coeffs, stages)
+        assert diag["mu_hat_exact"] == exact
+        assert diag["stages"] == values
+
+
+def test_amplitude_estimate_equals_full_aitken():
+    counts = _closed_form_counts(40)
+    rho = {wc: constants(wc)["rho"].interval.mid for wc in counts}
+    for wc, coeffs in counts.items():
+        assert _amplitude_estimate(coeffs, rho[wc]) == _amplitude_full(coeffs, rho[wc])
+    short = [n * n + 3 ** n for n in range(20)]
+    for coeffs in (short, short[:5], short[:3]):
+        assert _amplitude_estimate(coeffs, Fraction(1, 3)) == _amplitude_full(
+            coeffs, Fraction(1, 3)
+        )

@@ -226,6 +226,14 @@ GOLDEN_STDOUT = [
      "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
     ("sample --class triangular --length 1 --count 6 --seed 5", 0,
      "d2dd4f4d35a1a7e122d86f84c35c4d86e0b45ce4f9f01b1c75e0e9cfafc7378b"),
+    # recorded at commit 3a641c7, before the packed-key CPoly product, the
+    # tail-only Aitken extrapolation and the running-product 2-sided form
+    ("asym --class 2-sided --growth-order 120", 0,
+     "ae4edbb59fbc7a1cc2fe5af6f782f5aaae375ac4b20fb754beae2b1144e3ca94"),
+    ("asym --class 3-sided --growth-order 60", 0,
+     "ccb12d466fa8557047ab2a392f0f4c84ffde5c1105fd2afa2f34092b189f86b5"),
+    ("closedform --class 2-sided --order 120 --full", 0,
+     "d55250ac880231c8947ea3dfede089ae2be32dbfd42ba17e9e7c4bd33e02a08d"),
 ]
 
 

@@ -26,7 +26,7 @@ from prudentwalks.funceq import (
     solve_3sided,
     solve_triangular,
 )
-from prudentwalks.series import TSeries, ts_compose, ts_inv
+from prudentwalks.series import TSeries, ts_compose
 from prudentwalks.walks import enumerate_tri_by_box
 
 
@@ -136,7 +136,7 @@ def test_three_sided_summand_valuations_grow():
     N = 40
     Uw = kernel_root_u_of_w(N + 1)
     q = ts_compose(Uw, 1).normalized()
-    A = (TSeries.t(N) * ts_inv(1 - q.truncate(N).shift(1))).normalized()
+    A = (TSeries.t(N) * (1 - q.truncate(N).shift(1)).inv()).normalized()
     qp = TSeries.one(N + 1)
     numprod = TSeries.one(N)
     vals = [0]
@@ -205,7 +205,7 @@ def test_euler_identity_comment_value():
     # a = t^3/(1-2t^2)^2 reproduces the product form of the especially
     # simple specialization of the right-edge series
     N = 30
-    a = TSeries.t(N, 3) * ts_inv(
+    a = TSeries.t(N, 3) * (
         TSeries.from_terms(N, {0: 1, 2: -2}) * TSeries.from_terms(N, {0: 1, 2: -2})
-    )
+    ).inv()
     assert euler_identity_check(N, a)

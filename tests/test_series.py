@@ -9,14 +9,9 @@ from prudentwalks.series import (
     CPoly,
     SeriesError,
     TSeries,
-    cp_divided_difference,
-    cp_substitute,
     geometric,
     pochhammer,
     ts_compose,
-    ts_inv,
-    ts_mul,
-    ts_sqrt,
 )
 
 
@@ -27,7 +22,7 @@ def ts(order, terms):
 # -- inverse ----------------------------------------------------------------
 
 def test_inv_geometric():
-    assert ts_inv(ts(8, {0: 1, 1: -1})).coeffs == [1] * 9
+    assert ts(8, {0: 1, 1: -1}).inv().coeffs == [1] * 9
 
 
 def test_inv_pell():
@@ -35,42 +30,42 @@ def test_inv_pell():
     b = [1, 2]
     while len(b) < 9:
         b.append(2 * b[-1] + b[-2])
-    assert ts_inv(ts(8, {0: 1, 1: -2, 2: -1})).coeffs == b
+    assert ts(8, {0: 1, 1: -2, 2: -1}).inv().coeffs == b
 
 
 def test_partially_directed_series():
-    got = ts_mul(ts(6, {0: 1, 1: 1}), ts_inv(ts(6, {0: 1, 1: -2, 2: -1})))
+    got = ts(6, {0: 1, 1: 1}) * ts(6, {0: 1, 1: -2, 2: -1}).inv()
     assert got.coeffs == [1, 3, 7, 17, 41, 99, 239]
 
 
 def test_inv_zero_constant_rejected():
     with pytest.raises(SeriesError):
-        ts_inv(ts(4, {1: 1}))
+        ts(4, {1: 1}).inv()
 
 
 # -- sqrt -------------------------------------------------------------------
 
 def test_sqrt_one():
-    assert ts_sqrt(TSeries.one(6)) == TSeries.one(6)
+    assert TSeries.one(6).sqrt() == TSeries.one(6)
 
 
 def test_sqrt_product_form():
-    a = ts_mul(ts(8, {0: 1, 4: -1}), ts(8, {0: 1, 1: -2, 2: -1}))
-    r = ts_sqrt(a)
+    a = ts(8, {0: 1, 4: -1}) * ts(8, {0: 1, 1: -2, 2: -1})
+    r = a.sqrt()
     assert (r * r) == a
     assert r.coeffs[:7] == [1, -1, -1, -1, -2, -2, -4]
 
 
 def test_sqrt_quotient_form():
-    a = ts_mul(ts(8, {0: 1, 4: -1}), ts_inv(ts(8, {0: 1, 1: -2, 2: -1})))
-    r = ts_sqrt(a)
+    a = ts(8, {0: 1, 4: -1}) * ts(8, {0: 1, 1: -2, 2: -1}).inv()
+    r = a.sqrt()
     assert (r * r) == a
     assert r.coeffs[:6] == [1, 1, 2, 4, 8, 18]
 
 
 def test_sqrt_needs_unit_constant():
     with pytest.raises(SeriesError):
-        ts_sqrt(ts(4, {0: 4}))
+        ts(4, {0: 4}).sqrt()
 
 
 # -- hypothesis properties --------------------------------------------------
@@ -87,7 +82,7 @@ coeffs_strategy = st.lists(
 def test_mul_inv_roundtrip(cs):
     cs[0] = 1 if cs[0] == 0 else cs[0]
     a = TSeries(cs, 7)
-    assert (a * ts_inv(a)) == TSeries.one(7)
+    assert (a * a.inv()) == TSeries.one(7)
 
 
 @settings(max_examples=60, deadline=None)
@@ -95,7 +90,7 @@ def test_mul_inv_roundtrip(cs):
 def test_sqrt_square_roundtrip(cs):
     cs[0] = 1
     a = TSeries(cs, 7)
-    r = ts_sqrt(a)
+    r = a.sqrt()
     assert (r * r) == a
     assert r.coeffs[0] == 1
 
@@ -138,22 +133,22 @@ def test_substitute_zero():
     f = CPoly(("u",), 4)
     f.slices[0][(1,)] = 5  # u*5
     f.slices[1][(0,)] = 2  # 2t
-    assert cp_substitute(f, "u", 0) == CPoly.from_tseries(("u",), ts(4, {1: 2}))
+    assert f.substitute("u", 0) == CPoly.from_tseries(("u",), ts(4, {1: 2}))
 
 
 def test_substitute_t_times_var():
     # u^2 c(t) -> t^2 v^2 c(t)
     f = CPoly.monomial(("u", "v"), 6, (2, 0), c=3, tpow=1)
-    got = cp_substitute(f, "u", ("t", "v"))
+    got = f.substitute("u", ("t", "v"))
     assert got == CPoly.monomial(("u", "v"), 6, (0, 2), c=3, tpow=3)
 
 
 def test_substitute_unsupported_image_rejected():
     f = CPoly.monomial(("u",), 4, (1,))
     with pytest.raises(SeriesError):
-        cp_substitute(f, "u", ("q", "u"))
+        f.substitute("u", ("q", "u"))
     with pytest.raises(SeriesError):
-        cp_substitute(f, "u", 2)
+        f.substitute("u", 2)
 
 
 def _random_cpoly(rng, vars, order, nterms=6, max_exp=3):
@@ -173,7 +168,7 @@ def test_substitution_composes():
     rng = random.Random(7)
     for _ in range(30):
         f = _random_cpoly(rng, ("u", "v"), 8)
-        a = cp_substitute(cp_substitute(f, "u", ("t", "v")), "v", 0)
+        a = f.substitute("u", ("t", "v")).substitute("v", 0)
         direct = CPoly(("u", "v"), 8)
         for n, slc in enumerate(f.slices):
             c = slc.get((0, 0))
@@ -186,7 +181,7 @@ def test_substitution_composes():
 
 def test_dd_simple():
     f = CPoly.monomial(("u", "v"), 6, (2, 0))  # u^2
-    got = cp_divided_difference(f, "u", ("t", "v"))
+    got = f.divided_difference("u", ("t", "v"))
     want = CPoly.monomial(("u", "v"), 6, (1, 0)) + CPoly.monomial(
         ("u", "v"), 6, (0, 1), tpow=1
     )
@@ -195,7 +190,7 @@ def test_dd_simple():
 
 def test_dd_constant_is_zero():
     f = CPoly.constant(("u",), 5, 7)
-    assert cp_divided_difference(f, "u", "t").is_zero()
+    assert f.divided_difference("u", "t").is_zero()
 
 
 def test_dd_exactness_identity():
@@ -203,11 +198,11 @@ def test_dd_exactness_identity():
     rng = random.Random(13)
     for _ in range(25):
         f = _random_cpoly(rng, ("u", "v"), 9)
-        r = cp_divided_difference(f, "u", ("t", "v"))
+        r = f.divided_difference("u", ("t", "v"))
         u = CPoly.monomial(("u", "v"), 9, (1, 0))
         tv = CPoly.monomial(("u", "v"), 9, (0, 1), tpow=1)
         lhs = r * (u - tv)
-        rhs = f - cp_substitute(f, "u", ("t", "v"))
+        rhs = f - f.substitute("u", ("t", "v"))
         assert lhs == rhs
 
 
@@ -216,7 +211,7 @@ def test_dd_matches_monomial_sum():
     rng = random.Random(99)
     for _ in range(10):
         f = _random_cpoly(rng, ("u",), 8)
-        got = cp_divided_difference(f.mul_mono((1,)), "u", "t")
+        got = f.mul_mono((1,)).divided_difference("u", "t")
         want = CPoly(("u",), 8)
         for n, slc in enumerate(f.slices):
             for (i,), c in slc.items():
@@ -302,3 +297,60 @@ def test_mismatched_orders_truncate():
     b = TSeries.one(5)
     assert (a + b).order == 5
     assert (a * b).order == 5
+
+
+# -- CPoly product against a schoolbook reference -----------------------------
+
+def _schoolbook_mul(a, b):
+    """Slices of a*b: every pair of terms, exponent tuples added entrywise,
+    zero coefficients dropped at the end."""
+    order = min(a.order, b.order)
+    out = [{} for _ in range(order + 1)]
+    for na in range(order + 1):
+        for nb in range(order + 1 - na):
+            for ka, ca in a.slices[na].items():
+                for kb, cb in b.slices[nb].items():
+                    key = tuple(x + y for x, y in zip(ka, kb))
+                    out[na + nb][key] = out[na + nb].get(key, 0) + ca * cb
+    return [{key: c for key, c in slc.items() if c} for slc in out]
+
+
+def _random_laurent_cpoly(rng, vars, order, nterms):
+    """Sparse random CPoly: z may carry negative exponents, coefficients are
+    ints or Fractions, and most slices stay empty."""
+    p = CPoly(vars, order)
+    for _ in range(nterms):
+        key = tuple(rng.randint(-3, 2) if v == "z" else rng.randint(0, 3) for v in vars)
+        if rng.random() < 0.3:
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        else:
+            c = rng.randint(-3, 3)
+        if c:
+            p.slices[rng.randrange(order + 1)][key] = c
+    return p
+
+
+def test_cpoly_mul_matches_schoolbook():
+    rng = random.Random(20081)
+    for vars in [("u",), ("z",), ("u", "z"), ("z", "w"), ("u", "v", "w"), ("z", "u", "v")]:
+        for _ in range(40):
+            a = _random_laurent_cpoly(rng, vars, rng.randint(0, 6), rng.randint(0, 10))
+            b = _random_laurent_cpoly(rng, vars, rng.randint(0, 6), rng.randint(0, 10))
+            got = a * b
+            assert got.order == min(a.order, b.order)
+            assert got.slices == _schoolbook_mul(a, b)
+
+
+def test_cpoly_mul_zero_operand_and_cancellation():
+    vars = ("u", "z")
+    f = CPoly.monomial(vars, 3, (1, -2), c=Fraction(1, 2), tpow=1) + 3
+    assert (f * CPoly.zero(vars, 3)).is_zero()
+    assert (CPoly.zero(vars, 5) * f).slices == [{}] * 4
+    # (3 + m)(3 - m) = 9 - m^2 with m = t u z^-2 / 2: the cross terms cancel
+    g = (f - 3) * -1 + 3
+    got = f * g
+    assert got.slices == [{(0, 0): 9}, {}, {(2, -4): Fraction(-1, 4)}, {}]
+    # a product cancelling to zero in every slice stores no key at all
+    h = CPoly.monomial(vars, 3, (1, 0), tpow=1)
+    assert (h * (f - f)).slices == [{}] * 4
+    assert ((h + h * -1) * f).is_zero()
