@@ -15,19 +15,14 @@ seeded generator), so every length-n walk has probability exactly 1/p_n.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, islice, zip_longest
 from math import comb
 from operator import add
 
 from prudentwalks.labels import RULES
-from prudentwalks.walks import (
-    SQ_STEP_VECTORS,
-    SquareWalk,
-    TriWalk,
-    WalkClass,
-)
+from prudentwalks.walks import SquareState, SquareWalk, TriWalk, WalkClass
 
 DEFAULT_MAX_ENTRIES = 20_000_000
 
@@ -274,49 +269,18 @@ def exact_distribution(walk_class, n):
 
 
 # --------------------------------------------------------------------------
-# kinetic sampler: grow a prudent walk by uniform choice among the legal
-# prudent steps; linear time, no precomputation (a different measure).
+# kinetic sampler: grow a prudent walk by uniform choice among the steps of
+# SquareState.prudent_steps(); linear time, no precomputation (a different measure).
 # --------------------------------------------------------------------------
-
-class _KineticState:
-    """Prudence bookkeeping with per-row/column sorted coordinate indexes."""
-
-    def __init__(self):
-        self.x = self.y = 0
-        self.rows = {0: [0]}  # y -> sorted xs
-        self.cols = {0: [0]}  # x -> sorted ys
-
-    def available(self):
-        x, y = self.x, self.y
-        row = self.rows.get(y, ())
-        col = self.cols.get(x, ())
-        out = []
-        if bisect_right(col, y) >= len(col):  # N: nothing visited above in this column
-            out.append(0)
-        if bisect_right(row, x) >= len(row):  # E
-            out.append(1)
-        if bisect_left(col, y) == 0:  # S: nothing visited below
-            out.append(2)
-        if bisect_left(row, x) == 0:  # W
-            out.append(3)
-        return out
-
-    def push(self, d):
-        dx, dy = SQ_STEP_VECTORS[d]
-        self.x += dx
-        self.y += dy
-        insort(self.rows.setdefault(self.y, []), self.x)
-        insort(self.cols.setdefault(self.x, []), self.y)
-
 
 def kinetic_sample(n, seed):
     """Length-n kinetic prudent walk: each step uniform over the currently
     legal prudent steps (non-uniform measure on length-n walks)."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    state = _KineticState()
+    state = SquareState()
     steps = []
     for _ in range(n):
-        avail = state.available()
+        avail = state.prudent_steps()
         if not avail:
             raise RuntimeError("prudent walk unexpectedly stuck")
         d = avail[rng.randrange(len(avail))]

@@ -618,7 +618,7 @@ class CPoly:
                 break
             tgt = out.slices[m]
             for key, coeff in slc.items():
-                tgt[tuple(x + y for x, y in zip(key, exps))] = coeff * c
+                tgt[tuple(map(add, key, exps))] = coeff * c
         return out
 
     def shift(self, k):

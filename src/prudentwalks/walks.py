@@ -2,8 +2,8 @@
 and the brute-force enumeration oracle.
 
 The oracle is a plain depth-first search with incremental box and
-visited-set updates and no memoization; every other counting route in the
-package is validated against it.  `enumerate_counts` searches from one first
+row/column-extreme updates and no memoization; every other counting route in
+the package is validated against it.  `enumerate_counts` searches from one first
 step per orbit of the class's symmetries (`FIRST_STEP_ORBITS`) and multiplies
 by the orbit size; `enumerate_walks`, `endpoint_stats` and
 `enumerate_tri_by_box` search every first step, because what they report is
@@ -39,12 +39,7 @@ class WalkClass(Enum):
     @property
     def sides(self):
         """Number of allowed box edges for the square classes, else None."""
-        return {
-            WalkClass.ONE_SIDED: 1,
-            WalkClass.TWO_SIDED: 2,
-            WalkClass.THREE_SIDED: 3,
-            WalkClass.PRUDENT4: 4,
-        }.get(self)
+        return _SIDES.get(self)
 
 
 SQUARE_CLASSES = (
@@ -53,6 +48,7 @@ SQUARE_CLASSES = (
     WalkClass.THREE_SIDED,
     WalkClass.PRUDENT4,
 )
+_SIDES = {wc: k for k, wc in enumerate(SQUARE_CLASSES, 1)}
 
 
 class RectBox:
@@ -296,6 +292,11 @@ class SquareState:
     prudence only (general 4-sided prudent walks).  The continuous rule is
     discretized to a midpoint + endpoint check in doubled coordinates; a
     degenerate box edge counts as all the edges it coincides with.
+
+    row[y] / col[x] hold the (least, greatest) x / y of the visited vertices
+    in row y / column x.  They all lie in the box, so a step points at one
+    inside the box iff the current vertex is not the extreme of its line in
+    the step's direction: prudence is one lookup.  push(d) needs legal(d).
     """
 
     lattice = "square"
@@ -303,7 +304,8 @@ class SquareState:
     def __init__(self, k=None):
         self.k = k
         self.x = self.y = 0
-        self.visited = {(0, 0)}
+        self.row = {0: (0, 0)}
+        self.col = {0: (0, 0)}
         self.x_min = self.x_max = self.y_min = self.y_max = 0
         self.trail = []
 
@@ -312,24 +314,18 @@ class SquareState:
 
     def legal(self, d):
         x, y = self.x, self.y
-        dx, dy = SQ_STEP_VECTORS[d]
-        visited = self.visited
-        # prudence: no visited vertex on the forward ray inside the box
-        if dx:
-            bound = self.x_max if dx > 0 else self.x_min
-            for xx in range(x + dx, bound + dx, dx):
-                if (xx, y) in visited:
-                    return False
-        else:
-            bound = self.y_max if dy > 0 else self.y_min
-            for yy in range(y + dy, bound + dy, dy):
-                if (x, yy) in visited:
-                    return False
+        # prudence: N and E need the greatest, S and W the least (d < 2 picks)
+        if d & 1:
+            if self.row[y][d < 2] != x:
+                return False
+        elif self.col[x][d < 2] != y:
+            return False
         k = self.k
         if k is None:
             return True
         # the midpoint, then the endpoint, in doubled coordinates, must lie on
         # an allowed edge of the committed box extended by that point
+        dx, dy = SQ_STEP_VECTORS[d]
         top, right, left = 2 * self.y_max, 2 * self.x_max, 2 * self.x_min
         px, py = 2 * x, 2 * y
         for _ in (0, 1):
@@ -339,29 +335,78 @@ class SquareState:
                 return False
         return True
 
+    def prudent_steps(self):
+        """The prudent steps from the current vertex, in N, E, S, W order."""
+        x, y = self.x, self.y
+        south, north = self.col[x]
+        west, east = self.row[y]
+        return _PRUDENT_STEPS[(north == y) | (east == x) << 1 | (south == y) << 2 | (west == x) << 3]
+
     def push(self, d):
+        # the own line's extreme moves with the step; the new vertex's cross
+        # line widens or, as the box grows, appears; its old entry is trailed
         dx, dy = SQ_STEP_VECTORS[d]
         x, y = self.x, self.y
-        self.trail.append((x, y, self.x_min, self.x_max, self.y_min, self.y_max))
         if dx:
-            x += dx
-            self.x = x
-            if x > self.x_max:
-                self.x_max = x
-            elif x < self.x_min:
-                self.x_min = x
+            lo, hi = self.row[y]
+            self.x = nx = x + dx
+            self.row[y] = (lo, nx) if dx > 0 else (nx, hi)
+            old = self.col.get(nx)
+            if old is None:
+                self.col[nx] = (y, y)
+                if dx > 0:
+                    self.x_max = nx
+                else:
+                    self.x_min = nx
+            else:
+                lo, hi = old
+                self.col[nx] = (y, hi) if y < lo else (lo, y) if y > hi else old
         else:
-            y += dy
-            self.y = y
-            if y > self.y_max:
-                self.y_max = y
-            elif y < self.y_min:
-                self.y_min = y
-        self.visited.add((x, y))
+            lo, hi = self.col[x]
+            self.y = ny = y + dy
+            self.col[x] = (lo, ny) if dy > 0 else (ny, hi)
+            old = self.row.get(ny)
+            if old is None:
+                self.row[ny] = (x, x)
+                if dy > 0:
+                    self.y_max = ny
+                else:
+                    self.y_min = ny
+            else:
+                lo, hi = old
+                self.row[ny] = (x, hi) if x < lo else (lo, x) if x > hi else old
+        self.trail.append((x, y, old))
 
     def pop(self):
-        self.visited.discard((self.x, self.y))
-        (self.x, self.y, self.x_min, self.x_max, self.y_min, self.y_max) = self.trail.pop()
+        nx, ny = self.x, self.y
+        x, y, old = self.trail.pop()
+        self.x, self.y = x, y
+        if nx != x:
+            lo, hi = self.row[y]
+            self.row[y] = (lo, x) if nx > x else (x, hi)
+            if old is not None:
+                self.col[nx] = old
+            else:
+                del self.col[nx]
+                if nx > x:
+                    self.x_max = x
+                else:
+                    self.x_min = x
+        else:
+            lo, hi = self.col[x]
+            self.col[x] = (lo, y) if ny > y else (y, hi)
+            if old is not None:
+                self.row[ny] = old
+            else:
+                del self.row[ny]
+                if ny > y:
+                    self.y_max = y
+                else:
+                    self.y_min = y
+
+
+# prudent step codes by mask, bit d set when step d is prudent
+_PRUDENT_STEPS = tuple(tuple(d for d in range(4) if mask >> d & 1) for mask in range(16))
 
 
 class TriState:
@@ -434,7 +479,8 @@ class TriState:
 def _make_state(walk_class):
     if walk_class is WalkClass.TRIANGULAR:
         return TriState()
-    return SquareState(k=walk_class.sides if walk_class.sides != 4 else None)
+    k = walk_class.sides
+    return SquareState(k=k if k != 4 else None)
 
 
 # --------------------------------------------------------------------------

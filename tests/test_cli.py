@@ -234,6 +234,14 @@ GOLDEN_STDOUT = [
      "ccb12d466fa8557047ab2a392f0f4c84ffde5c1105fd2afa2f34092b189f86b5"),
     ("closedform --class 2-sided --order 120 --full", 0,
      "d55250ac880231c8947ea3dfede089ae2be32dbfd42ba17e9e7c4bd33e02a08d"),
+    # recorded at commit e1a2668, before the kinetic sampler moved onto the
+    # row/column extremes of walks.SquareState
+    ("sample --class 4-sided --kinetic --length 20000 --count 3 --seed 5 --format steps", 0,
+     "292435fdfd33d2e94beb378f80b965b8c52aba12eefc61d1b193d3302e4cf082"),
+    ("sample --class 4-sided --kinetic --length 300 --count 6 --seed 12 --format json", 0,
+     "be102d8e2f25056cd4e07000ac49f0646149b6aae66232dd7b315929f7d4ae60"),
+    ("sample --class 4-sided --kinetic --length 0 --seed 1", 0,
+     "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
 ]
 
 

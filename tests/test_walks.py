@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from prudentwalks.sampler import kinetic_sample
 from prudentwalks.walks import (
     FIRST_STEP_ORBITS,
+    SQ_STEP_VECTORS,
     SQUARE_CLASSES,
+    SquareState,
     SquareWalk,
     TriWalk,
     WalkClass,
@@ -238,3 +241,129 @@ def test_negative_length_raises(wc):
         with pytest.raises(ValueError):
             search(wc, -1)
     assert enumerate_counts(wc, 0) == [1]
+
+
+class ReferenceSquareState:
+    """Reference square state: a visited set, and prudence checked by scanning
+    the forward ray to the box edge one vertex at a time."""
+
+    def __init__(self, k=None):
+        self.k = k
+        self.x = self.y = 0
+        self.visited = {(0, 0)}
+        self.x_min = self.x_max = self.y_min = self.y_max = 0
+        self.trail = []
+
+    def legal(self, d):
+        x, y = self.x, self.y
+        dx, dy = SQ_STEP_VECTORS[d]
+        visited = self.visited
+        if dx:
+            bound = self.x_max if dx > 0 else self.x_min
+            for xx in range(x + dx, bound + dx, dx):
+                if (xx, y) in visited:
+                    return False
+        else:
+            bound = self.y_max if dy > 0 else self.y_min
+            for yy in range(y + dy, bound + dy, dy):
+                if (x, yy) in visited:
+                    return False
+        k = self.k
+        if k is None:
+            return True
+        top, right, left = 2 * self.y_max, 2 * self.x_max, 2 * self.x_min
+        px, py = 2 * x, 2 * y
+        for _ in (0, 1):
+            px += dx
+            py += dy
+            if not (py >= top or (k >= 2 and px >= right) or (k >= 3 and px <= left)):
+                return False
+        return True
+
+    def push(self, d):
+        dx, dy = SQ_STEP_VECTORS[d]
+        self.trail.append((self.x, self.y, self.x_min, self.x_max, self.y_min, self.y_max))
+        self.x += dx
+        self.y += dy
+        self.x_min, self.x_max = min(self.x_min, self.x), max(self.x_max, self.x)
+        self.y_min, self.y_max = min(self.y_min, self.y), max(self.y_max, self.y)
+        self.visited.add((self.x, self.y))
+
+    def pop(self):
+        self.visited.discard((self.x, self.y))
+        (self.x, self.y, self.x_min, self.x_max, self.y_min, self.y_max) = self.trail.pop()
+
+
+def _box_and_position(state):
+    return (state.x, state.y, state.x_min, state.x_max, state.y_min, state.y_max)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, None])
+def test_square_state_matches_reference_dfs(k):
+    # every legal answer at every node of the full search, in lockstep
+    state, ref = SquareState(k), ReferenceSquareState(k)
+    nodes = 0
+
+    def rec(depth):
+        nonlocal nodes
+        nodes += 1
+        answers = [ref.legal(d) for d in range(4)]
+        assert [state.legal(d) for d in range(4)] == answers
+        assert _box_and_position(state) == _box_and_position(ref)
+        if depth == 10:
+            return
+        for d in range(4):
+            if answers[d]:
+                state.push(d)
+                ref.push(d)
+                rec(depth + 1)
+                state.pop()
+                ref.pop()
+
+    rec(0)
+    wc = WalkClass.PRUDENT4 if k is None else SQUARE_CLASSES[k - 1]
+    assert nodes == sum(enumerate_counts(wc, 10))
+    assert state.row == {0: (0, 0)} and state.col == {0: (0, 0)}
+    assert _box_and_position(state) == (0, 0, 0, 0, 0, 0) and state.trail == []
+
+
+def test_prudent_steps_match_reference_on_kinetic_walks():
+    for seed in range(100):
+        state, ref = SquareState(), ReferenceSquareState()
+        for d in kinetic_sample(2000, seed).steps:
+            assert state.prudent_steps() == tuple(e for e in range(4) if ref.legal(e))
+            state.push(d)
+            ref.push(d)
+        assert state.prudent_steps() == tuple(e for e in range(4) if ref.legal(e))
+
+
+def _rotations(text):
+    turn = {"N": "E", "E": "S", "S": "W", "W": "N"}
+    out = [text]
+    for _ in range(3):
+        out.append("".join(turn[c] for c in out[-1]))
+    return out
+
+
+def _reference_prudent(walk):
+    ref = ReferenceSquareState()
+    for d in walk.steps:
+        if not ref.legal(d):
+            return False
+        ref.push(d)
+    return True
+
+
+def test_long_ray_blockers():
+    # the last step points along its row or column at a vertex 300 steps away
+    texts = _rotations("E" * 300 + "N" + "W" * 600 + "S" + "E")
+    texts += _rotations("N" * 300 + "E" + "S" * 600 + "W" + "N")
+    assert {text[-1] for text in texts} == set("NESW")
+    for text in texts:
+        blocked, shorter = SquareWalk(text), SquareWalk(text[:-1])
+        assert not is_prudent(blocked) and not _reference_prudent(blocked)
+        assert is_prudent(shorter) and _reference_prudent(shorter)
+
+
+def test_long_kinetic_walk_is_prudent():
+    assert is_prudent(kinetic_sample(100_000, seed=99))
