@@ -164,7 +164,7 @@ def two_sided_closed(order):
     disc = _ts(N, {0: 1, 4: -1}) * _ts(N, {0: 1, 1: -2, 2: -1})
     num = _ts(N, {0: 1, 1: -1, 2: 1, 3: 1}) - disc.sqrt()
     U = (num.shift_down(1) / 2).normalized().truncate(order)
-    V = num.shift_down(2) / 2  # U/t, constant term 1
+    V = (num.shift_down(2) / 2).normalized()  # U/t, constant term 1
     # U/(2t - U) = V/(2 - V); 2 - V has constant term 1
     body = (V * (2 - V).inv()).normalized().truncate(order)
     pref = (
@@ -300,25 +300,26 @@ def _kernel_setup(order):
 def _kernel_sum(u_at, A, B, one, order, k_terms):
     """The iterated kernel sum for T(t;u,tu), over TSeries or CPoly alike:
 
-        sum_k (-1)^k prod_{i<k} (A - U_i) / prod_{i<=k} (B - U_i)
+        sum_k (-1)^k prod_{1<=i<=k} (A - U_i) / prod_{i<=k} (B - U_i)
                      * (1 + phi(U_k) + phi(U_{k+1})),   U_i = u_at(i).
 
     The k-th summand gains at least three orders of valuation per step, so
     the loop stops once a summand vanishes modulo t^(order+1).  `one` is the
     ring's unit at the internal order of A, B and the U_i.
     """
-    us = [u_at(0), u_at(1)]
+    u, u_next = u_at(0), u_at(1)
+    phi, phi_next = _phi(u).truncate(order), _phi(u_next).truncate(order)
     total = one.truncate(order) * 0
     numprod = one
-    invden = (B - us[0]).inv()
+    invden = (B - u).inv()
     k = 0
     while True:
-        if k > 0:
-            us.append(u_at(k + 1))
-            numprod = (numprod * (A - us[k])).normalized()
-            invden = (invden * (B - us[k]).inv()).normalized()
-        term = (numprod.truncate(order) * invden.truncate(order)
-                * (1 + _phi(us[k]).truncate(order) + _phi(us[k + 1]).truncate(order))).normalized()
+        if k > 0:  # U_k and phi(U_k) carry over from step k-1
+            u, u_next = u_next, u_at(k + 1)
+            phi, phi_next = phi_next, _phi(u_next).truncate(order)
+            numprod = (numprod * (A - u)).normalized()
+            invden = (invden * (B - u).inv()).normalized()
+        term = (numprod.truncate(order) * invden.truncate(order) * (1 + phi + phi_next)).normalized()
         if term.is_zero():
             break
         if k_terms is not None and k >= k_terms:

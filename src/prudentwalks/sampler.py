@@ -3,19 +3,22 @@
 The extension numbers Ex(l, m) -- the number of length-m continuations of
 any walk with L-label l -- are precomputed in per-remaining-length slabs
 over the compact L-labels only (the recursive method).  Slab m holds the
-labels of depth <= n-m, a prefix of one depth-sorted label list; each slab
-is summed from the previous one through child-index columns, so l_children
-runs once per label.  The refined P-labels live in the sampling walk state:
-each P-label's children, their L-labels and their steps are cached as one
-record.  Each step is drawn by bisecting the cumulative child weights
-Ex(child, m-1) at one integer in [0, Ex(l, m)) (rejection-sampled by the
-seeded generator), so every length-n walk has probability exactly 1/p_n.
+labels of depth <= n-m, a prefix of one depth-sorted label list, so it is
+one plain list of values addressed by label index; each slab is summed from
+the previous one through child-index columns, so l_children runs once per
+label.  The refined P-labels live in the sampling walk state: each P-label's
+children, their steps and the table indices of their L-labels are cached as
+one record.  Each step is drawn by bisecting the cumulative child weights
+Ex(child, m-1), read by index, at one integer in [0, Ex(l, m))
+(rejection-sampled by the seeded generator), so every length-n walk has
+probability exactly 1/p_n.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import accumulate, islice, zip_longest
 from math import comb
@@ -113,18 +116,46 @@ def estimate_entries(walk_class, n):
     return (n - 1) * n * (n + 1) // 3
 
 
+class _Slab(Mapping):
+    """Read-only label -> Ex(label, m) view of one slab: the labels of depth
+    <= n-m, a prefix of the table's shared label list, over that slab's
+    value list.  A label outside the prefix raises KeyError."""
+
+    __slots__ = ("_labels", "_index", "_values")
+
+    def __init__(self, labels, index, values):
+        self._labels = labels
+        self._index = index
+        self._values = values
+
+    def __getitem__(self, label):
+        i = self._index[label]
+        if i >= len(self._values):
+            raise KeyError(label)
+        return self._values[i]
+
+    def __iter__(self):
+        return islice(self._labels, len(self._values))
+
+    def __len__(self):
+        return len(self._values)
+
+
 class ExtTable:
     """Extension numbers Ex(label, m) for one class and target length n.
 
-    slab[m] maps each L-label reachable at depth n-m to its extension count;
-    slab 0 is the constant function 1 and is not materialized.
+    The labels of depth < n are listed once, sorted by depth, in `labels`,
+    and `index` maps each to its position.  Slab m (the labels of depth
+    <= n-m) is a prefix of that list, so it is stored as one plain list
+    `values[m]` of Ex(label, m) in list order; slab 0 is the constant
+    function 1 and is not materialized.  `slabs[m]` is a read-only mapping
+    view over (labels, index, values[m]).
 
-    The labels of depth < n are listed once, sorted by depth, so every slab's
-    labels are a prefix of that list and every slab dict shares the same key
-    tuples.  l_children runs once per label: its children become index
-    columns (one per child position, padded with -1, which reads 0), and each
-    slab is summed column by column with C-level maps over the previous
-    slab's values.
+    l_children runs once per label: its children become index columns (one
+    per child position, padded with -1), and each slab is summed column by
+    column with C-level maps over the previous slab's values.  The pad reads
+    a 0 appended to the previous list only while the next slab is summed, so
+    `values[m]` holds exactly its prefix and an index past it raises.
     """
 
     def __init__(self, walk_class, n, max_entries=DEFAULT_MAX_ENTRIES):
@@ -134,31 +165,31 @@ class ExtTable:
         self.walk_class = walk_class
         self.n = n
         self.rules = RULES[walk_class]
-        slabs = [None] * (n + 1)
-        self.slabs = slabs
+        self.values = values = [None] * (n + 1)
+        self.slabs = [None] * (n + 1)
+        self.labels = labels = sorted(_slab_labels(walk_class, n - 1), key=_label_depth) if n else []
+        self.index = index = dict(zip(labels, range(len(labels))))
         if n == 0:
             return
-        labels = sorted(_slab_labels(walk_class, n - 1), key=_label_depth)
         depths = list(map(_label_depth, labels))
         ends = [bisect_left(depths, d) for d in range(n + 1)]  # labels of depth < d
         kids = list(map(self.rules.l_children, labels))
-        vals = list(map(len, kids))  # slab 1, since Ex(., 0) = 1
-        slabs[1] = dict(zip(labels, vals))
+        vals = values[1] = list(map(len, kids))  # slab 1, since Ex(., 0) = 1
         # one index column per child position, over the labels of depth < n-1
         # (deeper labels are read by slab 1 only); -1 pads the shorter rows
-        index = dict(zip(labels, range(len(labels)))).__getitem__
-        cols = list(zip_longest(*[map(index, ks) for ks in kids[:ends[n - 1]]], fillvalue=-1))
+        cols = list(zip_longest(*[map(index.__getitem__, ks) for ks in kids[:ends[n - 1]]], fillvalue=-1))
         first, *rest = cols or [()]  # no columns: every slab from 2 on is empty
-        del kids, index, cols
+        del kids, cols
         for m in range(2, n + 1):
             k = ends[n - m + 1]
-            vals.append(0)  # what the pad index -1 reads
+            vals.append(0)  # what the pad index -1 reads, only while slab m is summed
             get = vals.__getitem__
             acc = list(map(get, islice(first, k)))
             for col in rest:
                 acc = list(map(add, acc, map(get, islice(col, k))))
-            vals = acc
-            slabs[m] = dict(zip(labels, vals))
+            vals.pop()
+            vals = values[m] = acc
+        self.slabs[1:] = [_Slab(labels, index, vals) for vals in values[1:]]
 
     def ex(self, label, m):
         if m == 0:
@@ -193,12 +224,24 @@ class UniformSampler:
         self._make = TriWalk._trusted if walk_class is WalkClass.TRIANGULAR else SquareWalk._trusted
 
     def _record(self, plabel):
-        """(P-children, their L-labels, their steps) of a P-label; None is the root."""
+        """(P-children, their steps, the table indices of their L-labels) of a
+        P-label; None is the root.
+
+        The indices are None when the P-label has depth >= n-1: its children
+        may lie at depth n, outside the table, and it is only ever the parent
+        of the last step, which is drawn without weights.
+        """
         cached = self._child_cache.get(plabel)
         if cached is None:
             rules = self.rules
-            kids = rules.root if plabel is None else rules.p_children(plabel)
-            cached = (kids, tuple(map(rules.l_of_p, kids)), tuple(map(rules.step_of, kids)))
+            if plabel is None:
+                kids, depth = rules.root, 0
+            else:
+                kids, depth = rules.p_children(plabel), _label_depth(rules.l_of_p(plabel))
+            idx = None
+            if depth < self.n - 1:
+                idx = tuple(map(self.table.index.__getitem__, map(rules.l_of_p, kids)))
+            cached = (kids, tuple(map(rules.step_of, kids)), idx)
             if len(self._child_cache) < (1 << 20):
                 self._child_cache[plabel] = cached
         return cached
@@ -210,18 +253,18 @@ class UniformSampler:
         n = self.n
         if n == 0:
             return self._make(())
-        slabs = self.table.slabs
+        values = self.table.values
         record = self._record
         randrange = rng.randrange
         steps = []
         pick = None
         for m in range(n, 1, -1):
-            kids, lkids, kid_steps = record(pick)
-            cum = list(accumulate(map(slabs[m - 1].__getitem__, lkids)))
-            idx = bisect_right(cum, randrange(cum[-1]))
-            steps.append(kid_steps[idx])
-            pick = kids[idx]
-        kids, _, kid_steps = record(pick)
+            kids, kid_steps, idx = record(pick)
+            cum = list(accumulate(map(values[m - 1].__getitem__, idx)))
+            i = bisect_right(cum, randrange(cum[-1]))
+            steps.append(kid_steps[i])
+            pick = kids[i]
+        kids, kid_steps, _ = record(pick)
         steps.append(kid_steps[randrange(len(kids))])
         return self._make(tuple(steps))
 
@@ -236,17 +279,17 @@ def exact_distribution(walk_class, n):
     """The sampler's induced law, as exact path probabilities per walk.
 
     Walks the refined tree through the sampler's own child records and
-    slabs, multiplying the branch probabilities Ex(child, m-1)/Ex(label, m)
+    slab values, multiplying the branch probabilities Ex(child, m-1)/Ex(label, m)
     along every root-to-depth-n path as an integer numerator and
     denominator; one Fraction per walk.
     """
     sampler = UniformSampler(walk_class, n)
-    slabs = sampler.table.slabs
+    values = sampler.table.values
     make = sampler._make
     out = {}
 
     def rec(plabel, m, steps, num, den):
-        kids, lkids, kid_steps = sampler._record(plabel)
+        kids, kid_steps, idx = sampler._record(plabel)
         if m == 1:
             total = len(kids)
             for s in kid_steps:
@@ -255,7 +298,7 @@ def exact_distribution(walk_class, n):
                     raise RuntimeError("refined tree revisits a walk")
                 out[walk] = Fraction(num, den * total)
             return
-        weights = list(map(slabs[m - 1].__getitem__, lkids))
+        weights = list(map(values[m - 1].__getitem__, idx))
         den *= sum(weights)
         for p, w, s in zip(kids, weights, kid_steps):
             if w:

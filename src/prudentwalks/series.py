@@ -7,9 +7,9 @@ mismatched orders truncate to the smaller one.
 
 Divided differences are computed monomial-wise through the finite geometric
 sum (x^i - r^i)/(x - r) = sum_k x^(i-1-k) r^k.  No rational-function
-arithmetic appears anywhere in this module.  A CPoly product packs each
-exponent tuple into one mixed-radix int, so its inner loop adds ints, and
-unpacks the keys once per output slice.
+arithmetic appears anywhere in this module.  A CPoly product, inverse and
+square root pack each exponent tuple into one mixed-radix int, so their
+inner loops add ints, and unpack the keys once per output slice.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate
-from operator import add, mul, sub
+from operator import add, mul
 
 Rat = Fraction  # exact rational coefficients; plain ints are used when no division occurs
 
@@ -396,17 +396,49 @@ def _dict_add_into(dst, src, scale=1):
             del dst[key]
 
 
-def _dict_mul(a, b):
-    out = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ka, kb))
-            acc = out.get(key, 0) + ca * cb
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-    return out
+def _packing(los, his):
+    """(pack, unpack) for exponent tuples with lo_i <= e_i <= hi_i.
+
+    pack maps a slice to (int key, coefficient) pairs, the key being
+    sum(e_i * stride_i) with mixed-radix strides of widths hi_i - lo_i + 1.
+    The map is linear, so the packed key of a product monomial is the sum of
+    its factors' packed keys; unpack(pairs) is the slice dict of the nonzero
+    pairs under their exponent tuples, exact inside the box.
+    """
+    widths = [hi - lo + 1 for lo, hi in zip(los, his)]
+    strides = [1, *accumulate(widths[:-1], mul)]
+    base = sum(map(mul, los, strides))
+
+    def pack(slc):
+        return [(sum(map(mul, key, strides)), c) for key, c in slc.items()]
+
+    def unpack(pairs):
+        slc = {}
+        for k, c in pairs:
+            if c:
+                k -= base
+                exps = []
+                for lo, w in zip(los, widths):
+                    k, d = divmod(k, w)
+                    exps.append(lo + d)
+                slc[tuple(exps)] = c
+        return slc
+
+    return pack, unpack
+
+
+def _packed_products(pairs):
+    """Sum of the products of packed slice pairs, as a packed-key dict
+    (cancelled terms stay, with coefficient 0)."""
+    acc = {}
+    get = acc.get
+    for sa, sb in pairs:
+        if sa and sb:
+            for ka, ca in sa:
+                for kb, cb in sb:
+                    k = ka + kb
+                    acc[k] = get(k, 0) + ca * cb
+    return acc
 
 
 class CPoly:
@@ -568,40 +600,17 @@ class CPoly:
         a, b = self.slices[: order + 1], other.slices[: order + 1]
         if not any(a) or not any(b):
             return out
-        # Packed keys: variable i becomes the digit (e - lo_i) of a mixed-radix
-        # int whose radix fits every exponent of the product, so key sums are
-        # int additions; lo_i is each operand's least exponent, which may be
-        # negative for the Laurent variable z.
+        # Packed keys: the box of the product's exponents is the sum of the
+        # operands' boxes (lo may be negative for the Laurent variable z)
         cols_a = list(zip(*[key for slc in a for key in slc]))
         cols_b = list(zip(*[key for slc in b for key in slc]))
-        lo_a, lo_b = [min(col) for col in cols_a], [min(col) for col in cols_b]
-        los = list(map(add, lo_a, lo_b))
-        widths = [max(ca) + max(cb) - lo + 1 for ca, cb, lo in zip(cols_a, cols_b, los)]
-        strides = [1, *accumulate(widths[:-1], mul)]
-
-        def pack(slices, lo):
-            return [[(sum(map(mul, map(sub, key, lo), strides)), c) for key, c in slc.items()]
-                    for slc in slices]
-
-        pa, pb = pack(a, lo_a), pack(b, lo_b)
+        los = [min(ca) + min(cb) for ca, cb in zip(cols_a, cols_b)]
+        his = [max(ca) + max(cb) for ca, cb in zip(cols_a, cols_b)]
+        pack, unpack = _packing(los, his)
+        pa, pb = list(map(pack, a)), list(map(pack, b))
         for n in range(order + 1):
-            acc = {}
-            get = acc.get
-            for na in range(n + 1):
-                sa, sb = pa[na], pb[n - na]
-                if sa and sb:
-                    for ka, ca in sa:
-                        for kb, cb in sb:
-                            k = ka + kb
-                            acc[k] = get(k, 0) + ca * cb
-            tgt = out.slices[n]
-            for k, c in acc.items():
-                if c:
-                    exps = []
-                    for lo, w in zip(los, widths):
-                        k, d = divmod(k, w)
-                        exps.append(lo + d)
-                    tgt[tuple(exps)] = c
+            acc = _packed_products((pa[na], pb[n - na]) for na in range(n + 1))
+            out.slices[n] = unpack(acc.items())
         return out
 
     __rmul__ = __mul__
@@ -657,32 +666,44 @@ class CPoly:
             b0 = -1
         else:
             b0 = Fraction(1, 1) / c0
-        out = CPoly(self.vars, self.order)
-        out.slices[0][zero_key] = b0
+        pack, unpack = _packing(*self._power_box())
+        ps = list(map(pack, self.slices))
+        po = [[(0, b0)]]  # packed slices of the inverse; 0 packs the zero key
         for m in range(1, self.order + 1):
-            acc = {}
-            for k in range(1, m + 1):
-                sk = self.slices[k]
-                if sk:
-                    _dict_add_into(acc, _dict_mul(sk, out.slices[m - k]))
-            out.slices[m] = {key: -b0 * c for key, c in acc.items() if c}
-        return out
+            acc = _packed_products((ps[k], po[m - k]) for k in range(1, m + 1))
+            po.append([(key, -b0 * c) for key, c in acc.items() if c])
+        return CPoly(self.vars, self.order, list(map(unpack, po)))
 
     def sqrt(self):
         """Square root when the t^0 slice is exactly 1."""
         zero_key = (0,) * len(self.vars)
         if self.slices[0] != {zero_key: 1}:
             raise SeriesError("CPoly.sqrt needs constant term exactly 1")
-        out = CPoly(self.vars, self.order)
-        out.slices[0][zero_key] = 1
+        pack, unpack = _packing(*self._power_box())
+        ps = list(map(pack, self.slices))
+        po = [[(0, 1)]]
         for m in range(1, self.order + 1):
-            acc = dict(self.slices[m])
-            for k in range(1, m):
-                sk = out.slices[k]
-                if sk:
-                    _dict_add_into(acc, _dict_mul(sk, out.slices[m - k]), -1)
-            out.slices[m] = {key: _half(c) for key, c in acc.items() if c}
-        return out
+            acc = dict(ps[m])
+            get = acc.get
+            for key, c in _packed_products((po[k], po[m - k]) for k in range(1, m)).items():
+                acc[key] = get(key, 0) - c
+            po.append([(key, _half(c)) for key, c in acc.items() if c])
+        return CPoly(self.vars, self.order, list(map(unpack, po)))
+
+    def _power_box(self):
+        """(los, his): per-variable exponent bounds for a power series in
+        self - self_0 (the inverse, the square root) and the slice products
+        that build it.  A t^m monomial there is a product of terms from slices
+        k_j >= 1 with sum k_j = m <= N, so each exponent lies within N times
+        the least and greatest exponent-per-degree ratio over the slices."""
+        N = self.order
+        los = his = [0] * len(self.vars)
+        for k, slc in enumerate(self.slices[1:], 1):
+            if slc:
+                cols = list(zip(*slc))
+                los = [min(lo, N * min(col) // k) for lo, col in zip(los, cols)]
+                his = [max(hi, N * max(col) // k) for hi, col in zip(his, cols)]
+        return los, his
 
     # -- substitution and divided differences ------------------------------
 

@@ -242,6 +242,10 @@ GOLDEN_STDOUT = [
      "be102d8e2f25056cd4e07000ac49f0646149b6aae66232dd7b315929f7d4ae60"),
     ("sample --class 4-sided --kinetic --length 0 --seed 1", 0,
      "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
+    # the README `sample` example at its documented size, recorded at commit
+    # 07fb736, before the extension tables became index-addressed value lists
+    ("sample --class 4-sided --length 120 --count 4 --seed 7", 0,
+     "e20f1c97355a1ed54d09d2a2e93525603af348adc186dbed528fd146c6fbfacd"),
 ]
 
 

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_sampler_reference import reference_slabs
 
+from prudentwalks.labels import RULES
 from prudentwalks.sampler import (
     ExtTable,
     ResourceBudgetError,
     UniformSampler,
+    _label_depth,
     estimate_entries,
     exact_distribution,
     kinetic_sample,
@@ -141,3 +144,81 @@ def test_shared_table_many_samplers():
     a = s1.sample(random.Random(4))
     b = s2.sample(random.Random(4))
     assert a == b
+
+
+# --------------------------------------------------------------------------
+# index-addressed tables: slab views over shared labels, records of indices
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("wc", list(WalkClass), ids=lambda wc: wc.value)
+def test_slab_views_copy_to_reference_dicts(wc):
+    for n in (1, 2, 9):
+        table = ExtTable(wc, n)
+        ref = reference_slabs(wc, n)
+        for m in range(1, n + 1):
+            assert dict(table.slabs[m]) == ref[m]
+            assert len(table.values[m]) == len(table.slabs[m]) == len(ref[m])
+
+
+@pytest.mark.parametrize("wc", [w for w in WalkClass if w is not WalkClass.ONE_SIDED], ids=lambda wc: wc.value)
+def test_slab_views_refuse_deeper_labels(wc):
+    n = 8
+    table = ExtTable(wc, n)
+    assert table.labels == sorted(table.labels, key=_label_depth)
+    for m in range(1, n + 1):
+        slab = table.slabs[m]
+        for label in table.labels:
+            if _label_depth(label) <= n - m:
+                assert label in slab
+                assert slab[label] == table.ex(label, m)
+            else:
+                assert label not in slab
+                with pytest.raises(KeyError):
+                    slab[label]
+                with pytest.raises(KeyError):
+                    table.ex(label, m)
+    # depth n is outside the table: no slab holds it, not even as a pad zero
+    deep = next(lab for lab in reference_slabs(wc, n + 1)[1] if _label_depth(lab) == n)
+    assert deep not in table.index
+    for m in range(1, n + 1):
+        assert deep not in table.slabs[m]
+        with pytest.raises(KeyError):
+            table.slabs[m][deep]
+    assert (99,) not in table.slabs[1]
+
+
+@pytest.mark.parametrize("wc", list(WalkClass), ids=lambda wc: wc.value)
+def test_non_final_records_index_inside_the_next_slab(wc):
+    rules = RULES[wc]
+    for n in (1, 2, 6):
+        sampler = UniformSampler(wc, n)
+        values = sampler.table.values
+        labels = sampler.table.labels
+        seen = 0
+
+        def walk(plabel, m):
+            nonlocal seen
+            kids, kid_steps, idx = sampler._record(plabel)
+            assert kid_steps == tuple(map(rules.step_of, kids))
+            if m == 1:
+                return
+            seen += 1
+            assert idx is not None and len(idx) == len(kids)
+            assert all(0 <= i < len(values[m - 1]) for i in idx)
+            assert [labels[i] for i in idx] == [rules.l_of_p(p) for p in kids]
+            for p, i in zip(kids, idx):
+                if values[m - 1][i]:
+                    walk(p, m - 1)
+
+        walk(None, n)
+        assert (seen > 0) == (n > 1)
+
+
+def test_sampler_with_a_short_table_raises():
+    # labels deeper than the table are never read as a zero weight
+    wc = WalkClass.TWO_SIDED
+    sampler = UniformSampler(wc, 8, table=ExtTable(wc, 7))
+    rng = random.Random(1)
+    with pytest.raises(LookupError):
+        for _ in range(50):
+            sampler.sample(rng)

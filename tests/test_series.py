@@ -354,3 +354,53 @@ def test_cpoly_mul_zero_operand_and_cancellation():
     h = CPoly.monomial(vars, 3, (1, 0), tpow=1)
     assert (h * (f - f)).slices == [{}] * 4
     assert ((h + h * -1) * f).is_zero()
+
+
+# -- CPoly inverse and square root against the schoolbook recursions ----------
+
+def _schoolbook_sum(pairs):
+    """Sum of the products of (slice, slice) pairs, term by term."""
+    acc = {}
+    for sa, sb in pairs:
+        for ka, ca in sa.items():
+            for kb, cb in sb.items():
+                key = tuple(x + y for x, y in zip(ka, kb))
+                acc[key] = acc.get(key, 0) + ca * cb
+    return acc
+
+
+def _schoolbook_inv(p):
+    """Slices of 1/p: b_m = -(sum_{k=1..m} p_k b_{m-k}) / p_0."""
+    zero = (0,) * len(p.vars)
+    c0 = p.slices[0][zero]
+    out = [{zero: Fraction(1) / c0}]
+    for m in range(1, p.order + 1):
+        acc = _schoolbook_sum((p.slices[k], out[m - k]) for k in range(1, m + 1))
+        out.append({key: -c / c0 for key, c in acc.items() if c})
+    return out
+
+
+def _schoolbook_sqrt(p):
+    """Slices of sqrt(p), p_0 = 1: s_m = (p_m - sum_{k=1..m-1} s_k s_{m-k}) / 2."""
+    out = [{(0,) * len(p.vars): 1}]
+    for m in range(1, p.order + 1):
+        acc = dict(p.slices[m])
+        for key, c in _schoolbook_sum((out[k], out[m - k]) for k in range(1, m)).items():
+            acc[key] = acc.get(key, 0) - c
+        out.append({key: Fraction(c) / 2 for key, c in acc.items() if c})
+    return out
+
+
+def test_cpoly_inv_and_sqrt_match_schoolbook():
+    rng = random.Random(2009)
+    for vars in [(), ("u",), ("z",), ("u", "z"), ("z", "u", "v")]:
+        zero = (0,) * len(vars)
+        for _ in range(25):
+            p = _random_laurent_cpoly(rng, vars, rng.randint(0, 6), rng.randint(0, 10))
+            if vars and p.order >= 2:
+                # a large exponent-per-degree ratio on a late slice widens the box
+                p.slices[p.order][tuple(rng.choice([-9, 7]) for _ in vars)] = 1
+            p.slices[0] = {zero: rng.choice([1, -1, 3, Fraction(2, 5)])}
+            assert p.inv().slices == _schoolbook_inv(p)
+            p.slices[0] = {zero: 1}
+            assert p.sqrt().slices == _schoolbook_sqrt(p)
