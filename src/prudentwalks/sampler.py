@@ -313,7 +313,7 @@ def exact_distribution(walk_class, n):
 
 # --------------------------------------------------------------------------
 # kinetic sampler: grow a prudent walk by uniform choice among the steps of
-# SquareState.prudent_steps(); linear time, no precomputation (a different measure).
+# SquareState.legal_steps(); linear time, no precomputation (a different measure).
 # --------------------------------------------------------------------------
 
 def kinetic_sample(n, seed):
@@ -323,7 +323,7 @@ def kinetic_sample(n, seed):
     state = SquareState()
     steps = []
     for _ in range(n):
-        avail = state.prudent_steps()
+        avail = state.legal_steps()
         if not avail:
             raise RuntimeError("prudent walk unexpectedly stuck")
         d = avail[rng.randrange(len(avail))]

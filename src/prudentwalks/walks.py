@@ -3,11 +3,16 @@ and the brute-force enumeration oracle.
 
 The oracle is a plain depth-first search with incremental box and
 row/column-extreme updates and no memoization; every other counting route in
-the package is validated against it.  `enumerate_counts` searches from one first
-step per orbit of the class's symmetries (`FIRST_STEP_ORBITS`) and multiplies
-by the orbit size; `enumerate_walks`, `endpoint_stats` and
-`enumerate_tri_by_box` search every first step, because what they report is
-not invariant under those symmetries.
+the package is validated against it.  Each walk state gives the legal steps
+from its endpoint in one call (`legal_steps`); the k-sided edge rule is
+checked at the step's midpoint only, because a step whose midpoint lies on an
+allowed box edge ends on that edge too (see `SquareState`).
+`enumerate_counts` searches from one first step per orbit of the class's
+symmetries (`FIRST_STEP_ORBITS`), multiplies by the orbit size, and counts
+the walks of the final length as their parents' legal steps instead of
+visiting them; `enumerate_walks`, `endpoint_stats` and `enumerate_tri_by_box`
+search every first step, because what they report is not invariant under
+those symmetries.
 """
 
 from __future__ import annotations
@@ -289,9 +294,18 @@ class SquareState:
 
     k in {1, 2, 3} restricts the (continuous-time) endpoint to the top /
     top+right / top+right+left edges of the instantaneous box; k=None checks
-    prudence only (general 4-sided prudent walks).  The continuous rule is
-    discretized to a midpoint + endpoint check in doubled coordinates; a
-    degenerate box edge counts as all the edges it coincides with.
+    prudence only (general 4-sided prudent walks).  A degenerate box edge
+    counts as all the edges it coincides with.
+
+    The continuous rule is checked at the step's midpoint alone.  In doubled
+    coordinates the midpoint (2x+dx, 2y+dy) lies on an allowed edge of the
+    box it extends iff the step leaves from that edge and does not point
+    inward: from the top edge (y == y_max) N, E and W; from the right edge
+    (k >= 2, x == x_max) N, E and S; from the left edge (k >= 3, x == x_min)
+    N, S and W (_edge_steps).  The endpoint (2x+2dx, 2y+2dy) then lies on the
+    same edge, since the coordinate that put the midpoint there is either
+    unchanged or moved further out, so an endpoint check would refuse
+    nothing more.
 
     row[y] / col[x] hold the (least, greatest) x / y of the visited vertices
     in row y / column x.  They all lie in the box, so a step points at one
@@ -320,27 +334,28 @@ class SquareState:
                 return False
         elif self.col[x][d < 2] != y:
             return False
-        k = self.k
-        if k is None:
-            return True
-        # the midpoint, then the endpoint, in doubled coordinates, must lie on
-        # an allowed edge of the committed box extended by that point
-        dx, dy = SQ_STEP_VECTORS[d]
-        top, right, left = 2 * self.y_max, 2 * self.x_max, 2 * self.x_min
-        px, py = 2 * x, 2 * y
-        for _ in (0, 1):
-            px += dx
-            py += dy
-            if not (py >= top or (k >= 2 and px >= right) or (k >= 3 and px <= left)):
-                return False
-        return True
+        return self.k is None or self._edge_steps() >> d & 1 == 1
 
-    def prudent_steps(self):
-        """The prudent steps from the current vertex, in N, E, S, W order."""
+    def _edge_steps(self):
+        """Mask of the steps (bit d for step d) whose midpoint lies on an
+        allowed edge of the box; k-sided walks only."""
+        k, x = self.k, self.x
+        mask = 11 if self.y == self.y_max else 0  # top: N, E, W
+        if k >= 2 and x == self.x_max:
+            mask |= 7  # right: N, E, S
+        if k >= 3 and x == self.x_min:
+            mask |= 13  # left: N, S, W
+        return mask
+
+    def legal_steps(self):
+        """The legal steps from the current vertex, in N, E, S, W order."""
         x, y = self.x, self.y
         south, north = self.col[x]
         west, east = self.row[y]
-        return _PRUDENT_STEPS[(north == y) | (east == x) << 1 | (south == y) << 2 | (west == x) << 3]
+        mask = (north == y) | (east == x) << 1 | (south == y) << 2 | (west == x) << 3
+        if self.k is not None:
+            mask &= self._edge_steps()
+        return _MASK_STEPS[mask]
 
     def push(self, d):
         # the own line's extreme moves with the step; the new vertex's cross
@@ -405,8 +420,8 @@ class SquareState:
                     self.y_min = y
 
 
-# prudent step codes by mask, bit d set when step d is prudent
-_PRUDENT_STEPS = tuple(tuple(d for d in range(4) if mask >> d & 1) for mask in range(16))
+# the step codes of each mask of square steps (bit d for step d), in code order
+_MASK_STEPS = tuple(tuple(d for d in range(4) if mask >> d & 1) for mask in range(16))
 
 
 class TriState:
@@ -452,6 +467,30 @@ class TriState:
             py += dy
         return True
 
+    def legal_steps(self):
+        """The legal steps from the current vertex, in code order: the same
+        rule as legal(d), from one reading of the box and position."""
+        x, y = self.x, self.y
+        x_min, y_min, s_max = self.x_min, self.y_min, self.s_max
+        on = (x == x_min, y == y_min, x + y == s_max)
+        may_inflate = s_max - x_min - y_min < self._max_size
+        visited = self.visited
+        out = []
+        for d, dx, dy, inflates, along in _TRI_MOVES:
+            if on[inflates]:
+                if may_inflate:
+                    out.append(d)
+            elif on[along]:
+                px, py = x + dx, y + dy
+                while x_min <= px and y_min <= py and px + py <= s_max:
+                    if (px, py) in visited:
+                        break
+                    px += dx
+                    py += dy
+                else:
+                    out.append(d)
+        return out
+
     def push(self, d):
         dx, dy = TRI_STEP_VECTORS[d]
         x, y = self.x, self.y
@@ -474,6 +513,16 @@ class TriState:
     def pop(self):
         self.visited.discard((self.x, self.y))
         (self.x, self.y, self.x_min, self.y_min, self.s_max) = self.trail.pop()
+
+
+# per triangular step: its code, its vector, the box edge (0 left x = x_min,
+# 1 bottom y = y_min, 2 right x+y = s_max) it inflates the box past when it
+# leaves from it, and the edge it runs along otherwise, the one whose
+# coordinate it keeps
+_TRI_MOVES = tuple(
+    (d, dx, dy, 0 if dx < 0 else 1 if dy < 0 else 2, 0 if dx == 0 else 1 if dy == 0 else 2)
+    for d, (dx, dy) in enumerate(TRI_STEP_VECTORS)
+)
 
 
 def _make_state(walk_class):
@@ -526,30 +575,24 @@ def in_class(walk, walk_class):
 # Brute-force oracle
 # --------------------------------------------------------------------------
 
-def _dfs(state, ndirs, visit):
+def _dfs(state, visit):
     """Depth-first search over the walks that extend `state`.
 
     Calls visit(state, depth) at every walk, the starting one included, and
     extends a walk only while visit returns true.
     """
-    legal, push, pop = state.legal, state.push, state.pop
-    dirs = range(ndirs)
+    legal_steps, push, pop = state.legal_steps, state.push, state.pop
 
     def rec(depth):
         depth += 1
-        for d in dirs:
-            if legal(d):
-                push(d)
-                if visit(state, depth):
-                    rec(depth)
-                pop()
+        for d in legal_steps():
+            push(d)
+            if visit(state, depth):
+                rec(depth)
+            pop()
 
     if visit(state, 0):
         rec(0)
-
-
-def _ndirs(walk_class):
-    return 6 if walk_class is WalkClass.TRIANGULAR else 4
 
 
 def _check_length(n):
@@ -578,22 +621,29 @@ def enumerate_counts(walk_class, n_max):
 
     The search runs once per first-step orbit (FIRST_STEP_ORBITS), from the
     orbit's first step, and counts each walk it finds once per orbit member.
+    It visits the walks of length < n_max only: the length-n_max walks are
+    counted as the legal steps of their parents.
     """
     _check_length(n_max)
     tail = [0] * n_max  # tail[i] counts the walks of length i + 1
     weight = 0
+    last = n_max - 2  # depth of the length n_max - 1 walks
 
     def visit(state, depth):
         tail[depth] += weight
-        return depth < n_max - 1
+        if depth < last:
+            return True
+        if depth == last:
+            tail[depth + 1] += weight * len(state.legal_steps())
+        return False
 
     if n_max:
-        state, ndirs = _make_state(walk_class), _ndirs(walk_class)
+        state = _make_state(walk_class)
         for orbit in FIRST_STEP_ORBITS[walk_class]:
             if state.legal(orbit[0]):
                 weight = len(orbit)
                 state.push(orbit[0])
-                _dfs(state, ndirs, visit)
+                _dfs(state, visit)
                 state.pop()
     return [1] + tail
 
@@ -614,7 +664,7 @@ def enumerate_walks(walk_class, n):
         out.append(make(tuple(code[(b[0] - a[0], b[1] - a[1])] for a, b in zip(pts, pts[1:]))))
         return False
 
-    _dfs(_make_state(walk_class), _ndirs(walk_class), visit)
+    _dfs(_make_state(walk_class), visit)
     return out
 
 
@@ -640,7 +690,7 @@ def enumerate_tri_by_box(k):
 
     state = TriState()
     state._max_size = k
-    _dfs(state, 6, visit)
+    _dfs(state, visit)
     return total, dict(r)
 
 
@@ -670,7 +720,7 @@ def endpoint_stats(walk_class, n):
             stats["width"][state.x_max - state.x_min] += 1
         return False
 
-    _dfs(_make_state(walk_class), _ndirs(walk_class), visit)
+    _dfs(_make_state(walk_class), visit)
     return stats
 
 

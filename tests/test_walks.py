@@ -23,7 +23,7 @@ from prudentwalks.walks import (
     is_triangular_prudent,
     walk_from_json,
 )
-from prudentwalks import walks
+from prudentwalks import funceq, walks
 
 # exhaustive reference counts, themselves frozen from this oracle and
 # cross-checked against the series routes in test_acceptance
@@ -178,13 +178,22 @@ SYMMETRIES = {
 
 
 def _unreduced_counts(wc, n_max):
+    # every first step, legal(d) tried for every d, every walk pushed: shares
+    # neither the step sets nor the last-level count with enumerate_counts
     counts = [0] * (n_max + 1)
+    state = walks._make_state(wc)
+    dirs = range(6 if wc is WalkClass.TRIANGULAR else 4)
 
-    def visit(state, depth):
+    def rec(depth):
         counts[depth] += 1
-        return depth < n_max
+        if depth < n_max:
+            for d in dirs:
+                if state.legal(d):
+                    state.push(d)
+                    rec(depth + 1)
+                    state.pop()
 
-    walks._dfs(walks._make_state(wc), walks._ndirs(wc), visit)
+    rec(0)
     return counts
 
 
@@ -309,6 +318,7 @@ def test_square_state_matches_reference_dfs(k):
         nodes += 1
         answers = [ref.legal(d) for d in range(4)]
         assert [state.legal(d) for d in range(4)] == answers
+        assert state.legal_steps() == tuple(d for d in range(4) if answers[d])
         assert _box_and_position(state) == _box_and_position(ref)
         if depth == 10:
             return
@@ -331,10 +341,48 @@ def test_prudent_steps_match_reference_on_kinetic_walks():
     for seed in range(100):
         state, ref = SquareState(), ReferenceSquareState()
         for d in kinetic_sample(2000, seed).steps:
-            assert state.prudent_steps() == tuple(e for e in range(4) if ref.legal(e))
+            assert state.legal_steps() == tuple(e for e in range(4) if ref.legal(e))
             state.push(d)
             ref.push(d)
-        assert state.prudent_steps() == tuple(e for e in range(4) if ref.legal(e))
+        assert state.legal_steps() == tuple(e for e in range(4) if ref.legal(e))
+
+
+@pytest.mark.parametrize("cap", [None, 3, 4])
+def test_tri_state_legal_steps_match_legal(cap):
+    # at every node of the full search to n = 8 (cap None), or of the whole
+    # box-capped search enumerate_tri_by_box(cap) makes
+    state = walks.TriState()
+    if cap is not None:
+        state._max_size = cap
+    nodes = 0
+
+    def rec(depth):
+        nonlocal nodes
+        nodes += 1
+        steps = [d for d in range(6) if state.legal(d)]
+        assert state.legal_steps() == steps
+        if depth == 8 and cap is None:
+            return
+        for d in steps:
+            state.push(d)
+            rec(depth + 1)
+            state.pop()
+
+    rec(0)
+    if cap is None:
+        assert nodes == sum(enumerate_counts(WalkClass.TRIANGULAR, 8))
+    else:
+        boxes = [enumerate_tri_by_box(k)[0] for k in range(cap + 1)]
+        assert nodes == sum(boxes)
+    assert state.visited == {(0, 0)} and state.trail == []
+
+
+@pytest.mark.parametrize("wc", SQUARE_CLASSES[:3])
+def test_k_sided_oracle_matches_funceq_at_14(wc):
+    # the midpoint-only edge rule against the functional equations, whose
+    # derivation follows the continuous-time definition
+    expected = funceq.length_series(wc, 14).specialize_ones().integer_coeffs()
+    assert enumerate_counts(wc, 14) == expected
 
 
 def _rotations(text):
