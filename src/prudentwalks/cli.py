@@ -217,6 +217,10 @@ def cmd_render(args):
 
 
 def cmd_verify(args):
+    if args.max_n < 0 or args.max_n > 20:
+        raise CliError("--max-n must be in 0..20 (exhaustive search)")
+    if args.box_k < 0 or args.box_k > 6:
+        raise CliError("--box-k must be in 0..6 (exhaustive box-spanning search)")
     classes = None
     if args.classes:
         classes = [_walk_class(name) for name in args.classes.split(",")]
@@ -297,7 +301,7 @@ def build_parser():
     p.add_argument("--max-n", type=int, default=12, help="exhaustive-search length cap")
     p.add_argument("--order", type=int, default=60, help="series truncation order")
     p.add_argument("--classes", help="comma-separated subset of classes")
-    p.add_argument("--box-k", type=int, default=4)
+    p.add_argument("--box-k", type=int, default=4, help="box-spanning size cap, 0..6")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 

@@ -202,8 +202,6 @@ class TSeries:
         return TSeries([-c for c in self.coeffs], self.order)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):

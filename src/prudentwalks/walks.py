@@ -7,12 +7,14 @@ the package is validated against it.  Each walk state gives the legal steps
 from its endpoint in one call (`legal_steps`); the k-sided edge rule is
 checked at the step's midpoint only, because a step whose midpoint lies on an
 allowed box edge ends on that edge too (see `SquareState`).
-`enumerate_counts` searches from one first step per orbit of the class's
-symmetries (`FIRST_STEP_ORBITS`), multiplies by the orbit size, and counts
-the walks of the final length as their parents' legal steps instead of
-visiting them; `enumerate_walks`, `endpoint_stats` and `enumerate_tri_by_box`
-search every first step, because what they report is not invariant under
-those symmetries.
+`enumerate_counts`, `endpoint_stats` and `enumerate_tri_by_box` search from
+one first step per orbit of the class's symmetries (`FIRST_STEP_ORBITS`).
+The counts are multiplied by the orbit size; the two geometric statistics
+count each walk's endpoint and box once and fold them through the symmetry
+of every orbit member (`GEOMETRY_MAPS`).  `enumerate_counts` and
+`endpoint_stats` count the walks of the final length from their parents'
+legal steps instead of visiting them.  `enumerate_walks` searches every
+first step.
 """
 
 from __future__ import annotations
@@ -66,6 +68,8 @@ class RectBox:
         self.y_min, self.y_max = y_min, y_max
 
     def __eq__(self, other):
+        if not isinstance(other, RectBox):
+            return NotImplemented
         return (self.x_min, self.x_max, self.y_min, self.y_max) == (
             other.x_min,
             other.x_max,
@@ -99,6 +103,8 @@ class TriBox:
         self.x_min, self.y_min, self.s_max = x_min, y_min, s_max
 
     def __eq__(self, other):
+        if not isinstance(other, TriBox):
+            return NotImplemented
         return (self.x_min, self.y_min, self.s_max) == (
             other.x_min,
             other.y_min,
@@ -616,6 +622,65 @@ FIRST_STEP_ORBITS = {
 }
 
 
+# A walk's geometry is its endpoint and box: (x, y, x_min, x_max, y_min,
+# y_max) on the square lattice, (x, y, x_min, y_min, s_max) on the triangular
+# one.  GEOMETRY_MAPS holds, per orbit of FIRST_STEP_ORBITS and per member in
+# the same order, the action on geometry of a symmetry that maps the orbit's
+# first step to the member (below: x0 = x_min, x1 = x_max, y0, y1, s = s_max).
+_SAME = lambda *geo: geo
+_FLIP = lambda x, y, x0, x1, y0, y1: (-x, y, -x1, -x0, y0, y1)  # x -> -x
+_SWAP = lambda x, y, x0, x1, y0, y1: (y, x, y0, y1, x0, x1)  # x <-> y
+GEOMETRY_MAPS = {
+    WalkClass.ONE_SIDED: ((_SAME,), (_SAME, _FLIP), (_SAME,)),
+    WalkClass.TWO_SIDED: ((_SAME, _SWAP), (_SAME, _SWAP)),
+    WalkClass.THREE_SIDED: ((_SAME,), (_SAME, _FLIP), (_SAME,)),
+    WalkClass.PRUDENT4: ((  # the rotations (x, y) -> (y, -x), (-x, -y), (-y, x)
+        _SAME,
+        lambda x, y, x0, x1, y0, y1: (y, -x, y0, y1, -x1, -x0),
+        lambda x, y, x0, x1, y0, y1: (-x, -y, -x1, -x0, -y1, -y0),
+        lambda x, y, x0, x1, y0, y1: (-y, x, -y1, -y0, x0, x1),
+    ),),
+    WalkClass.TRIANGULAR: ((  # (x, y) -> (-x-y, y), (y, -x-y), (y, x), (-x-y, x), (x, -x-y)
+        _SAME,
+        lambda x, y, x0, y0, s: (-x - y, y, -s, y0, -x0),
+        lambda x, y, x0, y0, s: (y, -x - y, y0, -s, -x0),
+        lambda x, y, x0, y0, s: (y, x, y0, x0, s),
+        lambda x, y, x0, y0, s: (-x - y, x, -s, x0, -y0),
+        lambda x, y, x0, y0, s: (x, -x - y, x0, -s, -y0),
+    ),),
+}
+
+
+def _geometry(state):
+    if state.lattice == "tri":
+        return state.x, state.y, state.x_min, state.y_min, state.s_max
+    return state.x, state.y, state.x_min, state.x_max, state.y_min, state.y_max
+
+
+def _grown(geo, x, y):
+    """The geometry with its endpoint moved to (x, y), a neighbour of it."""
+    if len(geo) == 5:  # triangular
+        return x, y, min(geo[2], x), min(geo[3], y), max(geo[4], x + y)
+    return x, y, min(geo[2], x), max(geo[3], x), min(geo[4], y), max(geo[5], y)
+
+
+def _orbit_geometry(walk_class, state, search):
+    """Counter of the geometries of the walks search finds, over every first
+    step.  search(state) runs once per first-step orbit, with the orbit's
+    first step pushed, and returns a Counter of geometries; each is counted
+    once per orbit member, through the member's map in GEOMETRY_MAPS."""
+    out = Counter()
+    for orbit, maps in zip(FIRST_STEP_ORBITS[walk_class], GEOMETRY_MAPS[walk_class]):
+        if state.legal(orbit[0]):
+            state.push(orbit[0])
+            found = search(state)
+            state.pop()
+            for geo, count in found.items():
+                for image in maps:
+                    out[image(*geo)] += count
+    return out
+
+
 def enumerate_counts(walk_class, n_max):
     """Number of walks of each length 0..n_max in the class (exact, by DFS).
 
@@ -674,24 +739,32 @@ def enumerate_tri_by_box(k):
     Returns (total, r) where r maps (i, j), i+j = k, to the number of
     spanning walks ending on the right edge at distance i from the North
     corner and j from the SE corner.  Walks of every length are counted;
-    the search is confined to boxes of size <= k, hence finite.
+    the search is confined to boxes of size <= k, hence finite, and runs once
+    per first-step orbit (_orbit_geometry).
     """
-    total = 0
-    r = Counter()
-
-    def visit(state, depth):
-        nonlocal total
-        if state.s_max - state.x_min - state.y_min == k:
-            total += 1
-            if state.x + state.y == state.s_max:  # right edge
-                i = state.x - state.x_min
-                r[(i, k - i)] += 1
-        return True
-
     state = TriState()
     state._max_size = k
-    _dfs(state, visit)
-    return total, dict(r)
+
+    def search(state):
+        found = Counter()
+
+        def visit(state, depth):
+            if state.s_max - state.x_min - state.y_min == k:
+                found[state.x, state.y, state.x_min, state.y_min, state.s_max] += 1
+            return True
+
+        _dfs(state, visit)
+        return found
+
+    # only the empty walk spans the box of size 0
+    found = (
+        _orbit_geometry(WalkClass.TRIANGULAR, state, search) if k else Counter([_geometry(state)])
+    )
+    r = Counter()
+    for (x, y, x_min, y_min, s_max), count in found.items():
+        if x + y == s_max:  # right edge
+            r[x - x_min, k - x + x_min] += count
+    return sum(found.values()), dict(r)
 
 
 def endpoint_stats(walk_class, n):
@@ -699,28 +772,48 @@ def endpoint_stats(walk_class, n):
 
     Square classes: 'sum' (X+Y), 'diff' (X-Y), 'ne_dist' (distance from the
     endpoint to the NE box corner), 'width'.  Triangular: 'box_size'.
+
+    The search runs once per first-step orbit (_orbit_geometry) and stops at
+    length n - 1: each walk there is counted with its legal steps, and its
+    children's geometry follows from its own and the step.
     """
     _check_length(n)
     tri = walk_class is WalkClass.TRIANGULAR
-    stats = {
-        key: Counter()
-        for key in (("box_size",) if tri else ("sum", "diff", "ne_dist", "width"))
-    }
+    vectors = TRI_STEP_VECTORS if tri else SQ_STEP_VECTORS
+    state = _make_state(walk_class)
+    last = n - 2  # depth of the length n - 1 walks
 
-    def visit(state, depth):
-        if depth < n:
-            return True
-        if tri:
-            stats["box_size"][state.s_max - state.x_min - state.y_min] += 1
-        else:
-            x, y = state.x, state.y
-            stats["sum"][x + y] += 1
-            stats["diff"][x - y] += 1
-            stats["ne_dist"][(state.x_max - x) + (state.y_max - y)] += 1
-            stats["width"][state.x_max - state.x_min] += 1
-        return False
+    def search(state):
+        if n == 1:
+            return Counter([_geometry(state)])
+        parents = Counter()
 
-    _dfs(_make_state(walk_class), visit)
+        def visit(state, depth):
+            if depth < last:
+                return True
+            parents[_geometry(state), tuple(state.legal_steps())] += 1
+            return False
+
+        _dfs(state, visit)
+        found = Counter()
+        for (geo, steps), count in parents.items():
+            for d in steps:
+                dx, dy = vectors[d]
+                found[_grown(geo, geo[0] + dx, geo[1] + dy)] += count
+        return found
+
+    found = _orbit_geometry(walk_class, state, search) if n else Counter([_geometry(state)])
+    if tri:
+        box_size = Counter()
+        for (x, y, x_min, y_min, s_max), count in found.items():
+            box_size[s_max - x_min - y_min] += count
+        return {"box_size": box_size}
+    stats = {key: Counter() for key in ("sum", "diff", "ne_dist", "width")}
+    for (x, y, x_min, x_max, y_min, y_max), count in found.items():
+        stats["sum"][x + y] += count
+        stats["diff"][x - y] += count
+        stats["ne_dist"][(x_max - x) + (y_max - y)] += count
+        stats["width"][x_max - x_min] += count
     return stats
 
 

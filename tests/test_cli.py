@@ -154,6 +154,36 @@ def test_verify_detects_corruption(capsys, monkeypatch):
     assert entry["first_divergence"]["n"] == 4
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--max-n", "-1"), ("--max-n", "21"), ("--box-k", "-1"), ("--box-k", "7")]
+)
+def test_verify_out_of_range_exits_2_without_traceback(capsys, flag, value):
+    code, out, err = run(capsys, "verify", "--classes", "1-sided", "--order", "4", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and flag in err
+    assert "Traceback" not in err
+
+
+def test_verify_box_k_range_ends(capsys, monkeypatch):
+    # both ends of 0..6 reach the box-spanning check (stubbed: k = 6 alone
+    # takes seconds)
+    seen = []
+
+    def stub(k_max):
+        seen.append(k_max)
+        return {"agree": True, "by_size": []}
+
+    monkeypatch.setattr(verify_mod, "verify_tri_box", stub)
+    for box_k in ("0", "6"):
+        code, _, _ = run(
+            capsys, "verify", "--classes", "triangular", "--max-n", "0", "--order", "2",
+            "--box-k", box_k,
+        )
+        assert code == 0
+    assert seen == [0, 6]
+
+
 def test_first_divergence_reports_smallest():
     routes = {"a": [1, 2, 3, 4], "b": [1, 2, 3, 5], "c": [1, 9, 3, 4]}
     d = first_divergence(routes)

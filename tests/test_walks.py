@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -5,10 +6,13 @@ import pytest
 from prudentwalks.sampler import kinetic_sample
 from prudentwalks.walks import (
     FIRST_STEP_ORBITS,
+    GEOMETRY_MAPS,
     SQ_STEP_VECTORS,
     SQUARE_CLASSES,
+    RectBox,
     SquareState,
     SquareWalk,
+    TriBox,
     TriWalk,
     WalkClass,
     endpoint_stats,
@@ -162,6 +166,15 @@ def test_boxes():
     assert (tb.x_min, tb.y_min, tb.s_max, tb.size) == (0, 0, 1, 1)
 
 
+def test_box_equality_with_foreign_operands():
+    assert RectBox(0, 1, 0, 1) == RectBox(0, 1, 0, 1)
+    assert TriBox(0, 0, 1) == TriBox(0, 0, 1)
+    for box in (RectBox(0, 0, 0, 0), TriBox(0, 0, 0)):
+        assert box != None  # noqa: E711
+        assert not box == (0, 0, 0, 0)
+    assert RectBox(0, 0, 0, 0) != TriBox(0, 0, 0)
+
+
 def test_in_class_dispatch():
     assert in_class(SquareWalk("EN"), WalkClass.ONE_SIDED)
     assert in_class(TriWalk("21"), WalkClass.TRIANGULAR)
@@ -177,16 +190,14 @@ SYMMETRIES = {
 }
 
 
-def _unreduced_counts(wc, n_max):
-    # every first step, legal(d) tried for every d, every walk pushed: shares
-    # neither the step sets nor the last-level count with enumerate_counts
-    counts = [0] * (n_max + 1)
-    state = walks._make_state(wc)
-    dirs = range(6 if wc is WalkClass.TRIANGULAR else 4)
+def _unreduced_dfs(state, visit):
+    # every first step, legal(d) tried for every d, every walk pushed and
+    # visited: shares neither the orbits, the step sets nor the last-level
+    # count with the oracle's searches
+    dirs = range(6 if state.lattice == "tri" else 4)
 
     def rec(depth):
-        counts[depth] += 1
-        if depth < n_max:
+        if visit(state, depth):
             for d in dirs:
                 if state.legal(d):
                     state.push(d)
@@ -194,7 +205,102 @@ def _unreduced_counts(wc, n_max):
                     state.pop()
 
     rec(0)
+
+
+def _unreduced_counts(wc, n_max):
+    counts = [0] * (n_max + 1)
+
+    def visit(state, depth):
+        counts[depth] += 1
+        return depth < n_max
+
+    _unreduced_dfs(walks._make_state(wc), visit)
     return counts
+
+
+def _unreduced_endpoint_stats(wc, n):
+    tri = wc is WalkClass.TRIANGULAR
+    keys = ("box_size",) if tri else ("sum", "diff", "ne_dist", "width")
+    stats = {key: Counter() for key in keys}
+
+    def visit(state, depth):
+        if depth < n:
+            return True
+        if tri:
+            stats["box_size"][state.s_max - state.x_min - state.y_min] += 1
+        else:
+            x, y = state.x, state.y
+            stats["sum"][x + y] += 1
+            stats["diff"][x - y] += 1
+            stats["ne_dist"][(state.x_max - x) + (state.y_max - y)] += 1
+            stats["width"][state.x_max - state.x_min] += 1
+        return False
+
+    _unreduced_dfs(walks._make_state(wc), visit)
+    return stats
+
+
+def _unreduced_tri_by_box(k):
+    # no size cap in the state: walks whose box grew past k are refused here
+    total, r = 0, Counter()
+
+    def visit(state, depth):
+        nonlocal total
+        size = state.s_max - state.x_min - state.y_min
+        if size == k:
+            total += 1
+            if state.x + state.y == state.s_max:
+                i = state.x - state.x_min
+                r[(i, k - i)] += 1
+        return size <= k
+
+    _unreduced_dfs(walks.TriState(), visit)
+    return total, dict(r)
+
+
+@pytest.mark.parametrize("wc", list(WalkClass))
+def test_endpoint_stats_match_unreduced_dfs(wc):
+    for n in range(7 if wc is WalkClass.TRIANGULAR else 9):
+        got = {key: dict(c) for key, c in endpoint_stats(wc, n).items()}
+        expected = {key: dict(c) for key, c in _unreduced_endpoint_stats(wc, n).items()}
+        assert got == expected
+        assert all(count > 0 for c in got.values() for count in c.values())
+
+
+def test_tri_by_box_matches_unreduced_dfs():
+    for k in range(6):
+        assert enumerate_tri_by_box(k) == _unreduced_tri_by_box(k)
+
+
+def _walk_geometry(walk):
+    (x, y), b = walk.endpoint(), walk.box()
+    if walk.lattice == "tri":
+        return (x, y, b.x_min, b.y_min, b.s_max)
+    return (x, y, b.x_min, b.x_max, b.y_min, b.y_max)
+
+
+@pytest.mark.parametrize("wc", list(WalkClass))
+def test_geometry_maps_act_like_the_symmetries(wc):
+    # the group the SYMMETRIES generators span, as step permutations
+    group = {tuple(range(len(SYMMETRIES[wc][0])))}
+    while True:
+        grown = group | {tuple(g[s] for s in h) for g in SYMMETRIES[wc] for h in group}
+        if grown == group:
+            break
+        group = grown
+    # the group maps the class onto itself, so every image is a key here
+    geometry = {w.steps: _walk_geometry(w) for n in range(7) for w in enumerate_walks(wc, n)}
+    for orbit, maps in zip(FIRST_STEP_ORBITS[wc], GEOMETRY_MAPS[wc]):
+        assert len(maps) == len(orbit)
+        for d, image in zip(orbit, maps):
+            assert any(
+                all(
+                    image(*geo) == geometry[tuple(g[s] for s in steps)]
+                    for steps, geo in geometry.items()
+                )
+                for g in group
+                if g[orbit[0]] == d
+            )
 
 
 @pytest.mark.parametrize("wc", list(WalkClass))
