@@ -15,9 +15,8 @@ from prudentwalks.walks import (
     TriWalk,
     WalkClass,
     enumerate_counts,
-    is_k_sided,
+    in_class,
     is_prudent,
-    is_triangular_prudent,
 )
 
 __all__ = [
@@ -31,9 +30,8 @@ __all__ = [
     "TriWalk",
     "WalkClass",
     "enumerate_counts",
-    "is_k_sided",
+    "in_class",
     "is_prudent",
-    "is_triangular_prudent",
 ]
 
 __version__ = "0.1.0"

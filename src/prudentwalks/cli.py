@@ -36,14 +36,8 @@ EXIT_MISMATCH = 1
 EXIT_BAD_ARGS = 2
 EXIT_BUDGET = 3
 
-CLASS_NAMES = {
-    "1-sided": WalkClass.ONE_SIDED,
-    "2-sided": WalkClass.TWO_SIDED,
-    "3-sided": WalkClass.THREE_SIDED,
-    "4-sided": WalkClass.PRUDENT4,
-    "prudent": WalkClass.PRUDENT4,
-    "triangular": WalkClass.TRIANGULAR,
-}
+CLASS_NAMES = {wc.value: wc for wc in WalkClass}
+CLASS_NAMES["prudent"] = WalkClass.PRUDENT4
 
 
 class CliError(Exception):
@@ -57,6 +51,15 @@ def _walk_class(name):
         return CLASS_NAMES[name]
     except KeyError:
         raise CliError("unknown walk class %r" % name) from None
+
+
+def _check_order(flag, order, classes):
+    """Refuse a series order outside 0..400, or above 80 for 4-sided walks,
+    whose solver stores a number of terms growing as the order to the fourth."""
+    if not 0 <= order <= 400:
+        raise CliError("%s must be in 0..400" % flag)
+    if order > 80 and WalkClass.PRUDENT4 in classes:
+        raise CliError("%s must be in 0..80 for 4-sided walks" % flag)
 
 
 def _emit(args, text):
@@ -81,10 +84,7 @@ def cmd_count(args):
 
 def cmd_series(args):
     wc = _walk_class(args.walk_class)
-    if args.order < 0 or args.order > 400:
-        raise CliError("--order out of range")
-    if wc is WalkClass.PRUDENT4 and args.order > 80:
-        raise CliError("4-sided iteration beyond order 80 exceeds the time budget")
+    _check_order("--order", args.order, [wc])
     if args.refined:
         if wc is not WalkClass.TWO_SIDED:
             raise CliError("--refined applies to the 2-sided class only")
@@ -108,8 +108,7 @@ def cmd_series(args):
 
 def cmd_closedform(args):
     wc = _walk_class(args.walk_class)
-    if args.order < 0 or args.order > 400:
-        raise CliError("--order out of range")
+    _check_order("--order", args.order, [wc])
     series = closedforms.length_series(wc, args.order)
     if series is None:
         raise CliError(
@@ -127,6 +126,7 @@ def cmd_closedform(args):
 
 def cmd_asym(args):
     wc = _walk_class(args.walk_class)
+    _check_order("--growth-order", args.growth_order, [wc])
     coeffs = None
     if args.growth_order:
         series = closedforms.length_series(wc, args.growth_order)
@@ -221,9 +221,10 @@ def cmd_verify(args):
         raise CliError("--max-n must be in 0..20 (exhaustive search)")
     if args.box_k < 0 or args.box_k > 6:
         raise CliError("--box-k must be in 0..6 (exhaustive box-spanning search)")
-    classes = None
+    classes = list(WalkClass)
     if args.classes:
         classes = [_walk_class(name) for name in args.classes.split(",")]
+    _check_order("--order", args.order, classes)
     report = verify.run_verify(
         max_n_oracle=args.max_n,
         series_order=args.order,

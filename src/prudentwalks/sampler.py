@@ -204,9 +204,6 @@ class ExtTable:
             out.append(sum(self.ex(l_of_p(p), m - 1) for p in self.rules.root))
         return out
 
-    def root_total(self):
-        return self.counts()[-1]
-
 
 class UniformSampler:
     """Draws length-n walks of the class uniformly at random.
@@ -267,12 +264,6 @@ class UniformSampler:
         kids, kid_steps, _ = record(pick)
         steps.append(kid_steps[randrange(len(kids))])
         return self._make(tuple(steps))
-
-
-def uniform_sample(walk_class, n, seed, table=None):
-    """One uniformly random length-n walk from a 64-bit seed."""
-    sampler = UniformSampler(walk_class, n, table=table)
-    return sampler.sample(random.Random(seed))
 
 
 def exact_distribution(walk_class, n):

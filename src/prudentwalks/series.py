@@ -123,13 +123,6 @@ class TSeries:
         tail = ", ..." if self.order >= 8 else ""
         return "TSeries([%s%s], order=%d)" % (shown, tail, self.order)
 
-    def agrees(self, other, order=None):
-        """Equality modulo t^(min order + 1)."""
-        n = min(self.order, other.order)
-        if order is not None:
-            n = min(n, order)
-        return all(self.coeffs[k] == other.coeffs[k] for k in range(n + 1))
-
     def is_zero(self):
         return not any(self.coeffs)
 
@@ -318,17 +311,6 @@ def geometric(order, shift=1, c=1):
         coeffs[m * shift] = power
         power *= c
     return TSeries(coeffs, order)
-
-
-def pochhammer(a, q, n):
-    """(a;q)_n = (1-a)(1-aq)...(1-aq^(n-1)) over TSeries; (a;q)_0 = 1."""
-    order = min(a.order, q.order)
-    result = TSeries.one(order)
-    aq = a.truncate(order)
-    for _ in range(n):
-        result = result * (TSeries.one(order) - aq)
-        aq = aq * q
-    return result
 
 
 def ts_compose(outer, inner):

@@ -1,5 +1,5 @@
-"""Walk geometry on the square and triangular lattices, class predicates,
-and the brute-force enumeration oracle.
+"""Walk geometry on the square and triangular lattices, class membership
+(`in_class`), and the brute-force enumeration oracle.
 
 The oracle is a plain depth-first search with incremental box and
 row/column-extreme updates and no memoization; every other counting route in
@@ -7,14 +7,14 @@ the package is validated against it.  Each walk state gives the legal steps
 from its endpoint in one call (`legal_steps`); the k-sided edge rule is
 checked at the step's midpoint only, because a step whose midpoint lies on an
 allowed box edge ends on that edge too (see `SquareState`).
+Each class's symmetries are stated once, as generator matrices
+(`SYMMETRY_GENERATORS`); the first-step orbits and each orbit member's action
+on a walk's endpoint and box are derived from them at import.
 `enumerate_counts`, `endpoint_stats` and `enumerate_tri_by_box` search from
-one first step per orbit of the class's symmetries (`FIRST_STEP_ORBITS`).
-The counts are multiplied by the orbit size; the two geometric statistics
-count each walk's endpoint and box once and fold them through the symmetry
-of every orbit member (`GEOMETRY_MAPS`).  `enumerate_counts` and
-`endpoint_stats` count the walks of the final length from their parents'
-legal steps instead of visiting them.  `enumerate_walks` searches every
-first step.
+one first step per orbit: the counts are weighted by the orbit size, the
+endpoints and boxes folded through every member's map.  The first two count
+the walks of the final length from their parents' legal steps instead of
+visiting them.  `enumerate_walks` searches every first step.
 """
 
 from __future__ import annotations
@@ -39,26 +39,31 @@ class WalkClass(Enum):
     PRUDENT4 = "4-sided"
     TRIANGULAR = "triangular"
 
-    @property
-    def lattice(self):
-        return "tri" if self is WalkClass.TRIANGULAR else "square"
 
-    @property
-    def sides(self):
-        """Number of allowed box edges for the square classes, else None."""
-        return _SIDES.get(self)
-
-
+# the square classes, by their number of allowed box edges
 SQUARE_CLASSES = (
     WalkClass.ONE_SIDED,
     WalkClass.TWO_SIDED,
     WalkClass.THREE_SIDED,
     WalkClass.PRUDENT4,
 )
-_SIDES = {wc: k for k, wc in enumerate(SQUARE_CLASSES, 1)}
 
 
-class RectBox:
+class _Box:
+    """A box is equal to a box of its own kind with the same bounds."""
+
+    __slots__ = ()
+
+    def _bounds(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._bounds() == other._bounds()
+
+
+class RectBox(_Box):
     """Minimal axis-aligned rectangle containing a square-lattice walk."""
 
     __slots__ = ("x_min", "x_max", "y_min", "y_max")
@@ -66,16 +71,6 @@ class RectBox:
     def __init__(self, x_min, x_max, y_min, y_max):
         self.x_min, self.x_max = x_min, x_max
         self.y_min, self.y_max = y_min, y_max
-
-    def __eq__(self, other):
-        if not isinstance(other, RectBox):
-            return NotImplemented
-        return (self.x_min, self.x_max, self.y_min, self.y_max) == (
-            other.x_min,
-            other.x_max,
-            other.y_min,
-            other.y_max,
-        )
 
     def __repr__(self):
         return "RectBox(x=[%d,%d], y=[%d,%d])" % (
@@ -89,27 +84,14 @@ class RectBox:
     def width(self):
         return self.x_max - self.x_min
 
-    @property
-    def height(self):
-        return self.y_max - self.y_min
 
-
-class TriBox:
+class TriBox(_Box):
     """Minimal North-pointing triangle x >= x_min, y >= y_min, x+y <= s_max."""
 
     __slots__ = ("x_min", "y_min", "s_max")
 
     def __init__(self, x_min, y_min, s_max):
         self.x_min, self.y_min, self.s_max = x_min, y_min, s_max
-
-    def __eq__(self, other):
-        if not isinstance(other, TriBox):
-            return NotImplemented
-        return (self.x_min, self.y_min, self.s_max) == (
-            other.x_min,
-            other.y_min,
-            other.s_max,
-        )
 
     def __repr__(self):
         return "TriBox(x_min=%d, y_min=%d, s_max=%d)" % (
@@ -131,40 +113,28 @@ class TriBox:
         )
 
 
-def _parse_square_steps(steps):
-    out = []
-    for s in steps:
-        if isinstance(s, str):
-            out.append(SQ_STEP_NAMES.index(s.upper()))
-        else:
-            if not 0 <= s <= 3:
-                raise ValueError("square step code out of range: %r" % (s,))
-            out.append(s)
-    return tuple(out)
+def _square_bounds(points):
+    """(x_min, x_max, y_min, y_max) of the points."""
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    return min(xs), max(xs), min(ys), max(ys)
 
 
-def _parse_tri_steps(steps):
-    out = []
-    for s in steps:
-        if isinstance(s, str):
-            if s.upper() in TRI_STEP_NAMES:
-                out.append(TRI_STEP_NAMES.index(s.upper()))
-            else:
-                out.append(int(s))
-        else:
-            out.append(int(s))
-        if not 0 <= out[-1] <= 5:
-            raise ValueError("triangular step code out of range: %r" % (s,))
-    return tuple(out)
+def _tri_bounds(points):
+    """(x_min, y_min, s_max) of the points."""
+    return (
+        min(p[0] for p in points),
+        min(p[1] for p in points),
+        max(p[0] + p[1] for p in points),
+    )
 
 
-class SquareWalk:
-    """Square-lattice walk from the origin, steps over {N, E, S, W}."""
-
-    lattice = "square"
+class _Walk:
+    """Walk from the origin, stored as a tuple of step codes; the subclasses
+    give the lattice's step parser, text and JSON forms and box."""
 
     def __init__(self, steps=()):
-        self.steps = _parse_square_steps(steps)
+        self.steps = self._parse(steps)
 
     @classmethod
     def _trusted(cls, steps):
@@ -177,12 +147,6 @@ class SquareWalk:
     def from_text(cls, text):
         return cls(text.strip())
 
-    def to_text(self):
-        return "".join(SQ_STEP_NAMES[s] for s in self.steps)
-
-    def to_json(self):
-        return {"lattice": "square", "steps": [SQ_STEP_NAMES[s] for s in self.steps]}
-
     @classmethod
     def from_json(cls, obj):
         return cls(obj["steps"])
@@ -191,19 +155,20 @@ class SquareWalk:
         return len(self.steps)
 
     def __eq__(self, other):
-        return isinstance(other, SquareWalk) and self.steps == other.steps
+        return type(other) is type(self) and self.steps == other.steps
 
     def __hash__(self):
-        return hash(("square", self.steps))
+        return hash((self.lattice, self.steps))
 
     def __repr__(self):
-        return "SquareWalk(%r)" % self.to_text()
+        return "%s(%r)" % (type(self).__name__, self.to_text())
 
     def vertices(self):
+        vectors = self._vectors
         x = y = 0
         out = [(0, 0)]
         for s in self.steps:
-            dx, dy = SQ_STEP_VECTORS[s]
+            dx, dy = vectors[s]
             x += dx
             y += dy
             out.append((x, y))
@@ -212,14 +177,35 @@ class SquareWalk:
     def endpoint(self):
         return self.vertices()[-1]
 
+
+class SquareWalk(_Walk):
+    """Square-lattice walk from the origin, steps over {N, E, S, W}."""
+
+    lattice = "square"
+    _vectors = SQ_STEP_VECTORS
+
+    @staticmethod
+    def _parse(steps):
+        out = []
+        for s in steps:
+            if isinstance(s, str):
+                s = SQ_STEP_NAMES.index(s.upper())
+            elif not 0 <= s <= 3:
+                raise ValueError("square step code out of range: %r" % (s,))
+            out.append(s)
+        return tuple(out)
+
+    def to_text(self):
+        return "".join(SQ_STEP_NAMES[s] for s in self.steps)
+
+    def to_json(self):
+        return {"lattice": "square", "steps": [SQ_STEP_NAMES[s] for s in self.steps]}
+
     def box(self):
-        vs = self.vertices()
-        xs = [p[0] for p in vs]
-        ys = [p[1] for p in vs]
-        return RectBox(min(xs), max(xs), min(ys), max(ys))
+        return RectBox(*_square_bounds(self.vertices()))
 
 
-class TriWalk:
+class TriWalk(_Walk):
     """Triangular-lattice walk from the origin.
 
     Lattice coordinates: E=(1,0), W=(-1,0), NE=(0,1), SW=(0,-1), NW=(-1,1),
@@ -227,20 +213,19 @@ class TriWalk:
     """
 
     lattice = "tri"
+    _vectors = TRI_STEP_VECTORS
 
-    def __init__(self, steps=()):
-        self.steps = _parse_tri_steps(steps)
-
-    @classmethod
-    def _trusted(cls, steps):
-        """Walk from a tuple of step codes known to be valid, without parsing."""
-        walk = cls.__new__(cls)
-        walk.steps = steps
-        return walk
-
-    @classmethod
-    def from_text(cls, text):
-        return cls(list(text.strip()))
+    @staticmethod
+    def _parse(steps):
+        out = []
+        for s in steps:
+            if isinstance(s, str) and s.upper() in TRI_STEP_NAMES:
+                out.append(TRI_STEP_NAMES.index(s.upper()))
+            else:
+                out.append(int(s))
+            if not 0 <= out[-1] <= 5:
+                raise ValueError("triangular step code out of range: %r" % (s,))
+        return tuple(out)
 
     def to_text(self):
         return "".join(str(s) for s in self.steps)
@@ -248,42 +233,8 @@ class TriWalk:
     def to_json(self):
         return {"lattice": "tri", "steps": list(self.steps)}
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["steps"])
-
-    def __len__(self):
-        return len(self.steps)
-
-    def __eq__(self, other):
-        return isinstance(other, TriWalk) and self.steps == other.steps
-
-    def __hash__(self):
-        return hash(("tri", self.steps))
-
-    def __repr__(self):
-        return "TriWalk(%r)" % self.to_text()
-
-    def vertices(self):
-        x = y = 0
-        out = [(0, 0)]
-        for s in self.steps:
-            dx, dy = TRI_STEP_VECTORS[s]
-            x += dx
-            y += dy
-            out.append((x, y))
-        return out
-
-    def endpoint(self):
-        return self.vertices()[-1]
-
     def box(self):
-        vs = self.vertices()
-        return TriBox(
-            min(p[0] for p in vs),
-            min(p[1] for p in vs),
-            max(p[0] + p[1] for p in vs),
-        )
+        return TriBox(*_tri_bounds(self.vertices()))
 
 
 def walk_from_json(obj):
@@ -328,9 +279,6 @@ class SquareState:
         self.col = {0: (0, 0)}
         self.x_min = self.x_max = self.y_min = self.y_max = 0
         self.trail = []
-
-    def __len__(self):
-        return len(self.trail)
 
     def legal(self, d):
         x, y = self.x, self.y
@@ -446,9 +394,6 @@ class TriState:
         self.x_min = self.y_min = self.s_max = 0
         self.trail = []
 
-    def __len__(self):
-        return len(self.trail)
-
     def legal(self, d):
         dx, dy = TRI_STEP_VECTORS[d]
         x, y = self.x, self.y
@@ -534,7 +479,7 @@ _TRI_MOVES = tuple(
 def _make_state(walk_class):
     if walk_class is WalkClass.TRIANGULAR:
         return TriState()
-    k = walk_class.sides
+    k = SQUARE_CLASSES.index(walk_class) + 1
     return SquareState(k=k if k != 4 else None)
 
 
@@ -542,8 +487,10 @@ def _make_state(walk_class):
 # Membership predicates
 # --------------------------------------------------------------------------
 
-def _follows(state, walk):
-    """True iff every step of the walk is legal from the state reached before it."""
+def in_class(walk, walk_class):
+    """True iff every step of the walk is legal from the class's state
+    reached before it."""
+    state = _make_state(walk_class)
     if walk.lattice != state.lattice:
         raise ValueError(
             "a %s-lattice walk cannot be checked on the %s lattice" % (walk.lattice, state.lattice)
@@ -558,23 +505,7 @@ def _follows(state, walk):
 
 def is_prudent(walk):
     """True iff no step of the square walk points at a visited vertex."""
-    return _follows(SquareState(k=None), walk)
-
-
-def is_k_sided(walk, k):
-    """True iff the walk is prudent and its continuous-time endpoint stays on
-    the k allowed edges (k=1 top, k=2 top+right, k=3 top+right+left)."""
-    if k not in (1, 2, 3, 4):
-        raise ValueError("k must be in 1..4")
-    return _follows(SquareState(k=None if k == 4 else k), walk)
-
-
-def is_triangular_prudent(walk):
-    return _follows(TriState(), walk)
-
-
-def in_class(walk, walk_class):
-    return _follows(_make_state(walk_class), walk)
+    return in_class(walk, WalkClass.PRUDENT4)
 
 
 # --------------------------------------------------------------------------
@@ -606,52 +537,89 @@ def _check_length(n):
         raise ValueError("walk length must be >= 0, got %d" % n)
 
 
-# Orbits of the first step under a symmetry group of each class: the group's
-# step permutations map the class onto itself, so every first step of an
-# orbit starts equally many walks of each length.  1- and 3-sided: the
-# reflection x -> -x (E <-> W; S is illegal for 1-sided walks); 2-sided: the
-# reflection in x = y (N <-> E, S <-> W); 4-sided: the 90-degree rotation;
-# triangular: x <-> y (0 <-> 3, 1 <-> 2, 4 <-> 5) and the 120-degree rotation
-# (0 -> 2 -> 4, 1 -> 3 -> 5).
-FIRST_STEP_ORBITS = {
-    WalkClass.ONE_SIDED: ((0,), (1, 3), (2,)),
-    WalkClass.TWO_SIDED: ((0, 1), (2, 3)),
-    WalkClass.THREE_SIDED: ((0,), (1, 3), (2,)),
-    WalkClass.PRUDENT4: ((0, 1, 2, 3),),
-    WalkClass.TRIANGULAR: ((0, 1, 2, 3, 4, 5),),
+# Generators of each class's symmetry group: integer matrices ((a, b), (c, d))
+# acting on (x, y) as (ax + by, cx + dy), each mapping the class onto itself.
+# 1- and 3-sided: the reflection x -> -x; 2-sided: the reflection x <-> y;
+# 4-sided: the quarter turn (x, y) -> (y, -x); triangular: x <-> y and the
+# 120-degree rotation (x, y) -> (y, -x-y).
+SYMMETRY_GENERATORS = {
+    WalkClass.ONE_SIDED: (((-1, 0), (0, 1)),),
+    WalkClass.TWO_SIDED: (((0, 1), (1, 0)),),
+    WalkClass.THREE_SIDED: (((-1, 0), (0, 1)),),
+    WalkClass.PRUDENT4: (((0, 1), (-1, 0)),),
+    WalkClass.TRIANGULAR: (((0, 1), (1, 0)), ((0, 1), (-1, -1))),
 }
 
 
-# A walk's geometry is its endpoint and box: (x, y, x_min, x_max, y_min,
-# y_max) on the square lattice, (x, y, x_min, y_min, s_max) on the triangular
-# one.  GEOMETRY_MAPS holds, per orbit of FIRST_STEP_ORBITS and per member in
-# the same order, the action on geometry of a symmetry that maps the orbit's
-# first step to the member (below: x0 = x_min, x1 = x_max, y0, y1, s = s_max).
-_SAME = lambda *geo: geo
-_FLIP = lambda x, y, x0, x1, y0, y1: (-x, y, -x1, -x0, y0, y1)  # x -> -x
-_SWAP = lambda x, y, x0, x1, y0, y1: (y, x, y0, y1, x0, x1)  # x <-> y
-GEOMETRY_MAPS = {
-    WalkClass.ONE_SIDED: ((_SAME,), (_SAME, _FLIP), (_SAME,)),
-    WalkClass.TWO_SIDED: ((_SAME, _SWAP), (_SAME, _SWAP)),
-    WalkClass.THREE_SIDED: ((_SAME,), (_SAME, _FLIP), (_SAME,)),
-    WalkClass.PRUDENT4: ((  # the rotations (x, y) -> (y, -x), (-x, -y), (-y, x)
-        _SAME,
-        lambda x, y, x0, x1, y0, y1: (y, -x, y0, y1, -x1, -x0),
-        lambda x, y, x0, x1, y0, y1: (-x, -y, -x1, -x0, -y1, -y0),
-        lambda x, y, x0, x1, y0, y1: (-y, x, -y1, -y0, x0, x1),
-    ),),
-    WalkClass.TRIANGULAR: ((  # (x, y) -> (-x-y, y), (y, -x-y), (y, x), (-x-y, x), (x, -x-y)
-        _SAME,
-        lambda x, y, x0, y0, s: (-x - y, y, -s, y0, -x0),
-        lambda x, y, x0, y0, s: (y, -x - y, y0, -s, -x0),
-        lambda x, y, x0, y0, s: (y, x, y0, x0, s),
-        lambda x, y, x0, y0, s: (-x - y, x, -s, x0, -y0),
-        lambda x, y, x0, y0, s: (x, -x - y, x0, -s, -y0),
-    ),),
-}
+def _apply(g, x, y):
+    (a, b), (c, d) = g
+    return a * x + b * y, c * x + d * y
+
+
+def _geometry_map(g, tri):
+    """The action of the symmetry g on a walk's geometry (`_geometry`): g maps
+    the walk's box onto the mapped walk's box, corners onto corners, and two
+    corners (opposite ones on a rectangle) fix a box."""
+    if tri:
+        def image(x, y, x_min, y_min, s_max):
+            corners = ((x_min, y_min), (x_min, s_max - x_min))  # SW, North
+            return _apply(g, x, y) + _tri_bounds([_apply(g, *c) for c in corners])
+    else:
+        def image(x, y, x_min, x_max, y_min, y_max):
+            corners = ((x_min, y_min), (x_max, y_max))
+            return _apply(g, x, y) + _square_bounds([_apply(g, *c) for c in corners])
+    return image
+
+
+def _orbits(walk_class):
+    """The orbits of the first step under the class's symmetry group, each
+    in step-code order, and per orbit and member the geometry map of a group
+    element that takes the orbit's first step to the member.  Each generator
+    must permute the step vectors, so that the group does too."""
+    tri = walk_class is WalkClass.TRIANGULAR
+    vectors = TRI_STEP_VECTORS if tri else SQ_STEP_VECTORS
+    generators = SYMMETRY_GENERATORS[walk_class]
+    for g in generators:
+        if sorted(_apply(g, *v) for v in vectors) != sorted(vectors):
+            raise ValueError(
+                "symmetry %r of %s walks does not permute the steps" % (g, walk_class.value)
+            )
+    orbits, maps = [], []
+    for d, v in enumerate(vectors):
+        if any(d in orbit for orbit in orbits):
+            continue
+        reached = [(d, ((1, 0), (0, 1)))]  # grows while read: breadth first
+        for _, h in reached:
+            for g in generators:
+                # g after h: the matrix whose columns are g of the columns of h
+                gh = tuple(zip(*(_apply(g, *col) for col in zip(*h))))
+                e = vectors.index(_apply(gh, *v))
+                if all(e != member for member, _ in reached):
+                    reached.append((e, gh))
+        reached.sort()
+        orbits.append(tuple(e for e, _ in reached))
+        maps.append(tuple(_geometry_map(g, tri) for _, g in reached))
+    return tuple(orbits), tuple(maps)
+
+
+# derived once, at import
+FIRST_STEP_ORBITS, GEOMETRY_MAPS = {}, {}
+for _wc in WalkClass:
+    FIRST_STEP_ORBITS[_wc], GEOMETRY_MAPS[_wc] = _orbits(_wc)
+
+
+def _orbit_starts(walk_class, state):
+    """For each first-step orbit whose first step is legal, pushes that step
+    and yields the orbit's geometry maps, one per member; pops it after."""
+    for orbit, maps in zip(FIRST_STEP_ORBITS[walk_class], GEOMETRY_MAPS[walk_class]):
+        if state.legal(orbit[0]):
+            state.push(orbit[0])
+            yield maps
+            state.pop()
 
 
 def _geometry(state):
+    """The walk's endpoint and box."""
     if state.lattice == "tri":
         return state.x, state.y, state.x_min, state.y_min, state.s_max
     return state.x, state.y, state.x_min, state.x_max, state.y_min, state.y_max
@@ -670,14 +638,10 @@ def _orbit_geometry(walk_class, state, search):
     first step pushed, and returns a Counter of geometries; each is counted
     once per orbit member, through the member's map in GEOMETRY_MAPS."""
     out = Counter()
-    for orbit, maps in zip(FIRST_STEP_ORBITS[walk_class], GEOMETRY_MAPS[walk_class]):
-        if state.legal(orbit[0]):
-            state.push(orbit[0])
-            found = search(state)
-            state.pop()
-            for geo, count in found.items():
-                for image in maps:
-                    out[image(*geo)] += count
+    for maps in _orbit_starts(walk_class, state):
+        for geo, count in search(state).items():
+            for image in maps:
+                out[image(*geo)] += count
     return out
 
 
@@ -691,7 +655,6 @@ def enumerate_counts(walk_class, n_max):
     """
     _check_length(n_max)
     tail = [0] * n_max  # tail[i] counts the walks of length i + 1
-    weight = 0
     last = n_max - 2  # depth of the length n_max - 1 walks
 
     def visit(state, depth):
@@ -704,21 +667,17 @@ def enumerate_counts(walk_class, n_max):
 
     if n_max:
         state = _make_state(walk_class)
-        for orbit in FIRST_STEP_ORBITS[walk_class]:
-            if state.legal(orbit[0]):
-                weight = len(orbit)
-                state.push(orbit[0])
-                _dfs(state, visit)
-                state.pop()
+        for maps in _orbit_starts(walk_class, state):
+            weight = len(maps)
+            _dfs(state, visit)
     return [1] + tail
 
 
 def enumerate_walks(walk_class, n):
     """All length-n walks of the class (exhaustive; for small n)."""
     _check_length(n)
-    tri = walk_class is WalkClass.TRIANGULAR
-    make = TriWalk if tri else SquareWalk
-    code = {v: d for d, v in enumerate(TRI_STEP_VECTORS if tri else SQ_STEP_VECTORS)}
+    make = TriWalk if walk_class is WalkClass.TRIANGULAR else SquareWalk
+    code = {v: d for d, v in enumerate(make._vectors)}
     out = []
 
     def visit(state, depth):

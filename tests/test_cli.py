@@ -155,13 +155,47 @@ def test_verify_detects_corruption(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--max-n", "-1"), ("--max-n", "21"), ("--box-k", "-1"), ("--box-k", "7")]
+    "flag, value",
+    [
+        ("--max-n", "-1"),
+        ("--max-n", "21"),
+        ("--box-k", "-1"),
+        ("--box-k", "7"),
+        ("--order", "-1"),
+        ("--order", "401"),
+        ("--order", "81"),
+    ],
 )
 def test_verify_out_of_range_exits_2_without_traceback(capsys, flag, value):
-    code, out, err = run(capsys, "verify", "--classes", "1-sided", "--order", "4", flag, value)
+    # order 81 is out of range for 4-sided walks only
+    classes = "1-sided,4-sided" if value == "81" else "1-sided"
+    code, out, err = run(capsys, "verify", "--classes", classes, "--order", "4", flag, value)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and flag in err
+    assert "Traceback" not in err
+
+
+def test_verify_order_cap_applies_to_4_sided_only(capsys, monkeypatch):
+    # 1-sided walks take orders above 80 (stubbed: the run itself is not
+    # the point)
+    seen = []
+
+    def stub(**kwargs):
+        seen.append(kwargs["series_order"])
+        return {"agree": True}
+
+    monkeypatch.setattr(verify_mod, "run_verify", stub)
+    code, _, _ = run(capsys, "verify", "--classes", "1-sided", "--order", "81")
+    assert code == 0
+    assert seen == [81]
+
+
+def test_asym_growth_order_out_of_range_exits_2_without_traceback(capsys):
+    code, out, err = run(capsys, "asym", "--class", "3-sided", "--growth-order", "401")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--growth-order" in err
     assert "Traceback" not in err
 
 

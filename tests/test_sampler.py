@@ -13,7 +13,6 @@ from prudentwalks.sampler import (
     estimate_entries,
     exact_distribution,
     kinetic_sample,
-    uniform_sample,
 )
 from prudentwalks.walks import (
     WalkClass,
@@ -29,7 +28,7 @@ def test_ext_table_hand_values():
     table = ExtTable(WalkClass.TWO_SIDED, 2)
     assert table.ex((0, 0), 1) == 3
     assert table.ex((2, 1), 1) == 2
-    assert table.root_total() == 10
+    assert table.counts()[-1] == 10
 
 
 def test_ext_table_counts_match_oracle():
@@ -44,7 +43,7 @@ def test_ext_table_counts_match_oracle():
 
 
 def test_ext_table_root_total_26():
-    assert ExtTable(WalkClass.TWO_SIDED, 3).root_total() == 26
+    assert ExtTable(WalkClass.TWO_SIDED, 3).counts()[-1] == 26
 
 
 def test_budget_guard():
@@ -68,10 +67,11 @@ def test_exact_uniformity_small_n():
 
 def test_sample_determinism():
     for wc in WalkClass:
-        a = uniform_sample(wc, 25, seed=987)
-        b = uniform_sample(wc, 25, seed=987)
+        sampler = UniformSampler(wc, 25)
+        a = sampler.sample(random.Random(987))
+        b = sampler.sample(random.Random(987))
         assert a == b
-        c = uniform_sample(wc, 25, seed=988)
+        c = sampler.sample(random.Random(988))
         assert a != c or wc is WalkClass.ONE_SIDED  # different seed, almost surely
 
 
@@ -112,7 +112,7 @@ def test_sampler_chi_square_smoke():
 
 
 def test_zero_length():
-    assert len(uniform_sample(WalkClass.TWO_SIDED, 0, seed=1)) == 0
+    assert len(UniformSampler(WalkClass.TWO_SIDED, 0).sample(random.Random(1))) == 0
 
 
 def test_kinetic_sampler():

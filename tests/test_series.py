@@ -10,7 +10,6 @@ from prudentwalks.series import (
     SeriesError,
     TSeries,
     geometric,
-    pochhammer,
     ts_compose,
 )
 
@@ -221,28 +220,6 @@ def test_dd_matches_monomial_sum():
                         want.slices[n + k][key] = want.slices[n + k].get(key, 0) + c
         want = want.normalized()
         assert got.normalized() == want
-
-
-# -- pochhammer -------------------------------------------------------------
-
-def test_pochhammer_empty():
-    a = TSeries.t(6)
-    assert pochhammer(a, TSeries.t(6), 0) == TSeries.one(6)
-
-
-def test_pochhammer_t_t_2():
-    got = pochhammer(TSeries.t(6), TSeries.t(6), 2)
-    assert got == TSeries.from_terms(6, {0: 1, 1: -1, 2: -1, 3: 1})
-
-
-def test_pochhammer_y_factor():
-    from prudentwalks.closedforms import y_series
-
-    Y = y_series(8)
-    yb = Y * TSeries.from_terms(8, {0: 1, 2: -2})
-    got = pochhammer(yb, TSeries.t(8), 1)
-    assert got == TSeries.one(8) - yb
-    assert got.coeffs[0] == 1 and got.coeffs[1] == -1  # valuation-1 series
 
 
 # -- CPoly plumbing ---------------------------------------------------------

@@ -22,9 +22,7 @@ from prudentwalks.walks import (
     exact_mean,
     exact_variance,
     in_class,
-    is_k_sided,
     is_prudent,
-    is_triangular_prudent,
     walk_from_json,
 )
 from prudentwalks import funceq, walks
@@ -47,10 +45,10 @@ def test_prudence_examples():
 
 
 def test_k_sided_examples():
-    assert not is_k_sided(SquareWalk("ESW"), 3)  # the footnote walk
-    assert is_k_sided(SquareWalk("EN"), 1)
-    assert is_k_sided(SquareWalk("S"), 2)  # degenerate box: right edge
-    assert not is_k_sided(SquareWalk("S"), 1)
+    assert not in_class(SquareWalk("ESW"), WalkClass.THREE_SIDED)  # the footnote walk
+    assert in_class(SquareWalk("EN"), WalkClass.ONE_SIDED)
+    assert in_class(SquareWalk("S"), WalkClass.TWO_SIDED)  # degenerate box: right edge
+    assert not in_class(SquareWalk("S"), WalkClass.ONE_SIDED)
 
 
 def test_one_sided_equals_partially_directed():
@@ -71,7 +69,7 @@ def test_enumeration_counts(wc):
 def test_class_inclusion_chain():
     # 1-sided subset 2-sided subset 3-sided subset prudent, on every walk
     for w in enumerate_walks(WalkClass.PRUDENT4, 6):
-        flags = [is_k_sided(w, k) for k in (1, 2, 3)] + [is_prudent(w)]
+        flags = [in_class(w, wc) for wc in SQUARE_CLASSES[:3]] + [is_prudent(w)]
         for a, b in zip(flags, flags[1:]):
             assert (not a) or b
 
@@ -95,7 +93,7 @@ def test_endpoint_on_box_border():
 def test_triangular_single_steps():
     for s in range(6):
         w = TriWalk((s,))
-        assert is_triangular_prudent(w)
+        assert in_class(w, WalkClass.TRIANGULAR)
         assert w.box().size == 1
 
 
@@ -155,6 +153,7 @@ def test_walk_text_and_json():
     t = TriWalk("0123450")
     assert TriWalk.from_text(t.to_text()) == t
     assert walk_from_json(t.to_json()) == t
+    assert SquareWalk((0, 1)) != TriWalk((0, 1))  # same codes, different lattices
 
 
 def test_boxes():
@@ -335,6 +334,14 @@ def test_first_step_orbits_are_symmetry_orbits(wc):
     assert sorted(map(sorted, orbits)) == sorted(map(sorted, table))
 
 
+@pytest.mark.parametrize("g", [((1, 1), (0, 0)), ((2, 0), (0, 1))])
+def test_symmetry_generator_that_does_not_permute_the_steps_raises(monkeypatch, g):
+    # ((1, 1), (0, 0)) sends every step to a step, but not one to one
+    monkeypatch.setitem(walks.SYMMETRY_GENERATORS, WalkClass.TWO_SIDED, (g,))
+    with pytest.raises(ValueError):
+        walks._orbits(WalkClass.TWO_SIDED)
+
+
 def test_lattice_mismatch_raises():
     square, tri = SquareWalk("NNN"), TriWalk("555")
     with pytest.raises(ValueError):
@@ -344,10 +351,6 @@ def test_lattice_mismatch_raises():
             in_class(tri, wc)
     with pytest.raises(ValueError):
         is_prudent(tri)
-    with pytest.raises(ValueError):
-        is_k_sided(tri, 2)
-    with pytest.raises(ValueError):
-        is_triangular_prudent(square)
 
 
 @pytest.mark.parametrize("wc", list(WalkClass))
