@@ -1,18 +1,24 @@
 """Closed-form expansions: the algebraic 2-sided solution, the iterated
 3-sided sum, the triangular q-series, and the box-spanning formulas.
 
-Each kernel-root series is checked against its defining algebraic equation;
+Each kernel root is solved at its argument: U(t;W) for a series W is the
+power-series root of tU^2 - bU + t, b = 1 + t^2 - tW(1-t^2), taken from the
+quadratic formula with one product and one `TSeries.sqrt`.  The bivariate
+root U(t;w) is built only where a sum needs it as a polynomial in u.  Each
+kernel-root series is checked against its defining algebraic equation;
 infinite sums and products are truncated automatically by measuring when the
 next summand or factor stops contributing below the truncation order (their
-valuations increase strictly, so the loops terminate).
+valuations increase strictly, so the loops terminate), and each summand is
+carried only to the orders it reaches.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
-from prudentwalks.series import CPoly, SeriesError, TSeries, ts_compose
+from prudentwalks.series import CPoly, SeriesError, TSeries
 from prudentwalks.walks import WalkClass
 
 
@@ -35,53 +41,40 @@ def kernel_root_u_of_w(order):
     whose coefficients are integer polynomials in w.  CPoly over ("w",).
     """
     N = order
-    slices = [dict() for _ in range(N + 1)]
-
-    def mul_into(dst, a, b, scale=1):
-        for (ja,), ca in a.items():
-            for (jb,), cb in b.items():
-                key = (ja + jb,)
-                acc = dst.get(key, 0) + scale * ca * cb
-                if acc:
-                    dst[key] = acc
-                elif key in dst:
-                    del dst[key]
-
+    slices = []
     for n in range(N + 1):
-        cur = {}
-        if n == 1:
-            cur[(0,)] = 1
-        # + t U^2
-        for a in range(1, n - 1):
-            mul_into(cur, slices[a], slices[n - 1 - a])
-        # - t^2 U
-        if n >= 2:
-            for key, c in slices[n - 2].items():
-                acc = cur.get(key, 0) - c
-                if acc:
-                    cur[key] = acc
-                elif key in cur:
-                    del cur[key]
-        # + t w U - t^3 w U
-        for off, sgn in ((1, 1), (3, -1)):
+        cur = {(0,): 1} if n == 1 else {}
+        for a in range(1, n - 1):  # + t U^2
+            for (ja,), ca in slices[a].items():
+                for (jb,), cb in slices[n - 1 - a].items():
+                    cur[(ja + jb,)] = cur.get((ja + jb,), 0) + ca * cb
+        for off, sgn, dj in ((2, -1, 0), (1, 1, 1), (3, -1, 1)):  # - t^2 U + t w U - t^3 w U
             if n >= off:
                 for (j,), c in slices[n - off].items():
-                    key = (j + 1,)
-                    acc = cur.get(key, 0) + sgn * c
-                    if acc:
-                        cur[key] = acc
-                    elif key in cur:
-                        del cur[key]
-        slices[n] = cur
+                    cur[(j + dj,)] = cur.get((j + dj,), 0) + sgn * c
+        slices.append({k: c for k, c in cur.items() if c})
 
     U = CPoly(("w",), N)
     U.slices = slices
     return U
 
 
+def kernel_root_at(w):
+    """U(t;W) for a TSeries W, to W's order: the power-series root of
+    tU^2 - bU + t with b = 1 + t^2 - tW(1-t^2), i.e.
+
+        U = (b - sqrt(b^2 - 4t^2)) / (2t),
+
+    with integer coefficients, since sqrt(1-4y) has them."""
+    N = w.order  # b is known to t^(N+1)
+    b = _ts(N + 1, {0: 1, 2: 1}) - TSeries([0] + (w * _ts(N, {0: 1, 2: -1})).coeffs, N + 1)
+    num = b - (b * b - TSeries.t(N + 1, 2, 4)).sqrt()
+    return (num.shift_down(1) / 2).normalized()
+
+
 def q_series(order):
     """q(t) = U(t;1), the power-series kernel root of the 2-sided class."""
-    return ts_compose(kernel_root_u_of_w(order), 1).normalized()
+    return kernel_root_at(TSeries.one(order))
 
 
 def y_series(order):
@@ -123,26 +116,15 @@ def x_of_u(order):
                     out[key] = out.get(key, 0) + ca * cb
         return out
 
+    # X = u/(1-t) * W, W = 1 + tX + t^2 X + t^3 X^2, so X_n = X_(n-1) + u W_n
     for n in range(N + 1):
-        cur = {}
-        # X = u/(1-t) * W, W = 1 + tX + t^2 X + t^3 X^2; slice n pulls W_b, b<=n
-        for b in range(n + 1):
-            w_b = {}
-            if b == 0:
-                w_b[(0,)] = 1
-            if b >= 1:
-                for key, c in slices[b - 1].items():
-                    w_b[key] = w_b.get(key, 0) + c
-            if b >= 2:
-                for key, c in slices[b - 2].items():
-                    w_b[key] = w_b.get(key, 0) + c
-            if b >= 3:
-                for key, c in sq(b - 3).items():
-                    w_b[key] = w_b.get(key, 0) + c
-            for (j,), c in w_b.items():
-                if c:
-                    key = (j + 1,)
-                    cur[key] = cur.get(key, 0) + c
+        w_n = Counter(slices[n - 1] if n else {(0,): 1})
+        if n >= 2:
+            w_n.update(slices[n - 2])
+        if n >= 3:
+            w_n.update(sq(n - 3))
+        cur = Counter(slices[n - 1] if n else {})
+        cur.update({(j + 1,): c for (j,), c in w_n.items()})
         slices[n] = {k: c for k, c in cur.items() if c}
 
     X = CPoly(("u",), N)
@@ -157,14 +139,12 @@ def x_of_u(order):
 def two_sided_closed(order):
     """U, P(t;u) and P(t;1) for 2-sided walks.
 
-    U = (1 - t + t^2 + t^3 - sqrt((1-t^4)(1-2t-t^2)))/(2t) via TSeries.sqrt;
+    U = U(t;1) = (1 - t + t^2 + t^3 - sqrt((1-t^4)(1-2t-t^2)))/(2t);
     P(t;u) = 2(1-t^2)(1-t) U / ((1-uU)(1-tU)(2t-U)) - 1.
     """
-    N = order + 2
-    disc = _ts(N, {0: 1, 4: -1}) * _ts(N, {0: 1, 1: -2, 2: -1})
-    num = _ts(N, {0: 1, 1: -1, 2: 1, 3: 1}) - disc.sqrt()
-    U = (num.shift_down(1) / 2).normalized().truncate(order)
-    V = (num.shift_down(2) / 2).normalized()  # U/t, constant term 1
+    U1 = kernel_root_at(TSeries.one(order + 1))
+    U = U1.truncate(order)
+    V = U1.shift_down(1)  # U/t, constant term 1
     # U/(2t - U) = V/(2 - V); 2 - V has constant term 1
     body = (V * (2 - V).inv()).normalized().truncate(order)
     pref = (
@@ -275,26 +255,24 @@ def _phi(x):
 
 
 def _kernel_setup(order):
-    """(U(t;w), q^m, A, B) shared by both 3-sided expansions.
+    """(q^m, A, B) shared by both 3-sided expansions.
 
-    U(t;w) and the powers q^m of q = U(t;1) are kept to order + 2;
-    A = t/(1-tq) and B = tq/(q-t) = (1-tq)/(1-t^2) to the internal order
-    order + 1, since phi consumes one.
+    The powers q^m of q = U(t;1), A = t/(1-tq) and B = tq/(q-t) =
+    (1-tq)/(1-t^2) are kept to the internal order order + 1, since phi
+    consumes one.
     """
     M = order + 1
-    Uw = kernel_root_u_of_w(M + 1)
-    q = ts_compose(Uw, 1).normalized()
-    qpow = [TSeries.one(M + 1), q]
+    q = q_series(M)
+    qpow = [TSeries.one(M), q]
 
     def q_power(m):
         while len(qpow) <= m:
             qpow.append((qpow[-1] * q).normalized())
         return qpow[m]
 
-    qM = q.truncate(M)
-    A = (TSeries.t(M) * (1 - (qM * TSeries.t(M))).inv()).normalized()
-    B = ((1 - qM.shift(1)) * _ts(M, {0: 1, 2: -1}).inv()).normalized()
-    return Uw, q_power, A, B
+    A = (TSeries.t(M) * (1 - (q * TSeries.t(M))).inv()).normalized()
+    B = ((1 - q.shift(1)) * _ts(M, {0: 1, 2: -1}).inv()).normalized()
+    return q_power, A, B
 
 
 def _kernel_sum(u_at, A, B, one, order, k_terms):
@@ -335,13 +313,11 @@ def three_sided_length_series(order, k_terms=None):
     """(T(t;1,t), P(t;1)) for 3-sided walks from the iterated sum at u=1."""
     N = order
     M = N + 1
-    Uw, q_power, A, B = _kernel_setup(N)
+    q_power, A, B = _kernel_setup(N)
 
     def u_of_qi(i):
         """U(q^i) as a TSeries."""
-        if i == 0:
-            return q_power(1).truncate(M)  # U(1) = q
-        return ts_compose(Uw, q_power(i)).normalized().truncate(M)
+        return q_power(1) if i == 0 else kernel_root_at(q_power(i))  # U(1) = q
 
     T = _kernel_sum(u_of_qi, A, B, TSeries.one(M), N, k_terms)
     qN = q_power(1).truncate(N)
@@ -361,7 +337,8 @@ def three_sided_closed(order, k_terms=None):
     to the displayed length series.
     """
     M = order + 1
-    Uw, q_power, A, B = _kernel_setup(order)
+    q_power, A, B = _kernel_setup(order)
+    Uw = kernel_root_u_of_w(M)
     uvar = ("u",)
 
     def u_of_uqi(i):
@@ -369,7 +346,7 @@ def three_sided_closed(order, k_terms=None):
         out = CPoly(uvar, M)
         for (j,), coeff in Uw.terms().items():
             piece = (coeff * q_power(i * j)).normalized() if i * j else coeff
-            for n, c in enumerate(piece.coeffs[: M + 1]):
+            for n, c in enumerate(piece.coeffs):
                 if c:
                     out.slices[n][(j,)] = out.slices[n].get((j,), 0) + c
         return out.normalized()
@@ -415,6 +392,8 @@ def triangular_closed(order, k_terms=None):
     R(t;1,t) = (1+Y)(1+tY) sum_k t^C(k+1,2) (Y(1-2t^2))^k / (Y(1-2t^2);t)_{k+1}
     * (Y t^2/(1-2t^2); t)_k, with the (1-2t^2) powers cancelled exactly:
     (Y(1-2t^2))^k (Yt^2/(1-2t^2);t)_k = Y^k prod_i (1-2t^2 - Y t^(2+i)).
+    Summand k starts at t^C(k+1,2), so its three running factors are carried
+    only to order L = N - C(k+1,2).
     """
     N = order
     Y = y_series(N)
@@ -429,11 +408,15 @@ def triangular_closed(order, k_terms=None):
         tri = k * (k + 1) // 2
         if tri > N:
             break
+        L = N - tri
         if k > 0:
-            ypow = (ypow * Y).normalized()
-            numfac = (numfac * (_ts(N, {0: 1, 2: -2}) - Y.shift(k + 1))).normalized()
-            invden = (invden * (one - YB.shift(k)).inv()).normalized()
-        term = (ypow.shift(tri) * numfac * invden).normalized()
+            YL = Y.truncate(L)
+            # a product has the lower order of its factors
+            ypow = (ypow * YL).normalized()
+            numfac = (numfac * (_ts(L, {0: 1, 2: -2}) - YL.shift(k + 1))).normalized()
+            invden = (invden * (1 - YB.truncate(L).shift(k)).inv()).normalized()
+        term = (ypow * numfac * invden).normalized()
+        term = TSeries([0] * tri + term.coeffs, N)
         if term.is_zero():
             break
         if k_terms is not None and k >= k_terms:

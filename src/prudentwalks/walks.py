@@ -560,14 +560,26 @@ def _geometry_map(g, tri):
     """The action of the symmetry g on a walk's geometry (`_geometry`): g maps
     the walk's box onto the mapped walk's box, corners onto corners, and two
     corners (opposite ones on a rectangle) fix a box."""
+    (a, b), (c, d) = g
+    # plain arithmetic and conditional expressions: min/max calls cost more
+    # than the rest of an image
     if tri:
         def image(x, y, x_min, y_min, s_max):
-            corners = ((x_min, y_min), (x_min, s_max - x_min))  # SW, North
-            return _apply(g, x, y) + _tri_bounds([_apply(g, *c) for c in corners])
+            y_top = s_max - x_min  # corners SW (x_min, y_min), North (x_min, y_top)
+            x1, y1 = a * x_min + b * y_min, c * x_min + d * y_min
+            x2, y2 = a * x_min + b * y_top, c * x_min + d * y_top
+            s1, s2 = x1 + y1, x2 + y2
+            return (a * x + b * y, c * x + d * y,
+                    x1 if x1 < x2 else x2, y1 if y1 < y2 else y2, s1 if s1 > s2 else s2)
     else:
         def image(x, y, x_min, x_max, y_min, y_max):
-            corners = ((x_min, y_min), (x_max, y_max))
-            return _apply(g, x, y) + _square_bounds([_apply(g, *c) for c in corners])
+            x1, y1 = a * x_min + b * y_min, c * x_min + d * y_min
+            x2, y2 = a * x_max + b * y_max, c * x_max + d * y_max
+            if x1 > x2:
+                x1, x2 = x2, x1
+            if y1 > y2:
+                y1, y2 = y2, y1
+            return a * x + b * y, c * x + d * y, x1, x2, y1, y2
     return image
 
 

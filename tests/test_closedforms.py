@@ -3,6 +3,7 @@ import pytest
 from prudentwalks.closedforms import (
     TruncationError,
     euler_identity_check,
+    kernel_root_at,
     kernel_root_u_of_w,
     q_series,
     three_sided_closed,
@@ -20,6 +21,7 @@ from prudentwalks.closedforms import (
     y_alg_residual_of,
     y_series,
 )
+from prudentwalks import closedforms
 from prudentwalks.funceq import (
     solve_2sided,
     solve_2sided_refined_sum,
@@ -27,7 +29,7 @@ from prudentwalks.funceq import (
     solve_triangular,
 )
 from prudentwalks.series import TSeries, ts_compose
-from prudentwalks.walks import enumerate_tri_by_box
+from prudentwalks.walks import WalkClass, enumerate_tri_by_box
 
 
 def test_kernel_root_bivariate():
@@ -63,6 +65,31 @@ def test_compose_unit_dominance_allows_q():
     assert ts_compose(Uw, 1).normalized() == q_series(12)
 
 
+def test_kernel_root_at_matches_bivariate_root():
+    # U(t;W) at its argument equals the fixed-point U(t;w) composed with W
+    N = 40
+    Uw = kernel_root_u_of_w(N + 1)
+    q = ts_compose(Uw, 1).normalized()
+    qp = TSeries.one(N + 1)
+    for i in range(6):
+        U = kernel_root_at(qp)
+        assert U == ts_compose(Uw, qp).normalized()
+        assert all(type(c) is int for c in U.coeffs)
+        qp = (qp * q).normalized()
+
+
+def test_length_series_never_build_the_bivariate_root(monkeypatch):
+    # the O(N^4) fixed point for U(t;w) stays out of the length series
+    def refuse(order):
+        raise AssertionError("kernel_root_u_of_w called")
+
+    monkeypatch.setattr(closedforms, "kernel_root_u_of_w", refuse)
+    assert three_sided_length_series(30)[1].integer_coeffs()[:4] == [1, 4, 12, 34]
+    for wc in WalkClass:
+        closedforms.length_series(wc, 30)
+    assert q_series(30).coeffs[:6] == [0, 1, 1, 1, 1, 2]
+
+
 def test_compose_with_zero_gives_t():
     Uw = kernel_root_u_of_w(12)
     assert ts_compose(Uw, 0) == TSeries.t(12)
@@ -78,6 +105,7 @@ def test_two_sided_closed_matches_everything():
     assert P.normalized() == solve_2sided(14)[1].normalized()
     # the sqrt-formula root coincides with the fixed-point q, byte for byte
     assert U == q_series(14)
+    assert U == ts_compose(kernel_root_u_of_w(14), 1).normalized()
 
 
 def test_two_sided_kernel_residual():
@@ -163,6 +191,52 @@ def test_triangular_closed_values():
     assert y_alg_residual_of(Y).is_zero()
 
 
+def _triangular_full_order(order, k_terms=None):
+    """triangular_closed with every running factor at the full order N."""
+    N = order
+    Y = y_series(N)
+    one = TSeries.one(N)
+    YB = (Y * TSeries.from_terms(N, {0: 1, 2: -2})).normalized()
+    total = TSeries.zero(N)
+    ypow, numfac, invden = one, one, (one - YB).inv()
+    k = 0
+    while k * (k + 1) // 2 <= N:
+        if k > 0:
+            ypow = (ypow * Y).normalized()
+            numfac = (numfac * (TSeries.from_terms(N, {0: 1, 2: -2}) - Y.shift(k + 1))).normalized()
+            invden = (invden * (one - YB.shift(k)).inv()).normalized()
+        term = (ypow.shift(k * (k + 1) // 2) * numfac * invden).normalized()
+        if term.is_zero():
+            break
+        if k_terms is not None and k >= k_terms:
+            raise TruncationError("k_terms=%d" % k_terms)
+        total = total + term
+        k += 1
+    R1t = ((one + Y) * (one + Y.shift(1)) * total).normalized()
+    P1 = (
+        1
+        + TSeries.from_terms(N, {1: 6, 2: 6})
+        * TSeries.from_terms(N, {0: 1, 1: -3, 2: -2}).inv()
+        * (one + TSeries.from_terms(N, {1: 1, 2: 2}) * R1t)
+    ).normalized()
+    return Y, R1t, P1
+
+
+def test_triangular_truncated_summands_match_full_order():
+    N = 60
+    for got, want in zip(triangular_closed(N), _triangular_full_order(N)):
+        assert got == want
+        assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+    for k_terms in range(12):
+        try:
+            want = _triangular_full_order(N, k_terms)
+        except TruncationError:
+            with pytest.raises(TruncationError):
+                triangular_closed(N, k_terms)
+        else:
+            assert triangular_closed(N, k_terms) == want
+
+
 def test_triangular_k_terms_too_small():
     with pytest.raises(TruncationError):
         triangular_closed(30, k_terms=2)
@@ -177,6 +251,42 @@ def test_x_series():
     X = x_of_u(12)
     Y = y_series(12)
     assert X.substitute("u", 1).specialize_ones().shift(1).normalized() == Y
+
+
+def _x_of_u_every_prefix(order):
+    """x_of_u recomputing W_0..W_n for every slice n of X = u/(1-t) W."""
+    N = order
+    slices = [dict() for _ in range(N + 1)]
+
+    def sq(b):
+        out = {}
+        for a in range(b + 1):
+            for (ja,), ca in slices[a].items():
+                for (jb,), cb in slices[b - a].items():
+                    out[(ja + jb,)] = out.get((ja + jb,), 0) + ca * cb
+        return out
+
+    for n in range(N + 1):
+        cur = {}
+        for b in range(n + 1):
+            w_b = {(0,): 1} if b == 0 else {}
+            parts = [slices[b - 1]] if b >= 1 else []
+            if b >= 2:
+                parts.append(slices[b - 2])
+            if b >= 3:
+                parts.append(sq(b - 3))
+            for part in parts:
+                for key, c in part.items():
+                    w_b[key] = w_b.get(key, 0) + c
+            for (j,), c in w_b.items():
+                cur[(j + 1,)] = cur.get((j + 1,), 0) + c
+        slices[n] = {k: c for k, c in cur.items() if c}
+    return slices
+
+
+def test_x_of_u_matches_every_prefix_recompute():
+    for n in range(17):
+        assert x_of_u(n).slices == _x_of_u_every_prefix(n)
 
 
 def test_box_formula_values():
