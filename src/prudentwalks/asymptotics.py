@@ -47,10 +47,6 @@ class RatInterval:
     def __float__(self):
         return float(self.mid)
 
-    def contains(self, x):
-        x = Fraction(x)
-        return self.lo <= x <= self.hi
-
     def __add__(self, other):
         other = _iv(other)
         return RatInterval(self.lo + other.lo, self.hi + other.hi)

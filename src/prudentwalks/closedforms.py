@@ -4,7 +4,9 @@
 Each kernel root is solved at its argument: U(t;W) for a series W is the
 power-series root of tU^2 - bU + t, b = 1 + t^2 - tW(1-t^2), taken from the
 quadratic formula with one product and one `TSeries.sqrt`.  The bivariate
-root U(t;w) is built only where a sum needs it as a polynomial in u.  Each
+root U(t;w) is built only where a polynomial in its argument is needed: for
+U(u q^i) in the 3-sided P(t;u), and for the X+Y-refined 2-sided root
+U(t,z) = z U(t;z), which is the same root at w = z.  Each
 kernel-root series is checked against its defining algebraic equation;
 infinite sums and products are truncated automatically by measuring when the
 next summand or factor stops contributing below the truncation order (their
@@ -15,7 +17,6 @@ carried only to the orders it reaches.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from math import factorial
 
 from prudentwalks.series import CPoly, SeriesError, TSeries
@@ -166,42 +167,14 @@ def two_sided_closed(order):
     return U, P, P1
 
 
-def two_sided_p1_display(order):
-    """The displayed P(t;1) = (1+t-t^3 + t(1-t) sqrt((1-t^4)/(1-2t-t^2)))
-    / (1-2t-2t^2+2t^3)."""
-    N = order
-    root = (_ts(N, {0: 1, 4: -1}) * _ts(N, {0: 1, 1: -2, 2: -1}).inv()).sqrt()
-    num = _ts(N, {0: 1, 1: 1, 3: -1}) + _ts(N, {1: 1, 2: -1}) * root
-    return (num * _ts(N, {0: 1, 1: -2, 2: -2, 3: 2}).inv()).normalized()
-
-
 def two_sided_endpoint_kernel_root(order):
     """U(t,z): the power-series root of (z - tU)(U - tz) = t U z^2 (1 - t^2).
 
-    U = z (1 - tz + t^2 + t^3 z - sqrt((1-t^2)(1+t-tz+t^2z)(1-t-tz-t^2z)))/(2t);
-    CPoly over ("z",), valuation 1.
+    With U = zV the kernel becomes (1 - tV)(V - t) = t z V (1 - t^2), the
+    plain kernel at w = z, so U(t,z) = z U(t;z); CPoly over ("z",),
+    valuation 1.
     """
-    N = order + 1
-    zv = ("z",)
-    A = CPoly(zv, N)
-    A.slices[0][(0,)] = 1
-    A.slices[1] = {(0,): 1, (1,): -1}
-    A.slices[2] = {(1,): 1}
-    B = CPoly(zv, N)
-    B.slices[0][(0,)] = 1
-    B.slices[1] = {(0,): -1, (1,): -1}
-    B.slices[2] = {(1,): -1}
-    C = CPoly(zv, N)
-    C.slices[0][(0,)] = 1
-    C.slices[2][(0,)] = -1
-    S = (C * A * B).sqrt()
-    num = CPoly(zv, N)
-    num.slices[0][(0,)] = 1
-    num.slices[1][(1,)] = -1
-    num.slices[2][(0,)] = 1
-    num.slices[3][(1,)] = 1
-    num = (num - S).normalized()
-    return num.shift_down(1).mul_mono((1,), 0, Fraction(1, 2)).normalized()
+    return kernel_root_u_of_w(order).rename({"w": "z"}).mul_mono((1,))
 
 
 def two_sided_endpoint_closed(order):
@@ -209,38 +182,15 @@ def two_sided_endpoint_closed(order):
 
     P = 2 z^3 (1-t^2)(1-tz) U / ((z^2-uU)(z-tU)(2tz-U)) - 1 at U = U(t,z).
     """
-    zv = ("z",)
-    U = two_sided_endpoint_kernel_root(order + 1)  # order + 1
-    V = U.mul_mono((-1,)).shift_down(1)  # U/(tz), constant term 1
-    two_minus_V = (CPoly.constant(zv, V.order, 2) - V).normalized()
-    body = (V * two_minus_V.inv()).normalized()  # U/(2tz - U)
-    ord2 = body.order
-    pref = (
-        CPoly.from_tseries(zv, _ts(ord2, {0: 2, 2: -2}))
-        * (CPoly.constant(zv, ord2) - CPoly.monomial(zv, ord2, (1,), 1, 1))
-        * body
-    ).normalized()
-    # embed into ("u","z") and multiply the two geometric inverses
     uz = ("u", "z")
-    pref_uz = pref.reorder(uz)
-    U_uz = U.truncate(ord2).reorder(uz)
-    # sum_m (u U z^-2)^m and sum_m (t U z^-1)^m
-    g1 = CPoly.constant(uz, ord2)
-    term = CPoly.constant(uz, ord2)
-    while True:
-        term = (term * U_uz).mul_mono((1, -2)).normalized()
-        if term.is_zero():
-            break
-        g1 = g1 + term
-    g2 = CPoly.constant(uz, ord2)
-    term = CPoly.constant(uz, ord2)
-    while True:
-        term = (term * U_uz).mul_mono((0, -1), 1).normalized()
-        if term.is_zero():
-            break
-        g2 = g2 + term
-    P = (pref_uz * g1 * g2 - 1).normalized()
-    return P.truncate(min(order, P.order))
+    U = two_sided_endpoint_kernel_root(order + 1).reorder(uz)
+    V = U.mul_mono((0, -1)).shift_down(1)  # U/(tz), constant term 1
+    N = V.order
+    # 2 z^3/((z^2-uU)(z-tU)) = 2/((1 - u U z^-2)(1 - t U z^-1)), U/(2tz-U) = V/(2-V)
+    pref = V * (2 - V).inv() * _ts(N, {0: 2, 2: -2}) * (1 - CPoly.monomial(uz, N, (0, 1), tpow=1))
+    U = U.truncate(N)
+    P = pref * (1 - U.mul_mono((1, -2))).inv() * (1 - U.mul_mono((0, -1), 1)).inv() - 1
+    return P.normalized()
 
 
 # --------------------------------------------------------------------------
@@ -474,40 +424,6 @@ def triangular_box_formula(k):
 
 
 # --------------------------------------------------------------------------
-# q-series identity (numerical check of the product form)
-# --------------------------------------------------------------------------
-
-def euler_identity_check(order, a):
-    """Check sum_n t^C(n+1,2) (a;t)_n/(t;t)_n = prod_m (1+t^m)(1-a t^(2m-1))
-    modulo t^(order+1) for a series `a` of valuation >= 1 (or zero)."""
-    N = order
-    if N == 0:
-        return True
-    a = a.truncate(N) if a.order > N else a
-    if not a.is_zero() and a.valuation() < 1:
-        raise SeriesError("needs a of valuation >= 1")
-    one = TSeries.one(N)
-    lhs = TSeries.zero(N)
-    poch_a = one  # (a;t)_n
-    inv_poch_t = one  # 1/(t;t)_n
-    n = 0
-    while n * (n + 1) // 2 <= N:
-        lhs = lhs + (poch_a * inv_poch_t).shift(n * (n + 1) // 2)
-        poch_a = (poch_a * (one - a.shift(n))).normalized()
-        inv_poch_t = (inv_poch_t * (one - TSeries.t(N, n + 1)).inv()).normalized()
-        n += 1
-    rhs = one
-    va = a.valuation() if not a.is_zero() else N + 1
-    m = 1
-    while m <= N or va + 2 * m - 1 <= N:
-        f = one + TSeries.t(N, m) if m <= N else one
-        g = one - a.shift(2 * m - 1) if va + 2 * m - 1 <= N else one
-        rhs = (rhs * f * g).normalized()
-        m += 1
-    return lhs.normalized() == rhs.normalized()
-
-
-# --------------------------------------------------------------------------
 # kernel identities (series-level checks of the solution structure)
 # --------------------------------------------------------------------------
 
@@ -522,13 +438,10 @@ def three_sided_q_homogeneity_residual(order):
     """K(u, qu) for K(u,v) = (u-tv)(v-tu) - tuv(1-t^2); vanishes since the
     kernel is homogeneous and q = U(t;1) cancels it."""
     N = order
-    q = q_series(N)
-    uv = ("u", "v")
-    u = CPoly.monomial(uv, N, (1, 0))
-    v = CPoly.monomial(uv, N, (0, 1))
-    K = (u - v.shift(1)) * (v - u.shift(1)) - (u * v * CPoly.from_tseries(uv, _ts(N, {1: 1, 3: -1})))
-    qu = CPoly.from_tseries(("u",), q).mul_mono((1,)).reorder(uv)
-    return K.substitute("v", qu).normalized()
+    u = CPoly.monomial(("u",), N, (1,))
+    v = u * q_series(N)
+    K = (u - v.shift(1)) * (v - u.shift(1)) - u * v * _ts(N, {1: 1, 3: -1})
+    return K.normalized()
 
 
 def triangular_kernel_parametrization_residual(order):

@@ -23,7 +23,9 @@ the terms monomial-wise would cost one power of N more.
 
 from __future__ import annotations
 
-from prudentwalks.series import CPoly, TSeries, geometric
+from collections import Counter
+
+from prudentwalks.series import CPoly, TSeries
 from prudentwalks.walks import WalkClass
 
 # The solvers truncate by t-order only: a contribution to slice m is kept iff
@@ -118,8 +120,7 @@ def rhs_2sided(T):
     """One application of the 2-sided RHS to a CPoly in u."""
     N = T.order
     one_tu = CPoly.geom(("u",), N, 1, (1,))
-    out = one_tu.copy()
-    out = out + T.substitute("u", "t").mul_mono(tpow=1)
+    out = one_tu + T.substitute("u", "t").mul_mono(tpow=1)
     out = out + (one_tu * T).mul_mono((1,), 2)
     out = out + T.mul_mono((1,)).divided_difference("u", "t").mul_mono(tpow=1)
     return out
@@ -183,14 +184,17 @@ def solve_3sided(order):
                 tgt[(0, b + 1)] = tgt.get((0, b + 1), 0) + c
         prevR = curR
 
-    T = CPoly(("u", "v"), N, Ts)
-    R = CPoly(("u", "w"), N, Rs)
-    # P(t;u) = T(u,u) + 2 R(1,u) - 2 T(u,0) - t/(1-t)
-    P = T.substitute("v", "u").reorder(("u",))
-    P = P + (R.substitute("u", 1).reorder(("w",)).rename({"w": "u"}) * 2)
-    P = P - (T.substitute("v", 0).reorder(("u",)) * 2)
-    P = P - CPoly.from_tseries(("u",), geometric(N).shift(1))
-    return T, R, P
+    Ps = []  # P(t;u) = T(u,u) + 2 R(1,u) - 2 T(u,0) - t/(1-t)
+    for n in range(N + 1):
+        acc = Counter({(0,): -1} if n else ())
+        for (i, j), c in Ts[n].items():
+            acc[(i + j,)] += c
+            if j == 0:
+                acc[(i,)] -= 2 * c
+        for (a, b), c in Rs[n].items():
+            acc[(b,)] += 2 * c
+        Ps.append({key: c for key, c in acc.items() if c})
+    return CPoly(("u", "v"), N, Ts), CPoly(("u", "w"), N, Rs), CPoly(("u",), N, Ps)
 
 
 def rhs_3sided(T, R):
@@ -210,8 +214,7 @@ def rhs_3sided(T, R):
     Tp = Tp - T.mul_mono(tpow=1)
     one_tu = CPoly.geom(("u", "w"), N, 1, (1, 0))
     T_tw_w = T.substitute("u", ("t", "v")).reorder(("v",)).rename({"v": "w"}).reorder(("u", "w"))
-    Rp = one_tu.copy()
-    Rp = Rp + (one_tu * R).mul_mono((1, 1), 2)
+    Rp = one_tu + (one_tu * R).mul_mono((1, 1), 2)
     Rp = Rp + R.mul_mono((1, 0)).divided_difference("u", "t").mul_mono((0, 1), 1)
     Rp = Rp + T_tw_w.mul_mono(tpow=1)
     return Tp, Rp
@@ -418,6 +421,11 @@ def solve_2sided_refined_sum(order):
 
 def solve_2sided_diagonal(order):
     """P(t,z;u) with Laurent z marking X-Y; P = T(z;u) + T(zbar;u) - T(z;0)."""
-    T = CPoly(("u", "z"), order, _solve_2sided_z(order, -1))
-    P = T + T.invert_var("z") - T.substitute("u", 0)
-    return T, P
+    slices = _solve_2sided_z(order, -1)
+    Ps = []  # T(z;u) - T(z;0) keeps the solver's keys; T(zbar;u) adds their mirrors
+    for slc in slices:
+        tgt = {key: c for key, c in slc.items() if key[0]}
+        for (i, f), c in slc.items():
+            tgt[(i, -f)] = tgt.get((i, -f), 0) + c
+        Ps.append(tgt)
+    return CPoly(("u", "z"), order, slices), CPoly(("u", "z"), order, Ps)

@@ -5,6 +5,12 @@ roots and inverses force denominators.  Every series carries an explicit
 truncation order N and is exact modulo t^(N+1); binary operations on
 mismatched orders truncate to the smaller one.
 
+A CPoly variable can be substituted by four images: 0, 1, t, or t times a
+variable (possibly itself).  Every nonzero image, variable reordering and
+z -> 1/z maps each monomial to one monomial and a power of t, so they share
+one loop, `CPoly._remap`.  A series in t is substituted for the variable of a
+one-variable CPoly by `ts_compose`.
+
 Divided differences are computed monomial-wise through the finite geometric
 sum (x^i - r^i)/(x - r) = sum_k x^(i-1-k) r^k.  No rational-function
 arithmetic appears anywhere in this module.  A CPoly product, inverse and
@@ -301,18 +307,6 @@ class TSeries:
         return cls([coeff_from_str(s) for s in term["coeffs"]], obj["order"])
 
 
-def geometric(order, shift=1, c=1):
-    """1/(1 - c*t^shift) as a TSeries (shift >= 1)."""
-    if shift < 1:
-        raise SeriesError("geometric needs shift >= 1")
-    coeffs = [0] * (order + 1)
-    power = 1
-    for m in range(0, order // shift + 1):
-        coeffs[m * shift] = power
-        power *= c
-    return TSeries(coeffs, order)
-
-
 def ts_compose(outer, inner):
     """Substitute `inner` (a TSeries, or 0/1) for the auxiliary variable of `outer`.
 
@@ -538,9 +532,6 @@ class CPoly:
             raise SeriesError("cannot extend truncation order")
         return CPoly(self.vars, order, [dict(s) for s in self.slices[: order + 1]])
 
-    def copy(self):
-        return CPoly(self.vars, self.order, [dict(s) for s in self.slices])
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CPoly.constant(self.vars, self.order, other)
@@ -691,12 +682,9 @@ class CPoly:
         """Substitute `image` for `var`.
 
         Supported images:
-          0, 1                  -- specialization
-          "t"                   -- var := t
-          another variable name -- var := that variable (merge exponents)
-          ("t", name)           -- var := t * name
-          ("t", name, exp)      -- var := t * name^exp  (exp = +-1)
-          TSeries               -- var := series value
+          0, 1        -- specialization
+          "t"         -- var := t
+          ("t", name) -- var := t * name (name may be var itself)
         Monomials whose t-order exceeds the truncation order are dropped.
         """
         k = self._vi(var)
@@ -704,99 +692,51 @@ class CPoly:
             return CPoly(self.vars, self.order, [
                 {key: c for key, c in slc.items() if key[k] == 0} for slc in self.slices
             ])
-        out = CPoly._accumulator(self.vars, self.order)
         if image == 1:
-            for n, slc in enumerate(self.slices):
-                tgt = out.slices[n]
-                for key, c in slc.items():
-                    tgt[key[:k] + (0,) + key[k + 1:]] += c
-            return out._drop_zeros()
+            return self._remap(self.vars, lambda key: (0, key[:k] + (0,) + key[k + 1:]))
+        j = self._t_image(image)
+
+        def t_image(key):
+            nk = list(key)
+            nk[k] = 0
+            if j is not None:
+                nk[j] += key[k]
+            return key[k], tuple(nk)
+
+        return self._remap(self.vars, t_image)
+
+    def _t_image(self, image):
+        """Index of name for the image ("t", name), None for "t"; any other
+        image raises."""
         if image == "t":
-            for n, slc in enumerate(self.slices):
-                for key, c in slc.items():
-                    e = key[k]
-                    if e < 0:
-                        raise SeriesError("cannot substitute t for a negative exponent")
-                    if n + e <= self.order:
-                        out.slices[n + e][key[:k] + (0,) + key[k + 1:]] += c
-            return out._drop_zeros()
-        if isinstance(image, str):
-            j = self._vi(image)
-            for n, slc in enumerate(self.slices):
-                tgt = out.slices[n]
-                for key, c in slc.items():
-                    nk = list(key)
-                    e = nk[k]
-                    nk[k] = 0
-                    nk[j] += e
-                    tgt[tuple(nk)] += c
-            return out._drop_zeros()
-        if isinstance(image, tuple) and image and image[0] == "t":
-            name = image[1]
-            exp = image[2] if len(image) > 2 else 1
-            j = self._vi(name)
-            for n, slc in enumerate(self.slices):
-                for key, c in slc.items():
-                    e = key[k]
-                    if e < 0:
-                        raise SeriesError("t*var image needs non-negative exponents")
-                    m = n + e
-                    if m <= self.order:
-                        nk = list(key)
-                        nk[k] = 0 if j != k else nk[k] - e
-                        nk[j] += e * exp
-                        out.slices[m][tuple(nk)] += c
-            return out._drop_zeros()
-        if isinstance(image, TSeries):
-            order = min(self.order, image.order)
-            out = CPoly._accumulator(self.vars, order)
-            powers = [TSeries.one(order)]
-            for n in range(order + 1):
-                for key, c in self.slices[n].items():
-                    e = key[k]
-                    if e < 0:
-                        raise SeriesError("series image needs non-negative exponents")
-                    while len(powers) <= e:
-                        powers.append(powers[-1] * image)
-                    nk = key[:k] + (0,) + key[k + 1:]
-                    for m, pc in enumerate(powers[e].coeffs[: order + 1 - n]):
-                        if pc:
-                            out.slices[n + m][nk] += c * pc
-            return out._drop_zeros()
-        if isinstance(image, CPoly):
-            order = min(self.order, image.order)
-            image = image.reorder(self.vars)
-            out = CPoly._accumulator(self.vars, order)
-            powers = [CPoly.constant(self.vars, order)]
-            for n in range(order + 1):
-                for key, c in self.slices[n].items():
-                    e = key[k]
-                    if e < 0:
-                        raise SeriesError("cpoly image needs non-negative exponents")
-                    while len(powers) <= e:
-                        powers.append(powers[-1] * image)
-                    nk = key[:k] + (0,) + key[k + 1:]
-                    for m in range(order + 1 - n):
-                        tgt = out.slices[n + m]
-                        for kk, cc in powers[e].slices[m].items():
-                            tgt[tuple(map(add, nk, kk))] += c * cc
-            return out._drop_zeros()
+            return None
+        if isinstance(image, tuple) and len(image) == 2 and image[0] == "t":
+            return self._vi(image[1])
         raise SeriesError("unsupported substitution image %r" % (image,))
+
+    def _remap(self, vars, keymap):
+        """The CPoly over `vars` that sends each monomial c t^n key to
+        c t^(n+s) key2, (s, key2) = keymap(key), summing the images that meet
+        and dropping those past the truncation order.  s < 0 means t stood
+        for a negative exponent, which has no power-series image."""
+        out = CPoly._accumulator(vars, self.order)
+        for n, slc in enumerate(self.slices):
+            for key, c in slc.items():
+                s, nk = keymap(key)
+                if s < 0:
+                    raise SeriesError("cannot substitute a t-image for a negative exponent")
+                if n + s <= self.order:
+                    out.slices[n + s][nk] += c
+        return out._drop_zeros()
 
     def divided_difference(self, var, replacement):
         """(f - f[var:=r]) / (var - r), computed monomial-wise.
 
-        replacement is "t" (r = t) or ("t", name[, exp]) (r = t*name^exp).
-        Exact: the returned g satisfies g*(var - r) = f - f[var:=r].
+        replacement is "t" (r = t) or ("t", name) (r = t*name), as in
+        `substitute`.  Exact: the returned g satisfies g*(var - r) = f - f[var:=r].
         """
         k = self._vi(var)
-        if replacement == "t":
-            j, exp = None, 0
-        elif isinstance(replacement, tuple) and replacement[0] == "t":
-            j = self._vi(replacement[1])
-            exp = replacement[2] if len(replacement) > 2 else 1
-        else:
-            raise SeriesError("unsupported divided-difference replacement %r" % (replacement,))
+        j = self._t_image(replacement)
         out = CPoly._accumulator(self.vars, self.order)
         for n, slc in enumerate(self.slices):
             for key, c in slc.items():
@@ -811,21 +751,14 @@ class CPoly:
                     nk = list(key)
                     nk[k] = e - 1 - m
                     if j is not None:
-                        nk[j] += m * exp
+                        nk[j] += m
                     out.slices[tn][tuple(nk)] += c
         return out._drop_zeros()
 
     def invert_var(self, var):
         """var -> 1/var (negate exponents; meaningful for the Laurent variable z)."""
         k = self._vi(var)
-        out = CPoly(self.vars, self.order)
-        for n, slc in enumerate(self.slices):
-            tgt = out.slices[n]
-            for key, c in slc.items():
-                nk = list(key)
-                nk[k] = -nk[k]
-                tgt[tuple(nk)] = c
-        return out
+        return self._remap(self.vars, lambda key: (0, key[:k] + (-key[k],) + key[k + 1:]))
 
     def rename(self, mapping):
         """Rename variables; mapping old->new must be a bijection on names."""
@@ -838,20 +771,18 @@ class CPoly:
         """Return an equal CPoly over the given variable tuple (a permutation,
         superset, or subset-with-zero-exponents of the current one)."""
         vars = tuple(vars)
-        pos = {v: i for i, v in enumerate(vars)}
-        drop = [i for i, v in enumerate(self.vars) if v not in pos]
-        out = CPoly(vars, self.order)
-        for n, slc in enumerate(self.slices):
-            tgt = out.slices[n]
-            for key, c in slc.items():
-                if any(key[i] for i in drop):
+        pos = [vars.index(v) if v in vars else None for v in self.vars]
+
+        def move(key):
+            nk = [0] * len(vars)
+            for p, e in zip(pos, key):
+                if p is not None:
+                    nk[p] = e
+                elif e:
                     raise SeriesError("cannot drop variable with nonzero exponent")
-                nk = [0] * len(vars)
-                for i, v in enumerate(self.vars):
-                    if v in pos:
-                        nk[pos[v]] = key[i]
-                tgt[tuple(nk)] = c  # injective: a dropped variable has exponent 0
-        return out
+            return 0, tuple(nk)
+
+        return self._remap(vars, move)
 
     @classmethod
     def _accumulator(cls, vars, order):

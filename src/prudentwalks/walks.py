@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from fractions import Fraction
 
 # square steps, encoded 0..3: N, E, S, W (clockwise)
 SQ_STEP_VECTORS = ((0, 1), (1, 0), (0, -1), (-1, 0))
@@ -786,15 +785,3 @@ def endpoint_stats(walk_class, n):
         stats["ne_dist"][(x_max - x) + (y_max - y)] += count
         stats["width"][x_max - x_min] += count
     return stats
-
-
-def exact_mean(counter):
-    total = sum(counter.values())
-    return Fraction(sum(v * c for v, c in counter.items()), total)
-
-
-def exact_variance(counter):
-    mean = exact_mean(counter)
-    total = sum(counter.values())
-    second = Fraction(sum(v * v * c for v, c in counter.items()), total)
-    return second - mean * mean

@@ -2,7 +2,6 @@ import pytest
 
 from prudentwalks.closedforms import (
     TruncationError,
-    euler_identity_check,
     kernel_root_at,
     kernel_root_u_of_w,
     q_series,
@@ -15,7 +14,6 @@ from prudentwalks.closedforms import (
     two_sided_closed,
     two_sided_endpoint_closed,
     two_sided_kernel_residual,
-    two_sided_p1_display,
     x_kernel_residual,
     x_of_u,
     y_alg_residual_of,
@@ -28,7 +26,7 @@ from prudentwalks.funceq import (
     solve_3sided,
     solve_triangular,
 )
-from prudentwalks.series import TSeries, ts_compose
+from prudentwalks.series import SeriesError, TSeries, ts_compose
 from prudentwalks.walks import WalkClass, enumerate_tri_by_box
 
 
@@ -96,6 +94,19 @@ def test_compose_with_zero_gives_t():
     assert ts_compose(Uw, TSeries.zero(12)).normalized() == TSeries.t(12)
 
 
+def _ts(order, terms):
+    return TSeries.from_terms(order, terms)
+
+
+def two_sided_p1_display(order):
+    """The paper's displayed P(t;1) = (1+t-t^3 + t(1-t) sqrt((1-t^4)/(1-2t-t^2)))
+    / (1-2t-2t^2+2t^3)."""
+    N = order
+    root = (_ts(N, {0: 1, 4: -1}) * _ts(N, {0: 1, 1: -2, 2: -1}).inv()).sqrt()
+    num = _ts(N, {0: 1, 1: 1, 3: -1}) + _ts(N, {1: 1, 2: -1}) * root
+    return (num * _ts(N, {0: 1, 1: -2, 2: -2, 3: 2}).inv()).normalized()
+
+
 def test_two_sided_closed_matches_everything():
     U, P, P1 = two_sided_closed(14)
     assert U.coeffs[1:6] == [1, 1, 1, 1, 2]
@@ -113,6 +124,8 @@ def test_two_sided_kernel_residual():
 
 
 def test_two_sided_endpoint_closed():
+    for order in (0, 1, 2, 3, 4):  # the lowest orders too, where U is cut below t^2
+        assert two_sided_endpoint_closed(order) == solve_2sided_refined_sum(order)[1]
     P = two_sided_endpoint_closed(10)
     ref = solve_2sided_refined_sum(10)[1]
     assert P.normalized() == ref.truncate(P.order).normalized()
@@ -304,6 +317,40 @@ def test_box_formula_values():
 def test_box_formula_vs_oracle():
     for k in range(4):
         assert triangular_box_formula(k) == enumerate_tri_by_box(k)
+
+
+# --------------------------------------------------------------------------
+# q-series identity (numerical check of the product form)
+# --------------------------------------------------------------------------
+
+def euler_identity_check(order, a):
+    """Check sum_n t^C(n+1,2) (a;t)_n/(t;t)_n = prod_m (1+t^m)(1-a t^(2m-1))
+    modulo t^(order+1) for a series `a` of valuation >= 1 (or zero)."""
+    N = order
+    if N == 0:
+        return True
+    a = a.truncate(N) if a.order > N else a
+    if not a.is_zero() and a.valuation() < 1:
+        raise SeriesError("needs a of valuation >= 1")
+    one = TSeries.one(N)
+    lhs = TSeries.zero(N)
+    poch_a = one  # (a;t)_n
+    inv_poch_t = one  # 1/(t;t)_n
+    n = 0
+    while n * (n + 1) // 2 <= N:
+        lhs = lhs + (poch_a * inv_poch_t).shift(n * (n + 1) // 2)
+        poch_a = (poch_a * (one - a.shift(n))).normalized()
+        inv_poch_t = (inv_poch_t * (one - TSeries.t(N, n + 1)).inv()).normalized()
+        n += 1
+    rhs = one
+    va = a.valuation() if not a.is_zero() else N + 1
+    m = 1
+    while m <= N or va + 2 * m - 1 <= N:
+        f = one + TSeries.t(N, m) if m <= N else one
+        g = one - a.shift(2 * m - 1) if va + 2 * m - 1 <= N else one
+        rhs = (rhs * f * g).normalized()
+        m += 1
+    return lhs.normalized() == rhs.normalized()
 
 
 def test_euler_identity_zero_case():

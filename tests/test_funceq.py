@@ -19,8 +19,6 @@ from prudentwalks.walks import (
     endpoint_stats,
     enumerate_counts,
     enumerate_walks,
-    exact_mean,
-    exact_variance,
 )
 
 N = 14
@@ -28,6 +26,17 @@ N = 14
 
 def counts(p):
     return p.specialize_ones().integer_coeffs()
+
+
+def exact_mean(counter):
+    """Exact mean of an endpoint statistic given as value -> count."""
+    return Fraction(sum(v * c for v, c in counter.items()), sum(counter.values()))
+
+
+def exact_variance(counter):
+    mean = exact_mean(counter)
+    second = Fraction(sum(v * v * c for v, c in counter.items()), sum(counter.values()))
+    return second - mean * mean
 
 
 def test_1sided_series():
@@ -139,7 +148,7 @@ def test_residuals_are_fixed_points():
 
 
 def _truncate_above(p, m):
-    q = p.copy()
+    q = p.truncate(p.order)  # a copy
     for n in range(m, p.order + 1):
         q.slices[n] = {}
     return q

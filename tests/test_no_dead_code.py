@@ -1,7 +1,9 @@
-"""Every public module-level function and class of the package is used by
-the package itself or by the benchmark under perfbench/.  A name that only
-tests call is a dead helper: it goes, or its test calls the code underneath,
-unless KEPT lists it with the reason it stays."""
+"""Every public module-level function and class of the package, and every
+public method and property of its classes, is used by the package itself or
+by the benchmark under perfbench/.  A name that only tests call is a dead
+helper: it goes, or its test calls the code underneath, unless KEPT lists it
+with the reason it stays.  Methods are matched by attribute name, whatever
+the object they are looked up on."""
 
 import ast
 from pathlib import Path
@@ -15,44 +17,56 @@ KEPT = {
     "rhs_4sided": "one application of the functional equation: the independent fixed-point check",
     "rhs_triangular": "one application of the functional equation: the independent fixed-point check",
     "two_sided_endpoint_closed": "closed form of the X+Y-refined 2-sided series; joins the exact drift route",
-    "euler_identity_check": "the q-series product identity of the triangular right-edge series",
-    "two_sided_p1_display": "the paper's displayed 2-sided P(t;1), checked against the solved forms",
-    "exact_variance": "exact variance of an endpoint statistic, next to exact_mean",
     "enumerate_walks": "the exhaustive walk list, unreduced by symmetry, that the searches are checked against",
+    "CPoly.invert_var": "z -> 1/z, the X-Y <-> Y-X symmetry of the diagonal series that its tests check",
+    "TriBox.size": "the triangular box size, the statistic the box-spanning formulas count walks by",
+    "_Walk.endpoint": "the endpoint of a walk, the point its endpoint statistics are read at",
 }
 
 
-def _names_by_top_level_node():
+def _public(name):
+    return not name.startswith("_")
+
+
+def _definitions_and_references():
     """(definitions, references): definitions maps each public module-level
-    function or class of the package to its (file, top-level index);
-    references lists (name, file, top-level index) for every name, attribute
-    and imported name in the scanned files."""
+    function or class of the package, and each public method or property of
+    a package class as "Class.name", to (name, defining nodes); references
+    lists (name, node) for every name, attribute and imported name in the
+    scanned files."""
     definitions, references = {}, []
     for path in SCANNED:
         tree = ast.parse(path.read_text(), filename=str(path))
-        for i, top in enumerate(tree.body):
-            if (
-                path.parent == PACKAGE
-                and isinstance(top, (ast.FunctionDef, ast.ClassDef))
-                and not top.name.startswith("_")
-            ):
-                definitions[top.name] = (path, i)
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    references.append((node.id, path, i))
-                elif isinstance(node, ast.Attribute):
-                    references.append((node.attr, path, i))
-                elif isinstance(node, ast.alias):
-                    references.append((node.name, path, i))
+        if path.parent == PACKAGE:
+            for top in tree.body:
+                if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                    continue
+                if _public(top.name):
+                    definitions.setdefault(top.name, (top.name, []))[1].append(top)
+                if isinstance(top, ast.ClassDef):
+                    for node in top.body:
+                        if isinstance(node, ast.FunctionDef) and _public(node.name):
+                            qualname = "%s.%s" % (top.name, node.name)
+                            definitions.setdefault(qualname, (node.name, []))[1].append(node)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.append((node.id, node))
+            elif isinstance(node, ast.Attribute):
+                references.append((node.attr, node))
+            elif isinstance(node, ast.alias):
+                references.append((node.name, node))
     return definitions, references
 
 
 def _unreferenced():
     """Public names referenced nowhere outside their own definition (by
-    name: a name defined in two modules counts as one)."""
-    definitions, references = _names_by_top_level_node()
-    used = {name for name, path, i in references if (path, i) != definitions.get(name)}
-    return {name for name in definitions if name not in used}
+    name: a name defined in two places counts as one)."""
+    definitions, references = _definitions_and_references()
+    own = {}  # name -> ids of the nodes inside its definitions
+    for name, nodes in definitions.values():
+        own.setdefault(name, set()).update(id(n) for d in nodes for n in ast.walk(d))
+    used = {name for name, node in references if name in own and id(node) not in own[name]}
+    return {qualname for qualname, (name, _) in definitions.items() if name not in used}
 
 
 def test_no_public_name_is_used_only_by_tests():
@@ -62,6 +76,6 @@ def test_no_public_name_is_used_only_by_tests():
 
 def test_every_kept_name_is_still_defined_and_unused():
     # an entry whose name went, or gained a caller, is stale
-    definitions, _ = _names_by_top_level_node()
+    definitions, _ = _definitions_and_references()
     assert set(KEPT) <= set(definitions)
     assert set(KEPT) <= _unreferenced()

@@ -9,7 +9,6 @@ from prudentwalks.series import (
     CPoly,
     SeriesError,
     TSeries,
-    geometric,
     ts_compose,
 )
 
@@ -143,11 +142,14 @@ def test_substitute_t_times_var():
 
 
 def test_substitute_unsupported_image_rejected():
-    f = CPoly.monomial(("u",), 4, (1,))
+    f = CPoly.monomial(("u", "v"), 4, (1, 0))
+    for image in (
+        ("q", "u"), 2, TSeries.t(4), CPoly.monomial(("u", "v"), 4, (0, 1)), "v", ("t", "v", -1),
+    ):
+        with pytest.raises(SeriesError):
+            f.substitute("u", image)
     with pytest.raises(SeriesError):
-        f.substitute("u", ("q", "u"))
-    with pytest.raises(SeriesError):
-        f.substitute("u", 2)
+        f.divided_difference("u", ("t", "v", -1))
 
 
 def _random_cpoly(rng, vars, order, nterms=6, max_exp=3):
@@ -159,6 +161,58 @@ def _random_cpoly(rng, vars, order, nterms=6, max_exp=3):
         if c:
             p.slices[n][key] = p.slices[n].get(key, 0) + c
     return p
+
+
+def _substitute_reference(p, var, image):
+    """p with `image` for `var`, summed monomial by monomial: each c t^n key
+    becomes c t^n key[var:=0] * image^e, the power taken by CPoly products."""
+    vars, N = p.vars, p.order
+    k = vars.index(var)
+    if image in (0, 1):
+        img = CPoly.constant(vars, N, image)
+    else:
+        name = image[1] if isinstance(image, tuple) else None
+        img = CPoly.monomial(vars, N, tuple(int(v == name) for v in vars), tpow=1)
+    out = CPoly.zero(vars, N)
+    for n, slc in enumerate(p.slices):
+        for key, c in slc.items():
+            term = CPoly.monomial(vars, N, key[:k] + (0,) + key[k + 1:], c, n)
+            for _ in range(key[k]):
+                term = term * img
+            out = out + term
+    return out
+
+
+def test_substitute_reorder_and_invert_match_monomial_references():
+    rng = random.Random(2008)
+    vars = ("u", "v", "z")
+    images = (0, 1, "t", ("t", "u"), ("t", "v"), ("t", "z"))
+    for _ in range(30):
+        order = rng.randint(0, 8)
+        # Laurent z: exponents -2..1
+        p = _random_cpoly(rng, vars, order, nterms=8).mul_mono((0, 0, -2)).normalized()
+        for var in ("u", "v"):
+            for image in images:  # includes ("t", x) applied to x itself
+                assert p.substitute(var, image) == _substitute_reference(p, var, image)
+        assert p.substitute("z", 1) == _substitute_reference(p, "z", 1)
+        moved = p.reorder(("w", "z", "u", "v"))
+        assert moved.slices == [
+            {(0, z, u, v): c for (u, v, z), c in slc.items()} for slc in p.slices
+        ]
+        assert moved.reorder(vars) == p
+        assert p.substitute("v", 0).reorder(("u", "z")).slices == [
+            {(u, z): c for (u, v, z), c in slc.items() if v == 0} for slc in p.slices
+        ]
+        assert p.invert_var("z").slices == [
+            {(u, v, -z): c for (u, v, z), c in slc.items()} for slc in p.slices
+        ]
+        # a t-image has no power-series value at a negative exponent
+        p.slices[0][(1, 0, -1)] = 1
+        for image in ("t", ("t", "u"), ("t", "z")):
+            with pytest.raises(SeriesError):
+                p.substitute("z", image)
+        with pytest.raises(SeriesError):
+            p.reorder(("u", "v"))
 
 
 def test_substitution_composes():

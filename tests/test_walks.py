@@ -19,8 +19,6 @@ from prudentwalks.walks import (
     enumerate_counts,
     enumerate_tri_by_box,
     enumerate_walks,
-    exact_mean,
-    exact_variance,
     in_class,
     is_prudent,
     walk_from_json,
@@ -135,6 +133,10 @@ def test_inclusion_exclusion_against_box_formula():
         right = sum(r.values())
         assert total == 3 * (right - r[(k, 0)])
         assert r[(0, k)] == r[(k, 0)]  # edge symmetry
+
+
+def exact_mean(counter):
+    return Fraction(sum(v * c for v, c in counter.items()), sum(counter.values()))
 
 
 def test_endpoint_stats_examples():
