@@ -127,6 +127,8 @@ def cmd_closedform(args):
 def cmd_asym(args):
     wc = _walk_class(args.walk_class)
     _check_order("--growth-order", args.growth_order, [wc])
+    if 0 < args.growth_order < 19:  # growth_estimate reads 20 coefficients
+        raise CliError("--growth-order must be 0 or in 19..400")
     coeffs = None
     if args.growth_order:
         series = closedforms.length_series(wc, args.growth_order)
@@ -272,7 +274,8 @@ def build_parser():
         "--growth-order",
         type=int,
         default=0,
-        help="also estimate mu from this many closed-form coefficients",
+        help="also estimate mu from the closed-form series to this order "
+        "(0: no estimate; else 19..400)",
     )
     p.add_argument("--out")
     p.set_defaults(func=cmd_asym)

@@ -19,11 +19,16 @@ its monomials, which also bounds the size of the running sums, so solving to
 order N costs O(N^4) for 4-sided walks, O(N^3) for 3-sided and triangular
 walks and the 2-sided refinements, and O(N^2) for 2-sided walks; expanding
 the terms monomial-wise would cost one power of N more.
+
+The 3-sided T(u,v), the 4-sided T(u,v,w) and the triangular R(u,v) are
+symmetric under u <-> v, so their solvers build the canonical half of each
+slice, the keys with i <= j, and carry one of the two mirrored running sums,
+DU, as DV(i, j) = DU(j, i).  A canonical key takes DU(i, j) + DU(j, i), which
+is twice DU(i, i) on the diagonal, and feeds DU at (i, j) and, unless i = j,
+at (j, i).  The full slices are rebuilt once, at the end.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 from prudentwalks.series import CPoly, TSeries
 from prudentwalks.walks import WalkClass
@@ -40,6 +45,27 @@ def _merge(dst, src):
     """Add the dict src into the dict dst, key by key."""
     for key, c in src.items():
         dst[key] = dst.get(key, 0) + c
+
+
+def _fold(dst, D):
+    """Add D(i, j, ...) + D(j, i, ...) into dst at the canonical keys i <= j;
+    a diagonal key is its own mirror and adds twice."""
+    for key, c in D.items():
+        i, j = key[0], key[1]
+        if i > j:
+            key = (j, i) + key[2:]
+        elif i == j:
+            c += c
+        dst[key] = dst.get(key, 0) + c
+
+
+def _mirror(half):
+    """The full u <-> v-symmetric slice whose canonical half is `half`."""
+    full = dict(half)
+    for key, c in half.items():
+        if key[0] != key[1]:
+            full[(key[1], key[0]) + key[2:]] = c
+    return full
 
 
 def length_series(walk_class, order):
@@ -107,12 +133,8 @@ def solve_2sided(order):
             if m <= N:
                 acc[m][0] = acc[m].get(0, 0) + c
         prev = cur
-    T = CPoly(("u",), N)
-    P = CPoly(("u",), N)
-    for n in range(N + 1):
-        for i, c in slices[n].items():
-            T.slices[n][(i,)] = c
-            P.slices[n][(i,)] = c if i == 0 else 2 * c
+    T = CPoly(("u",), N, [{(i,): c for i, c in slc.items()} for slc in slices])
+    P = CPoly(("u",), N, [{(i,): 2 * c if i else c for i, c in slc.items()} for slc in slices])
     return T, P
 
 
@@ -133,21 +155,19 @@ def rhs_2sided(T):
 def solve_3sided(order):
     """Fixed point of the coupled Lemma system; returns (T, R, P)."""
     N = order
-    Ts = []  # keys (i, j) exponents of u, v
+    Ts = []  # canonical halves of T, keys (i, j) exponents of u, v with i <= j
     Rs = []  # keys (a, b) exponents of u, w
     accT = [dict() for _ in range(N + 1)]
     accR = [{(n, 0): 1} for n in range(N + 1)]  # 1/(1-tu)
     accT[0][(0, 0)] = 1  # empty walk
     # running sums of the terms landing on slice n (module docstring)
     DU = {}  # t dd_u(uT, u->tv): DU_(n+1)(i, j) = T_n(i, j) + DU_n(i+1, j-1)
-    DV = {}  # t dd_v(vT, v->tu): DV_(n+1)(i, j) = T_n(i, j) + DV_n(i-1, j+1)
     DR = {}  # t w dd_u(uR, u->t): DR_(n+1)(a, b+1) = R_n(a, b) + DR_n(a+1, b+1)
     GR = {}  # t^2 uw/(1-tu) R: GR_(n+1) = u (w R_(n-1) + GR_n)
     prevR = {}
     for n in range(N + 1):
         curT = accT[n]
-        _merge(curT, DU)
-        _merge(curT, DV)
+        _fold(curT, DU)
         curR = accR[n]
         _merge(curR, DR)
         _merge(curR, GR)
@@ -159,40 +179,41 @@ def solve_3sided(order):
             break
         nxtT = accT[n + 1]
         DU = {(i - 1, j + 1): c for (i, j), c in DU.items() if i}
-        DV = {(i + 1, j - 1): c for (i, j), c in DV.items() if j}
         for key, c in curT.items():
             DU[key] = DU.get(key, 0) + c
-            DV[key] = DV.get(key, 0) + c
             nxtT[key] = nxtT.get(key, 0) - c  # - t T
-            # R-equation: t T(tw, w) -> slice n+1+i, key (0, i+j)
+            # R-equation: t T(tw, w) sends (i, j) to slice n+1+i, key
+            # (0, i+j), and its mirror (j, i) to slice n+1+j
             i, j = key
-            m = n + 1 + i
-            if m <= N:
-                tgt = accR[m]
-                tgt[(0, i + j)] = tgt.get((0, i + j), 0) + c
+            kr = (0, i + j)
+            if n + 1 + i <= N:
+                accR[n + 1 + i][kr] = accR[n + 1 + i].get(kr, 0) + c
+            if i != j:
+                DU[j, i] = DU.get((j, i), 0) + c
+                if n + 1 + j <= N:
+                    accR[n + 1 + j][kr] = accR[n + 1 + j].get(kr, 0) + c
         for (a, b), c in prevR.items():
             GR[(a, b + 1)] = GR.get((a, b + 1), 0) + c
         GR = {(a + 1, b): c for (a, b), c in GR.items()}
         DR = {(a - 1, b): c for (a, b), c in DR.items() if a}
         for (a, b), c in curR.items():
             DR[(a, b + 1)] = DR.get((a, b + 1), 0) + c
-            # T-equation: tu R(t,u) + tv R(t,v); R(t,x): u_R := t, w -> x
-            m = n + 1 + a
-            if m <= N:
-                tgt = accT[m]
-                tgt[(b + 1, 0)] = tgt.get((b + 1, 0), 0) + c
-                tgt[(0, b + 1)] = tgt.get((0, b + 1), 0) + c
+            # T-equation: tu R(t,u) + tv R(t,v); R(t,x): u_R := t, w -> x.
+            # Only tv R(t,v) lands on the canonical half, at (0, b+1)
+            if n + 1 + a <= N:
+                accT[n + 1 + a][0, b + 1] = accT[n + 1 + a].get((0, b + 1), 0) + c
         prevR = curR
 
+    Ts = list(map(_mirror, Ts))
     Ps = []  # P(t;u) = T(u,u) + 2 R(1,u) - 2 T(u,0) - t/(1-t)
     for n in range(N + 1):
-        acc = Counter({(0,): -1} if n else ())
+        acc = {(0,): -1} if n else {}
         for (i, j), c in Ts[n].items():
-            acc[(i + j,)] += c
+            acc[i + j,] = acc.get((i + j,), 0) + c
             if j == 0:
-                acc[(i,)] -= 2 * c
+                acc[i,] = acc.get((i,), 0) - 2 * c
         for (a, b), c in Rs[n].items():
-            acc[(b,)] += 2 * c
+            acc[b,] = acc.get((b,), 0) + 2 * c
         Ps.append({key: c for key, c in acc.items() if c})
     return CPoly(("u", "v"), N, Ts), CPoly(("u", "w"), N, Rs), CPoly(("u",), N, Ps)
 
@@ -228,56 +249,48 @@ def solve_4sided(order):
     """Fixed point of T = 1 + G(w,u) + G(w,v) + tw dd_u(uT,tv) + tw dd_v(vT,tu)
     - tw T with G(x,y) = t y T(x, tx, y); returns (T, P)."""
     N = order
-    slices = []  # keys (i, j, h)
+    slices = []  # canonical halves, keys (i, j, h) with i <= j
     acc = [dict() for _ in range(N + 1)]
     acc[0][(0, 0, 0)] = 1
-    # t w dd_u(u T, u -> tv) on slice n, and its mirror image (docstring):
+    # t w dd_u(u T, u -> tv) on slice n; its mirror image is DU folded onto
+    # the canonical half (module docstring)
     DU = {}  # DU_(n+1)(i, j, h+1) = T_n(i, j, h) + DU_n(i+1, j-1, h+1)
-    DV = {}  # DV_(n+1)(i, j, h+1) = T_n(i, j, h) + DV_n(i-1, j+1, h+1)
     for n in range(N + 1):
         cur = acc[n]
-        _merge(cur, DU)
-        _merge(cur, DV)
+        _fold(cur, DU)
         cur = {k: c for k, c in cur.items() if c}
         slices.append(cur)
         if n == N:
             break
         nxt = acc[n + 1]
         DU = {(i - 1, j + 1, h): c for (i, j, h), c in DU.items() if i}
-        DV = {(i + 1, j - 1, h): c for (i, j, h), c in DV.items() if j}
         for (i, j, h), c in cur.items():
             key = (i, j, h + 1)
             DU[key] = DU.get(key, 0) + c
-            DV[key] = DV.get(key, 0) + c
             nxt[key] = nxt.get(key, 0) - c  # - t w T
-            # G(w, u) = t u T(w, tw, u): monomial -> t^(j+1) u^(h+1) w^(i+j)
-            m = n + 1 + j
-            if m <= N:
-                tgt = acc[m]
-                ku = (h + 1, 0, i + j)
-                kv = (0, h + 1, i + j)  # G(w, v)
-                tgt[ku] = tgt.get(ku, 0) + c
-                tgt[kv] = tgt.get(kv, 0) + c
+            # G(w, v) = t v T(w, tw, v) sends (i, j, h) to t^(j+1) v^(h+1)
+            # w^(i+j), and its mirror (j, i, h) to t^(i+1); G(w, u) never
+            # lands on the canonical half
+            kv = (0, h + 1, i + j)
+            if n + 1 + j <= N:
+                acc[n + 1 + j][kv] = acc[n + 1 + j].get(kv, 0) + c
+            if i != j:
+                key = (j, i, h + 1)
+                DU[key] = DU.get(key, 0) + c
+                if n + 1 + i <= N:
+                    acc[n + 1 + i][kv] = acc[n + 1 + i].get(kv, 0) + c
 
-    # the decomposition is symmetric in u, v; fail loudly if that ever breaks
-    for n in range(min(N, 20) + 1):
-        for (i, j, h), c in slices[n].items():
-            if slices[n].get((j, i, h), 0) != c:
-                raise RuntimeError("4-sided symmetry violated at t^%d" % n)
+    slices = list(map(_mirror, slices))
     T = CPoly(("u", "v", "w"), N, slices)
-    # P(t;u) = 1 + 4 T(u,u,u) - 4 T(0,u,u)
-    P = CPoly.constant(("u",), N)
-    for n in range(N + 1):
-        tgt = P.slices[n]
-        for (i, j, h), c in slices[n].items():
-            e = i + j + h
-            tgt[(e,)] = tgt.get((e,), 0) + 4 * c
+    Ps = []  # P(t;u) = 1 + 4 T(u,u,u) - 4 T(0,u,u)
+    for n, slc in enumerate(slices):
+        tgt = {(0,): 1} if n == 0 else {}
+        for (i, j, h), c in slc.items():
+            tgt[i + j + h,] = tgt.get((i + j + h,), 0) + 4 * c
             if i == 0:
-                e0 = j + h
-                tgt[(e0,)] = tgt.get((e0,), 0) - 4 * c
-        for key in [k for k, c in tgt.items() if not c]:
-            del tgt[key]
-    return T, P
+                tgt[j + h,] = tgt.get((j + h,), 0) - 4 * c
+        Ps.append({key: c for key, c in tgt.items() if c})
+    return T, CPoly(("u",), N, Ps)
 
 
 def rhs_4sided(T):
@@ -302,17 +315,16 @@ def solve_triangular(order):
     """Fixed point of R = 1 + tu(1+t) R(u,tu) + tv(1+t) R(tv,v)
     + tv(1+t) dd_u(uR, tv) + tu(1+t) dd_v(vR, tu); returns (R, P)."""
     N = order
-    slices = []
+    slices = []  # canonical halves, keys (i, j) with i <= j
     # R = 1 + (1+t) Y: acc[n] collects the single jumps of Y on slice n, and
-    # E, F carry its divided differences (module docstring)
+    # E carries its divided difference; the mirror term tu dd_v(vR, v->tu)
+    # is E folded onto the canonical half (module docstring)
     acc = [dict() for _ in range(N + 1)]
     E = {}  # tv dd_u(uR, u->tv): E_(n+1)(i, j+1) = R_n(i, j) + E_n(i+1, j)
-    F = {}  # tu dd_v(vR, v->tu): F_(n+1)(i+1, j) = R_n(i, j) + F_n(i, j+1)
     prevY = {}
     for n in range(N + 1):
         Y = acc[n]
-        _merge(Y, E)
-        _merge(Y, F)
+        _fold(Y, E)
         cur = {(0, 0): 1} if n == 0 else dict(prevY)
         _merge(cur, Y)
         cur = {k: c for k, c in cur.items() if c}
@@ -321,36 +333,30 @@ def solve_triangular(order):
             break
         prevY = Y
         E = {(i - 1, j + 1): c for (i, j), c in E.items() if i}
-        F = {(i + 1, j - 1): c for (i, j), c in F.items() if j}
         for (i, j), c in cur.items():
-            ke = (i, j + 1)
-            kf = (i + 1, j)
-            E[ke] = E.get(ke, 0) + c
-            F[kf] = F.get(kf, 0) + c
-            # tu R(u, tu): v^j -> t^j u^j
-            m = n + 1 + j
-            if m <= N:
-                tgt = acc[m]
-                tgt[(i + j + 1, 0)] = tgt.get((i + j + 1, 0), 0) + c
-            # tv R(tv, v)
-            m = n + 1 + i
-            if m <= N:
-                tgt = acc[m]
-                tgt[(0, i + j + 1)] = tgt.get((0, i + j + 1), 0) + c
+            E[i, j + 1] = E.get((i, j + 1), 0) + c
+            # tv R(tv, v) sends (i, j) to slice n+1+i, key (0, i+j+1), and its
+            # mirror (j, i) to slice n+1+j; tu R(u, tu) never lands on the
+            # canonical half
+            kv = (0, i + j + 1)
+            if n + 1 + i <= N:
+                acc[n + 1 + i][kv] = acc[n + 1 + i].get(kv, 0) + c
+            if i != j:
+                E[j, i + 1] = E.get((j, i + 1), 0) + c
+                if n + 1 + j <= N:
+                    acc[n + 1 + j][kv] = acc[n + 1 + j].get(kv, 0) + c
 
+    slices = list(map(_mirror, slices))
     R = CPoly(("u", "v"), N, slices)
-    # P(t;u) = 1 + 3 R(u,u) - 3 R(u,0)
-    P = CPoly.constant(("u",), N)
-    for n in range(N + 1):
-        tgt = P.slices[n]
-        for (i, j), c in slices[n].items():
-            e = i + j
-            tgt[(e,)] = tgt.get((e,), 0) + 3 * c
+    Ps = []  # P(t;u) = 1 + 3 R(u,u) - 3 R(u,0)
+    for n, slc in enumerate(slices):
+        tgt = {(0,): 1} if n == 0 else {}
+        for (i, j), c in slc.items():
+            tgt[i + j,] = tgt.get((i + j,), 0) + 3 * c
             if j == 0:
-                tgt[(i,)] = tgt.get((i,), 0) - 3 * c
-        for key in [k for k, c in tgt.items() if not c]:
-            del tgt[key]
-    return R, P
+                tgt[i,] = tgt.get((i,), 0) - 3 * c
+        Ps.append({key: c for key, c in tgt.items() if c})
+    return R, CPoly(("u",), N, Ps)
 
 
 def rhs_triangular(R):

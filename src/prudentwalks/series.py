@@ -269,20 +269,38 @@ class TSeries:
         return TSeries(out, n)
 
     def sqrt(self):
-        """Square root with constant term 1; r*r == self mod t^(order+1)."""
+        """Square root with constant term 1; r*r == self mod t^(order+1).
+
+        The coefficients are ints up to the first odd numerator 2 r_m and
+        Fractions from there on.  An integer series gets that tail from ints:
+        a(4t) = 1 + 4x(t) with x integral, so each s_m = 4^m r_m is an int."""
         if self.coeffs[0] != 1:
             raise SeriesError("TSeries.sqrt requires constant term 1")
         n = self.order
         out = [0] * (n + 1)
         out[0] = 1
         a = self.coeffs
+        integral = all(type(c) is int for c in a)
         for m in range(1, n + 1):
             s = a[m]
             for k in range(1, m):
                 rk = out[k]
                 if rk:
                     s -= rk * out[m - k]
+            if integral and s & 1:
+                break
             out[m] = _half(s)
+        else:
+            return TSeries(out, n)
+        scaled = [r << 2 * k for k, r in enumerate(out[:m])]
+        for j in range(m, n + 1):
+            s = a[j] << 2 * j
+            for k in range(1, j):
+                sk = scaled[k]
+                if sk:
+                    s -= sk * scaled[j - k]
+            scaled.append(s >> 1)
+            out[j] = Fraction(s >> 1, 1 << 2 * j)
         return TSeries(out, n)
 
     # -- serialization -----------------------------------------------------

@@ -199,6 +199,20 @@ def test_asym_growth_order_out_of_range_exits_2_without_traceback(capsys):
     assert "Traceback" not in err
 
 
+def test_asym_growth_order_below_20_coefficients_exits_2_without_traceback(capsys):
+    # the growth estimate reads 20 coefficients, the series to order 19
+    for order in ("1", "18"):
+        code, out, err = run(capsys, "asym", "--class", "2-sided", "--growth-order", order)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--growth-order" in err
+        assert "Traceback" not in err
+    for order in ("0", "19"):
+        code, out, _ = run(capsys, "asym", "--class", "2-sided", "--growth-order", order)
+        assert code == 0
+        assert ("growth_estimate" in json.loads(out)) == (order == "19")
+
+
 def test_verify_box_k_range_ends(capsys, monkeypatch):
     # both ends of 0..6 reach the box-spanning check (stubbed: k = 6 alone
     # takes seconds)

@@ -66,6 +66,37 @@ def test_sqrt_needs_unit_constant():
         ts(4, {0: 4}).sqrt()
 
 
+def _sqrt_by_halving(a):
+    """TSeries.sqrt as a single exact recurrence, 2 r_m = a_m - sum r_k r_(m-k),
+    halving every numerator in Fraction arithmetic once it turns odd."""
+    out = [1] + [0] * a.order
+    for m in range(1, a.order + 1):
+        s = a.coeffs[m] - sum(out[k] * out[m - k] for k in range(1, m) if out[k])
+        out[m] = s // 2 if isinstance(s, int) and s % 2 == 0 else Fraction(s) / 2
+    return out
+
+
+def test_sqrt_scaled_tail_equals_halving_recurrence():
+    # an integer series switches to the integer recurrence for 4^m r_m at
+    # its first odd numerator; values and types must match the plain
+    # recurrence: a perfect square b*b never switches, b*b + t^k switches
+    # at k, and a random series usually at once
+    rng = random.Random(1)
+    for trial in range(240):
+        order = rng.randrange(0, 40)
+        b = TSeries([1] + [rng.randrange(-9, 10) for _ in range(order)], order)
+        if trial % 3 == 0:
+            a = b * b
+        elif trial % 3 == 1:
+            a = b * b + TSeries.t(order, rng.randrange(1, order + 2))
+        else:
+            a = b
+        r = a.sqrt()
+        want = _sqrt_by_halving(a)
+        assert [(type(c), c) for c in r.coeffs] == [(type(c), c) for c in want]
+        assert r * r == a
+
+
 # -- hypothesis properties --------------------------------------------------
 
 coeffs_strategy = st.lists(
