@@ -323,7 +323,7 @@ def main(argv=None):
     except ResourceBudgetError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
-    except (SeriesError, asymptotics.NotAvailableError) as exc:
+    except (SeriesError, asymptotics.NotAvailableError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_ARGS
     return EXIT_OK

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from math import factorial
 
-from prudentwalks.series import CPoly, SeriesError, TSeries
+from prudentwalks.series import CPoly, SeriesError, TSeries, _half
 from prudentwalks.walks import WalkClass
 
 
@@ -70,7 +70,7 @@ def kernel_root_at(w):
     N = w.order  # b is known to t^(N+1)
     b = _ts(N + 1, {0: 1, 2: 1}) - TSeries([0] + (w * _ts(N, {0: 1, 2: -1})).coeffs, N + 1)
     num = b - (b * b - TSeries.t(N + 1, 2, 4)).sqrt()
-    return (num.shift_down(1) / 2).normalized()
+    return TSeries(map(_half, num.shift_down(1).coeffs), N).normalized()
 
 
 def q_series(order):
@@ -163,7 +163,7 @@ def two_sided_closed(order):
         coeff = (coeff * U).normalized()
         m += 1
     P = P - 1
-    P1 = P.substitute("u", 1).specialize_ones().normalized()
+    P1 = P.specialize_ones().normalized()
     return U, P, P1
 
 
@@ -205,56 +205,83 @@ def _phi(x):
 
 
 def _kernel_setup(order):
-    """(q^m, A, B) shared by both 3-sided expansions.
+    """(q_power, A, B) shared by both 3-sided expansions.
 
-    The powers q^m of q = U(t;1), A = t/(1-tq) and B = tq/(q-t) =
-    (1-tq)/(1-t^2) are kept to the internal order order + 1, since phi
-    consumes one.
+    q = U(t;1), A = t/(1-tq) and B = tq/(q-t) = (1-tq)/(1-t^2) are kept to
+    the internal order order + 1, since phi consumes one.  q_power(m, L) is
+    q^m to t^L; each new power is built at the order L its caller asks for,
+    and the callers' L never rises, so a power asked for above the order it
+    was built at raises SeriesError (from `truncate`) instead of coming back
+    short.
     """
     M = order + 1
     q = q_series(M)
     qpow = [TSeries.one(M), q]
 
-    def q_power(m):
+    def q_power(m, L):
         while len(qpow) <= m:
-            qpow.append((qpow[-1] * q).normalized())
-        return qpow[m]
+            qpow.append((qpow[-1].truncate(L) * q).normalized())
+        return qpow[m].truncate(L)
 
     A = (TSeries.t(M) * (1 - (q * TSeries.t(M))).inv()).normalized()
     B = ((1 - q.shift(1)) * _ts(M, {0: 1, 2: -1}).inv()).normalized()
     return q_power, A, B
 
 
+def _valuation(x):
+    """Index of the first nonzero coefficient (TSeries) or slice (CPoly), or
+    None for zero."""
+    parts = x.coeffs if isinstance(x, TSeries) else x.slices
+    return next((n for n, c in enumerate(parts) if c), None)
+
+
+def _raised(x, v, order):
+    """t^v x to t^order, for a TSeries or CPoly x known to t^(order - v)."""
+    if isinstance(x, TSeries):
+        return TSeries([0] * v + x.coeffs, order)
+    return CPoly(x.vars, order, [{} for _ in range(v)] + x.slices)
+
+
 def _kernel_sum(u_at, A, B, one, order, k_terms):
     """The iterated kernel sum for T(t;u,tu), over TSeries or CPoly alike:
 
         sum_k (-1)^k prod_{1<=i<=k} (A - U_i) / prod_{i<=k} (B - U_i)
-                     * (1 + phi(U_k) + phi(U_{k+1})),   U_i = u_at(i).
+                     * (1 + phi(U_k) + phi(U_{k+1})),
 
-    The k-th summand gains at least three orders of valuation per step, so
-    the loop stops once a summand vanishes modulo t^(order+1).  `one` is the
-    ring's unit at the internal order of A, B and the U_i.
+    with U_i to t^L given by u_at(i, L).  The numerator product of summand k
+    has measured valuation v_k (at least 3k), and is kept divided by t^v_k;
+    the other factors, invden = 1/prod (B - U_i), phi(U_k), phi(U_{k+1}) and
+    U_{k+1} (to t^(L+1), since phi consumes one) are carried only to
+    L = order - v_k, and each summand is raised by t^v_k into the total.  The
+    loop stops once the numerator, hence the summand, vanishes modulo
+    t^(order+1).  `one` is the ring's unit at the internal order of A and B.
     """
-    u, u_next = u_at(0), u_at(1)
-    phi, phi_next = _phi(u).truncate(order), _phi(u_next).truncate(order)
-    total = one.truncate(order) * 0
-    numprod = one
-    invden = (B - u).inv()
-    k = 0
+    N = order
+    u, u_next = u_at(0, N + 1), u_at(1, N + 1)
+    phi, phi_next = _phi(u), _phi(u_next)
+    total = one.truncate(N) * 0
+    numprod = one.truncate(N)  # prod (A - U_i) / t^v, to t^(N - v)
+    invden = (B - u.truncate(N)).inv()
+    v = k = 0
     while True:
         if k > 0:  # U_k and phi(U_k) carry over from step k-1
-            u, u_next = u_next, u_at(k + 1)
-            phi, phi_next = phi_next, _phi(u_next).truncate(order)
+            u = u_next
             numprod = (numprod * (A - u)).normalized()
-            invden = (invden * (B - u).inv()).normalized()
-        term = (numprod.truncate(order) * invden.truncate(order) * (1 + phi + phi_next)).normalized()
-        if term.is_zero():
-            break
+            w = _valuation(numprod)
+            if w is None:
+                break
+            v += w
+            L = N - v
+            numprod = numprod.shift_down(w)
+            u_next = u_at(k + 1, L + 1)
+            phi, phi_next = phi_next.truncate(L), _phi(u_next)
+            invden = (invden.truncate(L) * (B - u.truncate(L)).inv()).normalized()
         if k_terms is not None and k >= k_terms:
             raise TruncationError(
                 "k_terms=%d leaves a nonzero summand at order %d" % (k_terms, order)
             )
-        total = total + (term if k % 2 == 0 else -term)
+        term = (numprod * invden * (1 + phi + phi_next)).normalized()
+        total = total + _raised(term if k % 2 == 0 else -term, v, N)
         k += 1
     return total
 
@@ -265,12 +292,12 @@ def three_sided_length_series(order, k_terms=None):
     M = N + 1
     q_power, A, B = _kernel_setup(N)
 
-    def u_of_qi(i):
-        """U(q^i) as a TSeries."""
-        return q_power(1) if i == 0 else kernel_root_at(q_power(i))  # U(1) = q
+    def u_of_qi(i, L):
+        """U(q^i) to t^L as a TSeries."""
+        return q_power(1, L) if i == 0 else kernel_root_at(q_power(i, L))  # U(1) = q
 
     T = _kernel_sum(u_of_qi, A, B, TSeries.one(M), N, k_terms)
-    qN = q_power(1).truncate(N)
+    qN = q_power(1, N)
     P1 = (
         _ts(N, {0: 1, 1: -2, 2: -1}).inv()
         * (2 * qN.shift(2) * T + _ts(N, {0: 1, 1: 1}) * (_ts(N, {0: 2, 1: -1}) - qN.shift(2)) * (1 - qN.shift(1)).inv())
@@ -288,14 +315,17 @@ def three_sided_closed(order, k_terms=None):
     """
     M = order + 1
     q_power, A, B = _kernel_setup(order)
-    Uw = kernel_root_u_of_w(M)
+    Uw_terms = kernel_root_u_of_w(M).terms()
     uvar = ("u",)
 
-    def u_of_uqi(i):
-        """U(u q^i) = sum_j coeff_j(t) q^(i j) u^j as a CPoly in u."""
-        out = CPoly(uvar, M)
-        for (j,), coeff in Uw.terms().items():
-            piece = (coeff * q_power(i * j)).normalized() if i * j else coeff
+    def u_of_uqi(i, L):
+        """U(u q^i) = sum_j coeff_j(t) q^(i j) u^j to t^L as a CPoly in u."""
+        out = CPoly(uvar, L)
+        for (j,), coeff in Uw_terms.items():
+            coeff = coeff.truncate(L)
+            if coeff.is_zero():
+                continue
+            piece = (coeff * q_power(i * j, L)).normalized() if i * j else coeff
             for n, c in enumerate(piece.coeffs):
                 if c:
                     out.slices[n][(j,)] = out.slices[n].get((j,), 0) + c
@@ -306,7 +336,7 @@ def three_sided_closed(order, k_terms=None):
         CPoly.constant(uvar, M), order, k_terms,
     ).normalized()
     Nt = T.order
-    Uu = u_of_uqi(0).truncate(Nt)
+    Uu = u_of_uqi(0, Nt)
     inv_1tU = (CPoly.constant(uvar, Nt) - Uu.shift(1)).inv()
     c1 = CPoly.from_tseries(uvar, _ts(Nt, {0: 1, 1: -2, 2: -1}).inv())
     one_t = CPoly.from_tseries(uvar, _ts(Nt, {0: 1, 1: 1}))
@@ -327,8 +357,8 @@ def three_sided_closed(order, k_terms=None):
         * (T.shift(2) + one_t.shift(1) * inv_1tU) * -2
     )
     P = (first + second - CPoly.from_tseries(uvar, _ts(Nt, {0: 1, 1: -1}).inv())).normalized()
-    T1t = T.substitute("u", 1).specialize_ones().normalized()
-    P1 = P.substitute("u", 1).specialize_ones().normalized()
+    T1t = T.specialize_ones().normalized()
+    P1 = P.specialize_ones().normalized()
     return T1t, P, P1
 
 
@@ -365,8 +395,7 @@ def triangular_closed(order, k_terms=None):
             ypow = (ypow * YL).normalized()
             numfac = (numfac * (_ts(L, {0: 1, 2: -2}) - YL.shift(k + 1))).normalized()
             invden = (invden * (1 - YB.truncate(L).shift(k)).inv()).normalized()
-        term = (ypow * numfac * invden).normalized()
-        term = TSeries([0] * tri + term.coeffs, N)
+        term = _raised((ypow * numfac * invden).normalized(), tri, N)
         if term.is_zero():
             break
         if k_terms is not None and k >= k_terms:

@@ -212,16 +212,17 @@ class TSeries:
                 return TSeries.zero(self.order)
             return TSeries([c * other for c in self.coeffs], self.order)
         order = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
+        # the inner loop runs over the nonzero terms of the sparser factor
+        outer = [(i, c) for i, c in enumerate(self.coeffs[: order + 1]) if c]
+        inner = [(j, c) for j, c in enumerate(other.coeffs[: order + 1]) if c]
+        if len(outer) < len(inner):
+            outer, inner = inner, outer
         out = [0] * (order + 1)
-        for i in range(order + 1):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(order + 1 - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
+        for i, ai in outer:
+            for j, bj in inner:
+                if i + j > order:
+                    break
+                out[i + j] += ai * bj
         return TSeries(out, order)
 
     __rmul__ = __mul__

@@ -118,6 +118,26 @@ def test_render_rejects_bad_walk(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--class", "1-sided", "--n-max", "3", "--out", "{missing}/counts.json"),
+        ("sample", "--class", "2-sided", "--length", "5", "--count", "2",
+         "--format", "svg", "--out", "{missing}/walk"),
+        ("render", "--walk-file", "{missing}/walk.txt"),
+    ],
+    ids=["count", "sample", "render"],
+)
+def test_file_errors_exit_2_without_traceback(capsys, tmp_path, argv):
+    # an unwritable --out or a missing --walk-file is a bad argument, not a mismatch
+    missing = tmp_path / "no-such-dir"
+    code, out, err = run(capsys, *(a.format(missing=missing) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err
+
+
 def test_verify_small(capsys):
     code, out, _ = run(
         capsys, "verify", "--max-n", "6", "--order", "10", "--box-k", "2",

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from prudentwalks.closedforms import (
@@ -74,6 +76,11 @@ def test_kernel_root_at_matches_bivariate_root():
         assert U == ts_compose(Uw, qp).normalized()
         assert all(type(c) is int for c in U.coeffs)
         qp = (qp * q).normalized()
+    # a rational argument gives odd numerators to halve
+    W = TSeries([Fraction(1, 2), Fraction(-1, 3), 5], N + 1)
+    U, want = kernel_root_at(W), ts_compose(Uw, W).normalized()
+    assert U == want and any(type(c) is Fraction for c in U.coeffs)
+    assert [type(c) for c in U.coeffs] == [type(c) for c in want.coeffs]
 
 
 def test_length_series_never_build_the_bivariate_root(monkeypatch):
@@ -191,6 +198,111 @@ def test_three_sided_summand_valuations_grow():
 def test_three_sided_k_terms_too_small():
     with pytest.raises(TruncationError):
         three_sided_length_series(30, k_terms=2)
+
+
+def _full_order_setup(order):
+    """closedforms._kernel_setup with every power q^m built at the full
+    internal order order + 1 and only then cut to the order asked for."""
+    M = order + 1
+    q = q_series(M)
+    qpow = [TSeries.one(M), q]
+
+    def q_power(m, L):
+        while len(qpow) <= m:
+            qpow.append((qpow[-1] * q).normalized())
+        return qpow[m].truncate(L)
+
+    A = (TSeries.t(M) * (1 - (q * TSeries.t(M))).inv()).normalized()
+    B = ((1 - q.shift(1)) * TSeries.from_terms(M, {0: 1, 2: -1}).inv()).normalized()
+    return q_power, A, B
+
+
+def _full_order_sum(u_at, A, B, one, order, k_terms):
+    """closedforms._kernel_sum with every root, numerator product, inverse
+    and phi term of every summand at the full order."""
+    M = order + 1
+    phi_of = closedforms._phi
+    u, u_next = u_at(0, M), u_at(1, M)
+    phi, phi_next = phi_of(u).truncate(order), phi_of(u_next).truncate(order)
+    total = one.truncate(order) * 0
+    numprod = one
+    invden = (B - u).inv()
+    k = 0
+    while True:
+        if k > 0:
+            u, u_next = u_next, u_at(k + 1, M)
+            phi, phi_next = phi_next, phi_of(u_next).truncate(order)
+            numprod = (numprod * (A - u)).normalized()
+            invden = (invden * (B - u).inv()).normalized()
+        term = (numprod.truncate(order) * invden.truncate(order) * (1 + phi + phi_next)).normalized()
+        if term.is_zero():
+            break
+        if k_terms is not None and k >= k_terms:
+            raise TruncationError(
+                "k_terms=%d leaves a nonzero summand at order %d" % (k_terms, order)
+            )
+        total = total + (term if k % 2 == 0 else -term)
+        k += 1
+    return total
+
+
+def _three_sided_full_order(route, order, k_terms=None):
+    """route(order, k_terms), a 3-sided expansion, through the full-order
+    kernel sum above instead of the per-summand truncated one."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(closedforms, "_kernel_setup", _full_order_setup)
+        mp.setattr(closedforms, "_kernel_sum", _full_order_sum)
+        return route(order, k_terms)
+
+
+def _coefficient_types(x):
+    if isinstance(x, TSeries):
+        return [type(c) for c in x.coeffs]
+    return [{key: type(c) for key, c in slc.items()} for slc in x.slices]
+
+
+def _assert_same_series(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w
+        assert _coefficient_types(g) == _coefficient_types(w)
+
+
+def test_three_sided_truncated_summands_match_full_order():
+    for order in (0, 1, 2, 5, 12, 30, 60):
+        _assert_same_series(
+            three_sided_length_series(order),
+            _three_sided_full_order(three_sided_length_series, order),
+        )
+    for order in [*range(13), 16]:
+        _assert_same_series(
+            three_sided_closed(order), _three_sided_full_order(three_sided_closed, order)
+        )
+
+
+@pytest.mark.parametrize("route", [three_sided_length_series, three_sided_closed])
+def test_three_sided_k_terms_match_full_order(route):
+    for k_terms in range(9):
+        try:
+            want = _three_sided_full_order(route, 30, k_terms)
+        except TruncationError as exc:
+            with pytest.raises(TruncationError) as got:
+                route(30, k_terms)
+            assert str(got.value) == str(exc)
+        else:
+            _assert_same_series(route(30, k_terms), want)
+
+
+def test_q_power_refuses_an_order_above_the_one_it_was_built_at():
+    q_power = closedforms._kernel_setup(20)[0]
+    q = q_series(21)
+    assert q_power(3, 21) == (q * q * q).normalized()
+    assert q_power(5, 12) == (q * q * q * q * q).truncate(12).normalized()
+    assert q_power(3, 15) == q_power(3, 21).truncate(15)
+    with pytest.raises(SeriesError):
+        q_power(5, 13)  # q^5 was built to t^12
+    with pytest.raises(SeriesError):
+        q_power(6, 13)  # q^6 would be built from q^5
 
 
 def test_q_homogeneity():

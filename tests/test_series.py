@@ -133,6 +133,42 @@ def test_mul_commutes_and_truncates(ca, cb):
     assert p.order == 5
 
 
+def _double_loop_mul(a, b):
+    """TSeries product coefficients by the double loop over both factors."""
+    order = min(a.order, b.order)
+    out = [0] * (order + 1)
+    for i in range(order + 1):
+        ai = a.coeffs[i]
+        if ai:
+            for j in range(order + 1 - i):
+                bj = b.coeffs[j]
+                if bj:
+                    out[i + j] += ai * bj
+    return out
+
+
+def test_tseries_mul_matches_double_loop():
+    # sparse and dense factors, ints and Fractions (zero Fractions too), on
+    # either side and at unequal orders: same values and coefficient types
+    rng = random.Random(20081)
+
+    def random_series(order, density, fractions):
+        cs = []
+        for _ in range(order + 1):
+            c = rng.randint(-9, 9) if rng.random() < density else 0
+            if fractions and rng.random() < 0.5:
+                c = Fraction(c, rng.randint(1, 4))
+            cs.append(c)
+        return TSeries(cs, order)
+
+    for _ in range(400):
+        a = random_series(rng.randint(0, 40), rng.choice((0.05, 0.3, 1.0)), rng.random() < 0.5)
+        b = random_series(rng.randint(0, 40), rng.choice((0.05, 0.3, 1.0)), rng.random() < 0.5)
+        got, want = (a * b).coeffs, _double_loop_mul(a, b)
+        assert got == want
+        assert [type(c) for c in got] == [type(c) for c in want]
+
+
 # -- compose ----------------------------------------------------------------
 
 def test_compose_identity():
