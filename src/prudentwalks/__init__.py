@@ -7,7 +7,7 @@ iteration, and closed-form expansion -- plus exact uniform random
 generation and numerical recovery of the growth constants.
 """
 
-from prudentwalks.series import CPoly, Rat, SeriesError, TSeries
+from prudentwalks.series import CPoly, SeriesError, TSeries
 from prudentwalks.walks import (
     RectBox,
     SquareWalk,
@@ -21,7 +21,6 @@ from prudentwalks.walks import (
 
 __all__ = [
     "CPoly",
-    "Rat",
     "SeriesError",
     "TSeries",
     "RectBox",

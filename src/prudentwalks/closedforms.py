@@ -1,22 +1,19 @@
 """Closed-form expansions: the algebraic 2-sided solution, the iterated
 3-sided sum, the triangular q-series, and the box-spanning formulas.
 
-Each kernel root is solved at its argument: U(t;W) for a series W is the
-power-series root of tU^2 - bU + t, b = 1 + t^2 - tW(1-t^2), taken from the
-quadratic formula with one product and one `TSeries.sqrt`.  The bivariate
-root U(t;w) is built only where a polynomial in its argument is needed: for
-U(u q^i) in the 3-sided P(t;u), and for the X+Y-refined 2-sided root
-U(t,z) = z U(t;z), which is the same root at w = z.  Each
-kernel-root series is checked against its defining algebraic equation;
-infinite sums and products are truncated automatically by measuring when the
-next summand or factor stops contributing below the truncation order (their
-valuations increase strictly, so the loops terminate), and each summand is
-carried only to the orders it reaches.
+Each kernel root and algebraic series is the power-series root of a
+quadratic, taken by `_quadratic_root` from the quadratic formula over TSeries
+or CPoly alike: the kernel root U(t;W) at each argument W it is needed at (a
+series, or u q^i and z themselves), Y and X(t;u).  Each kernel-root series is
+checked against its defining algebraic equation; infinite sums and products
+are truncated automatically by measuring when the next summand or factor
+stops contributing below the truncation order (their valuations increase
+strictly, so the loops terminate), and each summand is carried only to the
+orders it reaches.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from math import factorial
 
 from prudentwalks.series import CPoly, SeriesError, TSeries, _half
@@ -31,46 +28,42 @@ def _ts(order, terms):
     return TSeries.from_terms(order, terms)
 
 
+def _raised(x, v, order):
+    """t^v x to t^order, for a TSeries or CPoly x known to t^(order - v)."""
+    if isinstance(x, TSeries):
+        return TSeries([0] * v + x.coeffs, order)
+    return CPoly(x.vars, order, [{} for _ in range(v)] + x.slices)
+
+
 # --------------------------------------------------------------------------
 # kernel roots
 # --------------------------------------------------------------------------
 
-def kernel_root_u_of_w(order):
-    """U(t;w): the unique power series with (U-t)(1-tU) = t w U (1-t^2).
-
-    Computed from the equivalent fixed point U = t + tU^2 - t^2 U + twU(1-t^2),
-    whose coefficients are integer polynomials in w.  CPoly over ("w",).
-    """
-    N = order
-    slices = []
-    for n in range(N + 1):
-        cur = {(0,): 1} if n == 1 else {}
-        for a in range(1, n - 1):  # + t U^2
-            for (ja,), ca in slices[a].items():
-                for (jb,), cb in slices[n - 1 - a].items():
-                    cur[(ja + jb,)] = cur.get((ja + jb,), 0) + ca * cb
-        for off, sgn, dj in ((2, -1, 0), (1, 1, 1), (3, -1, 1)):  # - t^2 U + t w U - t^3 w U
-            if n >= off:
-                for (j,), c in slices[n - off].items():
-                    cur[(j + dj,)] = cur.get((j + dj,), 0) + sgn * c
-        slices.append({k: c for k, c in cur.items() if c})
-
-    U = CPoly(("w",), N)
-    U.slices = slices
-    return U
+def _quadratic_root(b, c, s, mono=None):
+    """The power-series root x = (b - sqrt(b^2 - 4ac)) / (2a) of
+    a x^2 - b x + c with a = t^s mono, over TSeries or CPoly alike (an
+    exponent tuple mono only over CPoly).  b has constant term 1; with b and
+    c known to t^(N+s), x is known to t^N.  The halving is coefficient-wise."""
+    ac = c.shift(s) if mono is None else c.mul_mono(mono, s)
+    num = (b - (b * b - ac * 4).sqrt()).shift_down(s)
+    if isinstance(num, TSeries):
+        return TSeries(map(_half, num.coeffs), num.order).normalized()
+    if mono is not None:
+        num = num.mul_mono([-e for e in mono])
+    halved = [{key: _half(x) for key, x in slc.items()} for slc in num.slices]
+    return CPoly(num.vars, num.order, halved).normalized()
 
 
 def kernel_root_at(w):
-    """U(t;W) for a TSeries W, to W's order: the power-series root of
-    tU^2 - bU + t with b = 1 + t^2 - tW(1-t^2), i.e.
-
-        U = (b - sqrt(b^2 - 4t^2)) / (2t),
-
-    with integer coefficients, since sqrt(1-4y) has them."""
+    """U(t;W), to W's order, for W a TSeries or a CPoly (the variable w
+    itself gives the bivariate U(t;w)): the power-series root of
+    (U-t)(1-tU) = t W U (1-t^2), i.e. of tU^2 - bU + t with
+    b = 1 + t^2 - tW(1-t^2).  Integer W gives integer coefficients, since
+    sqrt(1-4y) has them."""
     N = w.order  # b is known to t^(N+1)
-    b = _ts(N + 1, {0: 1, 2: 1}) - TSeries([0] + (w * _ts(N, {0: 1, 2: -1})).coeffs, N + 1)
-    num = b - (b * b - TSeries.t(N + 1, 2, 4)).sqrt()
-    return TSeries(map(_half, num.shift_down(1).coeffs), N).normalized()
+    tw = _raised(w * _ts(N, {0: 1, 2: -1}), 1, N + 1)
+    one = tw * 0 + 1  # the unit of W's ring
+    return _quadratic_root(one + one.shift(2) - tw, one.shift(1), 1)
 
 
 def q_series(order):
@@ -79,14 +72,13 @@ def q_series(order):
 
 
 def y_series(order):
-    """Y(t) = (1 - 2t - t^2 - sqrt((1-t)(1-3t-t^2-t^3)))/(2 t^2).
+    """Y(t) = (1 - 2t - t^2 - sqrt((1-t)(1-3t-t^2-t^3)))/(2 t^2), the root
+    of t^2 Y^2 - (1 - 2t - t^2) Y + t.
 
     Satisfies Y = t/(1-t) (1+Y)(1+tY); integer coefficients.
     """
     N = order + 2
-    disc = _ts(N, {0: 1, 1: -1}) * _ts(N, {0: 1, 1: -3, 2: -1, 3: -1})
-    num = _ts(N, {0: 1, 1: -2, 2: -1}) - disc.sqrt()
-    Y = (num.shift_down(2) / 2).normalized().truncate(order)
+    Y = _quadratic_root(_ts(N, {0: 1, 1: -2, 2: -1}), TSeries.t(N), 2)
     if not y_alg_residual_of(Y).is_zero():
         raise RuntimeError("Y fails its algebraic equation")
     return Y
@@ -101,36 +93,16 @@ def y_alg_residual_of(Y):
 
 
 def x_of_u(order):
-    """X(t;u): the power series with u(1+tX)(1+t^2 X) = X(1-t).
+    """X(t;u): the power series with u(1+tX)(1+t^2 X) = X(1-t), the root of
+    u t^3 X^2 - (1 - t - ut - ut^2) X + u.
 
     CPoly over ("u",) with integer coefficients; X(t;1) = Y/t.
     """
-    N = order
-    slices = [dict() for _ in range(N + 1)]
-
-    def sq(b):  # (X^2)_b
-        out = {}
-        for a in range(b + 1):
-            for (ja,), ca in slices[a].items():
-                for (jb,), cb in slices[b - a].items():
-                    key = (ja + jb,)
-                    out[key] = out.get(key, 0) + ca * cb
-        return out
-
-    # X = u/(1-t) * W, W = 1 + tX + t^2 X + t^3 X^2, so X_n = X_(n-1) + u W_n
-    for n in range(N + 1):
-        w_n = Counter(slices[n - 1] if n else {(0,): 1})
-        if n >= 2:
-            w_n.update(slices[n - 2])
-        if n >= 3:
-            w_n.update(sq(n - 3))
-        cur = Counter(slices[n - 1] if n else {})
-        cur.update({(j + 1,): c for (j,), c in w_n.items()})
-        slices[n] = {k: c for k, c in cur.items() if c}
-
-    X = CPoly(("u",), N)
-    X.slices = slices
-    return X
+    uvar, N = ("u",), order + 3
+    b = CPoly.from_tseries(uvar, _ts(N, {0: 1, 1: -1})) - CPoly.from_tseries(
+        uvar, _ts(N, {1: 1, 2: 1}), (1,)
+    )
+    return _quadratic_root(b, CPoly.monomial(uvar, N, (1,)), 3, (1,))
 
 
 # --------------------------------------------------------------------------
@@ -167,23 +139,15 @@ def two_sided_closed(order):
     return U, P, P1
 
 
-def two_sided_endpoint_kernel_root(order):
-    """U(t,z): the power-series root of (z - tU)(U - tz) = t U z^2 (1 - t^2).
-
-    With U = zV the kernel becomes (1 - tV)(V - t) = t z V (1 - t^2), the
-    plain kernel at w = z, so U(t,z) = z U(t;z); CPoly over ("z",),
-    valuation 1.
-    """
-    return kernel_root_u_of_w(order).rename({"w": "z"}).mul_mono((1,))
-
-
 def two_sided_endpoint_closed(order):
     """P(t,z;u) for 2-sided walks with z marking X+Y (Laurent in z).
 
     P = 2 z^3 (1-t^2)(1-tz) U / ((z^2-uU)(z-tU)(2tz-U)) - 1 at U = U(t,z).
     """
     uz = ("u", "z")
-    U = two_sided_endpoint_kernel_root(order + 1).reorder(uz)
+    # (z - tU)(U - tz) = t U z^2 (1 - t^2) becomes the plain kernel at w = z
+    # for U = zV, so U(t,z) = z U(t;z)
+    U = kernel_root_at(CPoly.monomial(uz, order + 1, (0, 1))).mul_mono((0, 1))
     V = U.mul_mono((0, -1)).shift_down(1)  # U/(tz), constant term 1
     N = V.order
     # 2 z^3/((z^2-uU)(z-tU)) = 2/((1 - u U z^-2)(1 - t U z^-1)), U/(2tz-U) = V/(2-V)
@@ -228,20 +192,6 @@ def _kernel_setup(order):
     return q_power, A, B
 
 
-def _valuation(x):
-    """Index of the first nonzero coefficient (TSeries) or slice (CPoly), or
-    None for zero."""
-    parts = x.coeffs if isinstance(x, TSeries) else x.slices
-    return next((n for n, c in enumerate(parts) if c), None)
-
-
-def _raised(x, v, order):
-    """t^v x to t^order, for a TSeries or CPoly x known to t^(order - v)."""
-    if isinstance(x, TSeries):
-        return TSeries([0] * v + x.coeffs, order)
-    return CPoly(x.vars, order, [{} for _ in range(v)] + x.slices)
-
-
 def _kernel_sum(u_at, A, B, one, order, k_terms):
     """The iterated kernel sum for T(t;u,tu), over TSeries or CPoly alike:
 
@@ -267,7 +217,7 @@ def _kernel_sum(u_at, A, B, one, order, k_terms):
         if k > 0:  # U_k and phi(U_k) carry over from step k-1
             u = u_next
             numprod = (numprod * (A - u)).normalized()
-            w = _valuation(numprod)
+            w = numprod.valuation()
             if w is None:
                 break
             v += w
@@ -315,21 +265,11 @@ def three_sided_closed(order, k_terms=None):
     """
     M = order + 1
     q_power, A, B = _kernel_setup(order)
-    Uw_terms = kernel_root_u_of_w(M).terms()
     uvar = ("u",)
 
     def u_of_uqi(i, L):
-        """U(u q^i) = sum_j coeff_j(t) q^(i j) u^j to t^L as a CPoly in u."""
-        out = CPoly(uvar, L)
-        for (j,), coeff in Uw_terms.items():
-            coeff = coeff.truncate(L)
-            if coeff.is_zero():
-                continue
-            piece = (coeff * q_power(i * j, L)).normalized() if i * j else coeff
-            for n, c in enumerate(piece.coeffs):
-                if c:
-                    out.slices[n][(j,)] = out.slices[n].get((j,), 0) + c
-        return out.normalized()
+        """U(u q^i) to t^L as a CPoly in u."""
+        return kernel_root_at(CPoly.from_tseries(uvar, q_power(i, L), (1,)))
 
     T = _kernel_sum(
         u_of_uqi, CPoly.from_tseries(uvar, A), CPoly.from_tseries(uvar, B),
@@ -337,26 +277,19 @@ def three_sided_closed(order, k_terms=None):
     ).normalized()
     Nt = T.order
     Uu = u_of_uqi(0, Nt)
-    inv_1tU = (CPoly.constant(uvar, Nt) - Uu.shift(1)).inv()
-    c1 = CPoly.from_tseries(uvar, _ts(Nt, {0: 1, 1: -2, 2: -1}).inv())
     one_t = CPoly.from_tseries(uvar, _ts(Nt, {0: 1, 1: 1}))
-    first = c1 * (
-        Uu.shift(2) * T * 2
-        + one_t * (CPoly.from_tseries(uvar, _ts(Nt, {0: 2, 1: -1})) - Uu.shift(2)) * inv_1tU
-    )
-    one_minus_u = CPoly.constant(uvar, Nt) - CPoly.monomial(uvar, Nt, (1,))
+    r = one_t * (1 - Uu.shift(1)).inv()  # (1+t)/(1-tU)
     # 1 - t - tu - t^2 u, truncated like every other factor at t^Nt
-    den2 = (
-        CPoly.constant(uvar, Nt)
-        - CPoly.monomial(uvar, Nt, (0,), tpow=1)
-        - CPoly.monomial(uvar, Nt, (1,), tpow=1)
-        - CPoly.monomial(uvar, Nt, (1,), tpow=2)
+    den2 = CPoly.from_tseries(uvar, _ts(Nt, {0: 1, 1: -1})) - CPoly.from_tseries(
+        uvar, _ts(Nt, {1: 1, 2: 1}), (1,)
     )
-    second = (
-        (CPoly.constant(uvar, Nt) - Uu) * one_t * one_minus_u * c1 * den2.inv()
-        * (T.shift(2) + one_t.shift(1) * inv_1tU) * -2
+    P = CPoly.from_tseries(uvar, _ts(Nt, {0: 1, 1: -2, 2: -1}).inv()) * (
+        Uu.shift(2) * T * 2
+        + (CPoly.from_tseries(uvar, _ts(Nt, {0: 2, 1: -1})) - Uu.shift(2)) * r
+        - (1 - Uu) * one_t * (1 - CPoly.monomial(uvar, Nt, (1,))) * den2.inv()
+        * (T.shift(2) + r.shift(1)) * 2
     )
-    P = (first + second - CPoly.from_tseries(uvar, _ts(Nt, {0: 1, 1: -1}).inv())).normalized()
+    P = (P - CPoly.from_tseries(uvar, _ts(Nt, {0: 1, 1: -1}).inv())).normalized()
     T1t = T.specialize_ones().normalized()
     P1 = P.specialize_ones().normalized()
     return T1t, P, P1

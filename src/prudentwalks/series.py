@@ -25,8 +25,6 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import add, mul
 
-Rat = Fraction  # exact rational coefficients; plain ints are used when no division occurs
-
 
 class SeriesError(ValueError):
     """Invalid input to a series operation."""
@@ -518,6 +516,10 @@ class CPoly:
 
     def is_zero(self):
         return all(not slc for slc in self.slices)
+
+    def valuation(self):
+        """Index of the first nonzero slice, or None for the zero series."""
+        return next((n for n, slc in enumerate(self.slices) if slc), None)
 
     def __eq__(self, other):
         if not isinstance(other, CPoly):

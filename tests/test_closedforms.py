@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,6 @@ import pytest
 from prudentwalks.closedforms import (
     TruncationError,
     kernel_root_at,
-    kernel_root_u_of_w,
     q_series,
     three_sided_closed,
     three_sided_length_series,
@@ -28,16 +28,39 @@ from prudentwalks.funceq import (
     solve_3sided,
     solve_triangular,
 )
-from prudentwalks.series import SeriesError, TSeries, ts_compose
+from prudentwalks.series import CPoly, SeriesError, TSeries, ts_compose
 from prudentwalks.walks import WalkClass, enumerate_tri_by_box
+
+
+def _kernel_root_u_of_w(order):
+    """U(t;w) from the fixed point U = t + tU^2 - t^2 U + twU(1-t^2), whose
+    coefficients are integer polynomials in w: the reference for the root
+    that `kernel_root_at` takes from the quadratic formula."""
+    N = order
+    slices = []
+    for n in range(N + 1):
+        cur = {(0,): 1} if n == 1 else {}
+        for a in range(1, n - 1):  # + t U^2
+            for (ja,), ca in slices[a].items():
+                for (jb,), cb in slices[n - 1 - a].items():
+                    cur[(ja + jb,)] = cur.get((ja + jb,), 0) + ca * cb
+        for off, sgn, dj in ((2, -1, 0), (1, 1, 1), (3, -1, 1)):  # - t^2 U + t w U - t^3 w U
+            if n >= off:
+                for (j,), c in slices[n - off].items():
+                    cur[(j + dj,)] = cur.get((j + dj,), 0) + sgn * c
+        slices.append({k: c for k, c in cur.items() if c})
+    return CPoly(("w",), N, slices)
+
+
+def _bivariate_root(order):
+    """U(t;w) from `kernel_root_at` on the variable w itself."""
+    return kernel_root_at(CPoly.monomial(("w",), order, (1,)))
 
 
 def test_kernel_root_bivariate():
     # (U - t)(1 - tU) = t w U (1 - t^2) as an identity in w and t
-    from prudentwalks.series import CPoly
-
     N = 24
-    U = kernel_root_u_of_w(N)
+    U = _bivariate_root(N)
     wv = ("w",)
     t = CPoly.from_tseries(wv, TSeries.t(N))
     lhs = (U - t) * (CPoly.constant(wv, N) - U.shift(1))
@@ -47,6 +70,39 @@ def test_kernel_root_bivariate():
     assert lhs == rhs
     # U(0) = t
     assert U.substitute("w", 0).specialize_ones() == TSeries.t(N)
+
+
+def test_kernel_root_at_the_variable_matches_fixed_point():
+    want = _kernel_root_u_of_w(40)
+    for N in range(41):
+        got = _bivariate_root(N)
+        assert got.vars == ("w",) and got.order == N
+        for g, w in zip(got.slices, want.slices[: N + 1], strict=True):
+            assert g == w
+            assert {k: type(c) for k, c in g.items()} == {k: type(c) for k, c in w.items()}
+
+
+def _u_of_uqi_by_substitution(i, order):
+    """U(u q^i) = sum_j U_j(t) q^(i j) u^j, with U_j(t) the coefficient of w^j
+    in the fixed-point U(t;w)."""
+    q = q_series(order)
+    out = CPoly(("u",), order)
+    for (j,), coeff in _kernel_root_u_of_w(order).terms().items():
+        piece = (coeff * q ** (i * j)).normalized()
+        for n, c in enumerate(piece.coeffs):
+            if c:
+                out.slices[n][(j,)] = c
+    return out
+
+
+def test_kernel_root_at_u_q_power_matches_substitution():
+    N = 30
+    q = q_series(N)
+    for i in range(7):
+        want = _u_of_uqi_by_substitution(i, N)
+        for L in range(N + 1):
+            got = kernel_root_at(CPoly.from_tseries(("u",), (q ** i).truncate(L), (1,)))
+            _assert_same_series([got], [want.truncate(L)])
 
 
 def test_q_series_values():
@@ -61,14 +117,14 @@ def test_q_series_values():
 
 def test_compose_unit_dominance_allows_q():
     # U(t;w) has coefficient valuation >= w-exponent, so w := 1 is exact
-    Uw = kernel_root_u_of_w(12)
+    Uw = _bivariate_root(12)
     assert ts_compose(Uw, 1).normalized() == q_series(12)
 
 
 def test_kernel_root_at_matches_bivariate_root():
     # U(t;W) at its argument equals the fixed-point U(t;w) composed with W
     N = 40
-    Uw = kernel_root_u_of_w(N + 1)
+    Uw = _kernel_root_u_of_w(N + 1)
     q = ts_compose(Uw, 1).normalized()
     qp = TSeries.one(N + 1)
     for i in range(6):
@@ -84,11 +140,12 @@ def test_kernel_root_at_matches_bivariate_root():
 
 
 def test_length_series_never_build_the_bivariate_root(monkeypatch):
-    # the O(N^4) fixed point for U(t;w) stays out of the length series
-    def refuse(order):
-        raise AssertionError("kernel_root_u_of_w called")
+    # the length series take every root over TSeries: the CPoly square root
+    # of a bivariate U(t;w) (O(N^4)) stays out of them
+    def refuse(self):
+        raise AssertionError("CPoly.sqrt called")
 
-    monkeypatch.setattr(closedforms, "kernel_root_u_of_w", refuse)
+    monkeypatch.setattr(CPoly, "sqrt", refuse)
     assert three_sided_length_series(30)[1].integer_coeffs()[:4] == [1, 4, 12, 34]
     for wc in WalkClass:
         closedforms.length_series(wc, 30)
@@ -96,7 +153,7 @@ def test_length_series_never_build_the_bivariate_root(monkeypatch):
 
 
 def test_compose_with_zero_gives_t():
-    Uw = kernel_root_u_of_w(12)
+    Uw = _bivariate_root(12)
     assert ts_compose(Uw, 0) == TSeries.t(12)
     assert ts_compose(Uw, TSeries.zero(12)).normalized() == TSeries.t(12)
 
@@ -123,7 +180,7 @@ def test_two_sided_closed_matches_everything():
     assert P.normalized() == solve_2sided(14)[1].normalized()
     # the sqrt-formula root coincides with the fixed-point q, byte for byte
     assert U == q_series(14)
-    assert U == ts_compose(kernel_root_u_of_w(14), 1).normalized()
+    assert U == ts_compose(_kernel_root_u_of_w(14), 1).normalized()
 
 
 def test_two_sided_kernel_residual():
@@ -143,13 +200,11 @@ def test_two_sided_endpoint_closed():
 
 
 def test_two_sided_endpoint_kernel_root_quadratic():
-    # (z - tU)(U - tz) = t U z^2 (1 - t^2), and U(t,1) is the unrefined root
-    from prudentwalks.closedforms import two_sided_endpoint_kernel_root
-    from prudentwalks.series import CPoly
-
+    # (z - tU)(U - tz) = t U z^2 (1 - t^2) at U = z U(t;z), the root that
+    # two_sided_endpoint_closed takes, and U(t,1) is the unrefined root
     N = 20
-    U = two_sided_endpoint_kernel_root(N)
     zv = ("z",)
+    U = kernel_root_at(CPoly.monomial(zv, N, (1,))).mul_mono((1,))
     z = CPoly.monomial(zv, N, (1,))
     residual = (z - U.shift(1)) * (U - z.shift(1)) - U.mul_mono(
         (2,), 1
@@ -182,7 +237,7 @@ def test_three_sided_summand_valuations_grow():
     # successive summands gain at least three orders of valuation each, so
     # the measured-valuation auto truncation terminates
     N = 40
-    Uw = kernel_root_u_of_w(N + 1)
+    Uw = _kernel_root_u_of_w(N + 1)
     q = ts_compose(Uw, 1).normalized()
     A = (TSeries.t(N) * (1 - q.truncate(N).shift(1)).inv()).normalized()
     qp = TSeries.one(N + 1)
@@ -409,9 +464,39 @@ def _x_of_u_every_prefix(order):
     return slices
 
 
+def _x_of_u_fixed_point(order):
+    """X(t;u) from X = u/(1-t) W, W = 1 + tX + t^2 X + t^3 X^2, one slice at a
+    time: X_n = X_(n-1) + u W_n."""
+    N = order
+    slices = [dict() for _ in range(N + 1)]
+
+    def sq(b):  # (X^2)_b
+        out = {}
+        for a in range(b + 1):
+            for (ja,), ca in slices[a].items():
+                for (jb,), cb in slices[b - a].items():
+                    out[(ja + jb,)] = out.get((ja + jb,), 0) + ca * cb
+        return out
+
+    for n in range(N + 1):
+        w_n = Counter(slices[n - 1] if n else {(0,): 1})
+        if n >= 2:
+            w_n.update(slices[n - 2])
+        if n >= 3:
+            w_n.update(sq(n - 3))
+        cur = Counter(slices[n - 1] if n else {})
+        cur.update({(j + 1,): c for (j,), c in w_n.items()})
+        slices[n] = {k: c for k, c in cur.items() if c}
+    return CPoly(("u",), N, slices)
+
+
 def test_x_of_u_matches_every_prefix_recompute():
     for n in range(17):
-        assert x_of_u(n).slices == _x_of_u_every_prefix(n)
+        X = x_of_u(n)
+        assert X.slices == _x_of_u_every_prefix(n)
+        assert all(type(c) is int for slc in X.slices for c in slc.values())
+    for n in (24, 40):
+        _assert_same_series([x_of_u(n)], [_x_of_u_fixed_point(n)])
 
 
 def test_box_formula_values():

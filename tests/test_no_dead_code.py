@@ -1,9 +1,10 @@
-"""Every public module-level function and class of the package, and every
-public method and property of its classes, is used by the package itself or
-by the benchmark under perfbench/.  A name that only tests call is a dead
-helper: it goes, or its test calls the code underneath, unless KEPT lists it
-with the reason it stays.  Methods are matched by attribute name, whatever
-the object they are looked up on."""
+"""Every public module-level function, class and assigned name of the
+package, and every public method and property of its classes, is used by the
+package itself or by the benchmark under perfbench/.  A name that only tests
+call is a dead helper: it goes, or its test calls the code underneath, unless
+KEPT lists it with the reason it stays.  Methods are matched by attribute
+name, whatever the object they are looked up on.  The package's re-export of
+a name from its __init__ is not a use of it."""
 
 import ast
 from pathlib import Path
@@ -30,15 +31,22 @@ def _public(name):
 
 def _definitions_and_references():
     """(definitions, references): definitions maps each public module-level
-    function or class of the package, and each public method or property of
-    a package class as "Class.name", to (name, defining nodes); references
-    lists (name, node) for every name, attribute and imported name in the
-    scanned files."""
+    function, class or assigned name of the package, and each public method
+    or property of a package class as "Class.name", to (name, defining
+    nodes); references lists (name, node) for every name, attribute and
+    imported name in the scanned files, but for the package __init__'s
+    imports."""
     definitions, references = {}, []
     for path in SCANNED:
         tree = ast.parse(path.read_text(), filename=str(path))
         if path.parent == PACKAGE:
             for top in tree.body:
+                if isinstance(top, (ast.Assign, ast.AnnAssign)):
+                    targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                    for node in (n for target in targets for n in ast.walk(target)):
+                        stored = isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                        if stored and _public(node.id):
+                            definitions.setdefault(node.id, (node.id, []))[1].append(node)
                 if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
                     continue
                 if _public(top.name):
@@ -53,7 +61,7 @@ def _definitions_and_references():
                 references.append((node.id, node))
             elif isinstance(node, ast.Attribute):
                 references.append((node.attr, node))
-            elif isinstance(node, ast.alias):
+            elif isinstance(node, ast.alias) and path != PACKAGE / "__init__.py":
                 references.append((node.name, node))
     return definitions, references
 
