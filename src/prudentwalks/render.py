@@ -8,7 +8,7 @@ lattice only; a triangular character grid would be lossy.
 
 from __future__ import annotations
 
-from prudentwalks.walks import SquareWalk, TriWalk
+from prudentwalks.walks import SquareWalk, TriWalk, _square_bounds
 
 SCALE = 20
 MARGIN = 30
@@ -33,45 +33,33 @@ def _svg_document(width, height, body):
 
 def render_square_svg(walk, box=False):
     vs = walk.vertices()
-    xs = [p[0] for p in vs]
-    ys = [p[1] for p in vs]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-
-    def px(x):
-        return MARGIN + (x - x0) * SCALE
-
-    def py(y):
-        return MARGIN + (y1 - y) * SCALE  # flip so North points up
-
-    width = px(x1) + MARGIN
-    height = py(y0) + MARGIN
+    x0, x1, y0, y1 = _square_bounds(vs)
+    # lattice (x, y) sits at pixel (ox + x*SCALE, oy - y*SCALE), North up
+    ox = MARGIN - x0 * SCALE
+    oy = MARGIN + y1 * SCALE
+    right = MARGIN + (x1 - x0) * SCALE
+    bottom = MARGIN + (y1 - y0) * SCALE
     body = ['<rect width="100%" height="100%" fill="white"/>\n']
-    grid = []
-    for x in range(x0, x1 + 1):
-        grid.append(
-            '<line x1="%d" y1="%d" x2="%d" y2="%d"/>' % (px(x), py(y1), px(x), py(y0))
-        )
-    for y in range(y0, y1 + 1):
-        grid.append(
-            '<line x1="%d" y1="%d" x2="%d" y2="%d"/>' % (px(x0), py(y), px(x1), py(y))
-        )
+    col = '<line x1="%%d" y1="%d" x2="%%d" y2="%d"/>' % (MARGIN, bottom)
+    row = '<line x1="%d" y1="%%d" x2="%d" y2="%%d"/>' % (MARGIN, right)
+    grid = [col % (p, p) for p in range(MARGIN, right + 1, SCALE)]  # left to right
+    grid += [row % (p, p) for p in range(bottom, MARGIN - 1, -SCALE)]  # bottom to top
     body.append('<g stroke="#dddddd" stroke-width="1">%s</g>\n' % "".join(grid))
     if box:
         body.append(
             '<rect x="%d" y="%d" width="%d" height="%d" fill="none" '
             'stroke="#cc3333" stroke-dasharray="4 3"/>\n'
-            % (px(x0), py(y1), (x1 - x0) * SCALE, (y1 - y0) * SCALE)
+            % (MARGIN, MARGIN, right - MARGIN, bottom - MARGIN)
         )
     if len(vs) > 1:
-        points = " ".join("%d,%d" % (px(x), py(y)) for x, y in vs)
+        points = " ".join(["%d,%d" % (ox + x * SCALE, oy - y * SCALE) for x, y in vs])
         body.append(
             '<polyline points="%s" fill="none" stroke="#1f4e9c" '
             'stroke-width="2.5" stroke-linecap="round" stroke-linejoin="round"/>\n'
             % points
         )
-    body.append('<circle cx="%d" cy="%d" r="4" fill="#1f4e9c"/>\n' % (px(0), py(0)))
-    return _svg_document(width, height, body)
+    body.append('<circle cx="%d" cy="%d" r="4" fill="#1f4e9c"/>\n' % (ox, oy))
+    return _svg_document(right + MARGIN, bottom + MARGIN, body)
 
 
 def render_tri_svg(walk, box=False):
@@ -132,10 +120,7 @@ def render_ascii(walk):
     if not isinstance(walk, SquareWalk):
         raise ValueError("ASCII rendering covers the square lattice only")
     vs = walk.vertices()
-    xs = [p[0] for p in vs]
-    ys = [p[1] for p in vs]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    x0, x1, y0, y1 = _square_bounds(vs)
     w = 2 * (x1 - x0) + 1
     h = 2 * (y1 - y0) + 1
     grid = [[" "] * w for _ in range(h)]

@@ -9,9 +9,10 @@ the previous one through child-index columns, so l_children runs once per
 label.  The refined P-labels live in the sampling walk state: each P-label's
 children, their steps and the table indices of their L-labels are cached as
 one record.  Each step is drawn by bisecting the cumulative child weights
-Ex(child, m-1), read by index, at one integer in [0, Ex(l, m))
-(rejection-sampled by the seeded generator), so every length-n walk has
-probability exactly 1/p_n.
+Ex(child, m-1), read by index, at one integer in [0, Ex(l, m)), so every
+length-n walk has probability exactly 1/p_n.  That integer is drawn by the
+getrandbits rejection rule of `_below`, which consumes the generator exactly
+as CPython's Random.randrange does.
 """
 
 from __future__ import annotations
@@ -205,11 +206,24 @@ class ExtTable:
         return out
 
 
+def _below(getrandbits, total):
+    """Uniform integer in [0, total), drawn as CPython's Random.randrange(total)
+    draws it: getrandbits(total.bit_length()) until the value is below total."""
+    k = total.bit_length()
+    r = getrandbits(k)
+    while r >= total:
+        if total <= 0:  # getrandbits(0) is 0: an empty range would never end
+            raise ValueError("empty range for _below(%d)" % total)
+        r = getrandbits(k)
+    return r
+
+
 class UniformSampler:
     """Draws length-n walks of the class uniformly at random.
 
     Deterministic for a fixed seed: the table layout and the child ordering
-    are fixed, and each choice consumes exactly one randrange() call.
+    are fixed, and each choice is one `_below` draw from the random.Random
+    passed in, which leaves the generator as one randrange() call would.
     """
 
     def __init__(self, walk_class, n, max_entries=DEFAULT_MAX_ENTRIES, table=None):
@@ -246,23 +260,24 @@ class UniformSampler:
     def sample(self, rng):
         """One walk: m > 1 remaining steps pick child i with weight
         Ex(L-label of child i, m-1) by bisecting the cumulative weights at
-        randrange(total); the last step is uniform, since Ex(., 0) = 1."""
+        _below(total); the last step is uniform, since Ex(., 0) = 1."""
         n = self.n
         if n == 0:
             return self._make(())
         values = self.table.values
+        cached = self._child_cache.get
         record = self._record
-        randrange = rng.randrange
+        getrandbits = rng.getrandbits
         steps = []
         pick = None
         for m in range(n, 1, -1):
-            kids, kid_steps, idx = record(pick)
+            kids, kid_steps, idx = cached(pick) or record(pick)
             cum = list(accumulate(map(values[m - 1].__getitem__, idx)))
-            i = bisect_right(cum, randrange(cum[-1]))
+            i = bisect_right(cum, _below(getrandbits, cum[-1]))
             steps.append(kid_steps[i])
             pick = kids[i]
-        kids, kid_steps, _ = record(pick)
-        steps.append(kid_steps[randrange(len(kids))])
+        kids, kid_steps, _ = cached(pick) or record(pick)
+        steps.append(kid_steps[_below(getrandbits, len(kids))])
         return self._make(tuple(steps))
 
 
@@ -311,13 +326,14 @@ def kinetic_sample(n, seed):
     """Length-n kinetic prudent walk: each step uniform over the currently
     legal prudent steps (non-uniform measure on length-n walks)."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    getrandbits = rng.getrandbits
     state = SquareState()
     steps = []
     for _ in range(n):
         avail = state.legal_steps()
         if not avail:
             raise RuntimeError("prudent walk unexpectedly stuck")
-        d = avail[rng.randrange(len(avail))]
+        d = avail[_below(getrandbits, len(avail))]
         state.push(d)
         steps.append(d)
     return SquareWalk._trusted(tuple(steps))

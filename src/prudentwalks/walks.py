@@ -136,6 +136,18 @@ class _Walk:
         self.steps = self._parse(steps)
 
     @classmethod
+    def _parse(cls, steps):
+        """Step codes of the steps, each a key of the class's _codes (names
+        in any case)."""
+        out = []
+        for s in steps:
+            try:
+                out.append(cls._codes[s.upper() if isinstance(s, str) else s])
+            except (KeyError, TypeError):  # TypeError: an unhashable step
+                raise ValueError("bad step %r: %s" % (s, cls._accepted)) from None
+        return tuple(out)
+
+    @classmethod
     def _trusted(cls, steps):
         """Walk from a tuple of step codes known to be valid, without parsing."""
         walk = cls.__new__(cls)
@@ -148,7 +160,10 @@ class _Walk:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["steps"])
+        steps = obj["steps"]
+        if not isinstance(steps, (list, str)):
+            raise ValueError('"steps" must be a list of steps, not %r' % (steps,))
+        return cls(steps)
 
     def __len__(self):
         return len(self.steps)
@@ -182,17 +197,8 @@ class SquareWalk(_Walk):
 
     lattice = "square"
     _vectors = SQ_STEP_VECTORS
-
-    @staticmethod
-    def _parse(steps):
-        out = []
-        for s in steps:
-            if isinstance(s, str):
-                s = SQ_STEP_NAMES.index(s.upper())
-            elif not 0 <= s <= 3:
-                raise ValueError("square step code out of range: %r" % (s,))
-            out.append(s)
-        return tuple(out)
+    _codes = {k: d for d, name in enumerate(SQ_STEP_NAMES) for k in (name, d)}
+    _accepted = "square steps are N, E, S, W (codes 0-3)"
 
     def to_text(self):
         return "".join(SQ_STEP_NAMES[s] for s in self.steps)
@@ -213,18 +219,8 @@ class TriWalk(_Walk):
 
     lattice = "tri"
     _vectors = TRI_STEP_VECTORS
-
-    @staticmethod
-    def _parse(steps):
-        out = []
-        for s in steps:
-            if isinstance(s, str) and s.upper() in TRI_STEP_NAMES:
-                out.append(TRI_STEP_NAMES.index(s.upper()))
-            else:
-                out.append(int(s))
-            if not 0 <= out[-1] <= 5:
-                raise ValueError("triangular step code out of range: %r" % (s,))
-        return tuple(out)
+    _codes = {k: d for d, name in enumerate(TRI_STEP_NAMES) for k in (name, d, str(d))}
+    _accepted = "triangular steps are the codes 0-5 (NW, NE, E, SE, SW, W)"
 
     def to_text(self):
         return "".join(str(s) for s in self.steps)

@@ -119,6 +119,26 @@ def test_render_rejects_bad_walk(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--steps", "XYZ"), "bad step 'X': square steps are N, E, S, W (codes 0-3)"),
+        (("--lattice", "tri", "--steps", "N"),
+         "bad step 'N': triangular steps are the codes 0-5 (NW, NE, E, SE, SW, W)"),
+        (("--steps", '{"lattice": "square", "steps": [[1]]}'), "bad step [1]: square steps"),
+        (("--steps", '{"lattice": "tri", "steps": [6]}'), "bad step 6: triangular steps"),
+        (("--steps", '{"lattice": "square", "steps": 5}'), '"steps" must be a list of steps, not 5'),
+    ],
+    ids=["square-letter", "tri-letter", "unhashable", "tri-code", "steps-not-a-list"],
+)
+def test_render_names_the_bad_step(capsys, argv, message):
+    code, out, err = run(capsys, "render", *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("count", "--class", "1-sided", "--n-max", "3", "--out", "{missing}/counts.json"),

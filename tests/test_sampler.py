@@ -9,12 +9,15 @@ from prudentwalks.sampler import (
     ExtTable,
     ResourceBudgetError,
     UniformSampler,
+    _below,
     _label_depth,
     estimate_entries,
     exact_distribution,
     kinetic_sample,
 )
 from prudentwalks.walks import (
+    SquareState,
+    SquareWalk,
     WalkClass,
     enumerate_counts,
     in_class,
@@ -123,6 +126,49 @@ def test_kinetic_sampler():
     # n=1: uniform over the four steps
     seen = {kinetic_sample(1, seed=s).steps[0] for s in range(60)}
     assert seen == {0, 1, 2, 3}
+
+
+def _below_totals():
+    yield from range(1, 65)
+    for k in range(1, 601):
+        yield from (2**k - 1, 2**k, 2**k + 1)
+    rng = random.Random(5150)
+    for _ in range(1000):
+        yield rng.randrange(1, 2 ** rng.randrange(1, 601))
+
+
+def test_below_draws_as_randrange():
+    # the sampler's draws must stay the randrange stream: the reference
+    # sampler in test_sampler_reference draws with randrange itself
+    for seed in (0, 7, 2024):
+        rng_a, rng_b = random.Random(seed), random.Random(seed)
+        for total in _below_totals():
+            assert _below(rng_a.getrandbits, total) == rng_b.randrange(total)
+        assert rng_a.getstate() == rng_b.getstate()
+
+
+@pytest.mark.parametrize("total", [0, -1, -8])
+def test_below_refuses_an_empty_range(total):
+    with pytest.raises(ValueError):
+        _below(random.Random(1).getrandbits, total)
+
+
+def reference_kinetic(n, rng):
+    state = SquareState()
+    steps = []
+    for _ in range(n):
+        avail = state.legal_steps()
+        d = avail[rng.randrange(len(avail))]
+        state.push(d)
+        steps.append(d)
+    return SquareWalk(steps)
+
+
+def test_kinetic_draws_match_randrange_loop():
+    for seed in range(100):
+        rng_a, rng_b = random.Random(seed), random.Random(seed)
+        assert kinetic_sample(300, rng_a) == reference_kinetic(300, rng_b)
+        assert rng_a.getstate() == rng_b.getstate()
 
 
 def test_kinetic_step_probability_example():
