@@ -157,7 +157,7 @@ class Constant:
     def __repr__(self):
         return "Constant(%s=%.10f, %s)" % (self.name, self.value, self.provenance)
 
-    def to_json(self, digits=10):
+    def to_json(self):
         return {
             "name": self.name,
             "value": self.value,
@@ -170,26 +170,30 @@ def _paper(name, interval):
     return Constant(name, interval, "paper-closed-form")
 
 
-def constants(walk_class, coeffs=None, tol=Fraction(1, 10**12)):
+_TOL = Fraction(1, 10**12)
+
+
+def constants(walk_class, coeffs=None):
     """The class's asymptotic constants, keyed by name.
 
     Closed-form constants are evaluated on exact intervals at the bisected
-    root location.  An amplitude for the 3-sided and triangular classes is
-    only available empirically (pass the counting coefficients to get it).
+    root location, each root and square root bracketed to width _TOL.  An
+    amplitude for the 3-sided and triangular classes is only available
+    empirically (pass the counting coefficients to get it).
     """
     out = {}
     if walk_class in (WalkClass.TWO_SIDED, WalkClass.THREE_SIDED, WalkClass.ONE_SIDED):
         if walk_class is WalkClass.ONE_SIDED:
             # partially directed: mu = 1 + sqrt(2), rho = sqrt(2) - 1
-            s2 = sqrt_interval(2, tol)
+            s2 = sqrt_interval(2, _TOL)
             rho = s2 - 1
             out["rho"] = _paper("rho", rho)
             out["mu"] = _paper("mu", 1 + s2)
             return out
-        rho = find_real_root(POLY_RHO_2SIDED, (Fraction(3, 10), Fraction(1, 2)), tol)
+        rho = find_real_root(POLY_RHO_2SIDED, (Fraction(3, 10), Fraction(1, 2)), _TOL)
         out["rho"] = _paper("rho", rho)
         out["mu"] = _paper("mu", 1 / rho)
-        tc = find_real_root(POLY_TC_SQUARE, (Fraction(1, 3), Fraction(1, 2)), tol)
+        tc = find_real_root(POLY_TC_SQUARE, (Fraction(1, 3), Fraction(1, 2)), _TOL)
         out["t_c"] = _paper("t_c", tc)
         if walk_class is WalkClass.TWO_SIDED:
             out["kappa"] = _paper(
@@ -217,17 +221,17 @@ def constants(walk_class, coeffs=None, tol=Fraction(1, 10**12)):
                 "var_width", num / ((r2 + rho - 1) * c3 * d3 * 16)
             )
     elif walk_class is WalkClass.TRIANGULAR:
-        rho = find_real_root(POLY_RHO_TRI, (Fraction(1, 4), Fraction(3, 10)), tol)
-        s17 = sqrt_interval(17, tol)
+        rho = find_real_root(POLY_RHO_TRI, (Fraction(1, 4), Fraction(3, 10)), _TOL)
+        s17 = sqrt_interval(17, _TOL)
         out["rho"] = _paper("rho", rho)
         out["mu"] = _paper("mu", (3 + s17) / 2)
         out["drift_box"] = _paper("drift_box", (1 + 1 / s17) / 2)
         out["var_box"] = _paper("var_box", 12 / (17 * s17))
         out["t_0"] = _paper(
-            "t_0", find_real_root(POLY_T0_TRI, (Fraction(1, 4), Fraction(3, 10)), tol)
+            "t_0", find_real_root(POLY_T0_TRI, (Fraction(1, 4), Fraction(3, 10)), _TOL)
         )
         out["t_c"] = _paper(
-            "t_c", find_real_root(POLY_TC_TRI, (Fraction(1, 5), Fraction(2, 5)), tol)
+            "t_c", find_real_root(POLY_TC_TRI, (Fraction(1, 5), Fraction(2, 5)), _TOL)
         )
     else:
         raise NotAvailableError(
@@ -270,28 +274,25 @@ def _aitken(seq):
     return out if out else list(seq)
 
 
-def growth_estimate(coeffs, stages=3):
-    """Estimate lim c_(n+1)/c_n by successive ratios with iterated Aitken
-    extrapolation.  Needs at least 20 coefficients.
+def growth_estimate(coeffs):
+    """Estimate lim c_(n+1)/c_n by successive ratios with three stages of
+    Aitken extrapolation.  Needs at least 20 coefficients.
 
     Returns (mu_hat, diagnostics); diagnostics holds the raw-ratio tail and
     the last value of each extrapolation stage, all computed exactly.  Stage s
-    reads three terms of stage s-1, so its last value depends only on the last
-    2s+1 ratios, and only those are formed.
+    reads three terms of stage s-1, so the last value of stage 3 depends only
+    on the last 7 ratios, and only those are formed.
     """
     coeffs = list(coeffs)
     if len(coeffs) < 20:
         raise ValueError("growth_estimate needs at least 20 coefficients")
-    tail = coeffs[-(2 * stages + 2):]
+    tail = coeffs[-8:]
     ratios = [Fraction(tail[i + 1], tail[i]) for i in range(len(tail) - 1)]
     diag = {"n_coeffs": len(coeffs), "raw_ratio_last": float(ratios[-1])}
     seq = ratios
     stage_values = []
-    for _ in range(stages):
-        nxt = _aitken(seq)
-        if not nxt:
-            break
-        seq = nxt
+    for _ in range(3):
+        seq = _aitken(seq)
         stage_values.append(float(seq[-1]))
     diag["stages"] = stage_values
     mu_hat = seq[-1]

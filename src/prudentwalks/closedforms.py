@@ -16,12 +16,8 @@ from __future__ import annotations
 
 from math import factorial
 
-from prudentwalks.series import CPoly, SeriesError, TSeries, _half
+from prudentwalks.series import CPoly, TSeries, _half
 from prudentwalks.walks import WalkClass
-
-
-class TruncationError(SeriesError):
-    """An explicit k_terms was too small for the requested order."""
 
 
 def _ts(order, terms):
@@ -192,7 +188,7 @@ def _kernel_setup(order):
     return q_power, A, B
 
 
-def _kernel_sum(u_at, A, B, one, order, k_terms):
+def _kernel_sum(u_at, A, B, one, order):
     """The iterated kernel sum for T(t;u,tu), over TSeries or CPoly alike:
 
         sum_k (-1)^k prod_{1<=i<=k} (A - U_i) / prod_{i<=k} (B - U_i)
@@ -226,17 +222,13 @@ def _kernel_sum(u_at, A, B, one, order, k_terms):
             u_next = u_at(k + 1, L + 1)
             phi, phi_next = phi_next.truncate(L), _phi(u_next)
             invden = (invden.truncate(L) * (B - u.truncate(L)).inv()).normalized()
-        if k_terms is not None and k >= k_terms:
-            raise TruncationError(
-                "k_terms=%d leaves a nonzero summand at order %d" % (k_terms, order)
-            )
         term = (numprod * invden * (1 + phi + phi_next)).normalized()
         total = total + _raised(term if k % 2 == 0 else -term, v, N)
         k += 1
     return total
 
 
-def three_sided_length_series(order, k_terms=None):
+def three_sided_length_series(order):
     """(T(t;1,t), P(t;1)) for 3-sided walks from the iterated sum at u=1."""
     N = order
     M = N + 1
@@ -246,7 +238,7 @@ def three_sided_length_series(order, k_terms=None):
         """U(q^i) to t^L as a TSeries."""
         return q_power(1, L) if i == 0 else kernel_root_at(q_power(i, L))  # U(1) = q
 
-    T = _kernel_sum(u_of_qi, A, B, TSeries.one(M), N, k_terms)
+    T = _kernel_sum(u_of_qi, A, B, TSeries.one(M), N)
     qN = q_power(1, N)
     P1 = (
         _ts(N, {0: 1, 1: -2, 2: -1}).inv()
@@ -256,7 +248,7 @@ def three_sided_length_series(order, k_terms=None):
     return T, P1
 
 
-def three_sided_closed(order, k_terms=None):
+def three_sided_closed(order):
     """(T(t;1,t), P(t;u), P(t;1)) for 3-sided walks.
 
     P(t;u) follows the rational expression in U(u) and T(u,tu); its second
@@ -273,7 +265,7 @@ def three_sided_closed(order, k_terms=None):
 
     T = _kernel_sum(
         u_of_uqi, CPoly.from_tseries(uvar, A), CPoly.from_tseries(uvar, B),
-        CPoly.constant(uvar, M), order, k_terms,
+        CPoly.constant(uvar, M), order,
     ).normalized()
     Nt = T.order
     Uu = u_of_uqi(0, Nt)
@@ -299,7 +291,7 @@ def three_sided_closed(order, k_terms=None):
 # triangular closed form (q-series)
 # --------------------------------------------------------------------------
 
-def triangular_closed(order, k_terms=None):
+def triangular_closed(order):
     """(Y, R(t;1,t), P(t;1)) for triangular prudent walks.
 
     R(t;1,t) = (1+Y)(1+tY) sum_k t^C(k+1,2) (Y(1-2t^2))^k / (Y(1-2t^2);t)_{k+1}
@@ -331,10 +323,6 @@ def triangular_closed(order, k_terms=None):
         term = _raised((ypow * numfac * invden).normalized(), tri, N)
         if term.is_zero():
             break
-        if k_terms is not None and k >= k_terms:
-            raise TruncationError(
-                "k_terms=%d leaves a nonzero summand at order %d" % (k_terms, N)
-            )
         total = total + term
         k += 1
     R1t = ((one + Y) * (one + Y.shift(1)) * total).normalized()

@@ -335,21 +335,20 @@ _ROOT_T = tuple(
 # --------------------------------------------------------------------------
 
 class RuleSet:
-    __slots__ = ("root", "p_children", "l_children", "l_of_p", "step_of", "lattice")
+    __slots__ = ("root", "p_children", "l_children", "l_of_p", "step_of")
 
-    def __init__(self, root, p_children, l_children, l_of_p, step_of, lattice):
+    def __init__(self, root, p_children, l_children, l_of_p, step_of):
         self.root = root
         self.p_children = p_children
         self.l_children = l_children
         self.l_of_p = l_of_p
         self.step_of = step_of
-        self.lattice = lattice
 
 
 RULES = {
-    WalkClass.ONE_SIDED: RuleSet(_ROOT_1, _p_children_1, _l_children_1, _l_of_p_1, _step_1, "square"),
-    WalkClass.TWO_SIDED: RuleSet(_ROOT_2, _p_children_2, _l_children_2, _l_of_p_2, _step_2, "square"),
-    WalkClass.THREE_SIDED: RuleSet(_ROOT_3, _p_children_3, _l_children_3, _l_of_p_3, _step_3, "square"),
-    WalkClass.PRUDENT4: RuleSet(_ROOT_4, _p_children_4, _l_children_4, _l_of_p_4, _step_4, "square"),
-    WalkClass.TRIANGULAR: RuleSet(_ROOT_T, _p_children_t, _l_children_t, _l_of_p_t, _step_t, "tri"),
+    WalkClass.ONE_SIDED: RuleSet(_ROOT_1, _p_children_1, _l_children_1, _l_of_p_1, _step_1),
+    WalkClass.TWO_SIDED: RuleSet(_ROOT_2, _p_children_2, _l_children_2, _l_of_p_2, _step_2),
+    WalkClass.THREE_SIDED: RuleSet(_ROOT_3, _p_children_3, _l_children_3, _l_of_p_3, _step_3),
+    WalkClass.PRUDENT4: RuleSet(_ROOT_4, _p_children_4, _l_children_4, _l_of_p_4, _step_4),
+    WalkClass.TRIANGULAR: RuleSet(_ROOT_T, _p_children_t, _l_children_t, _l_of_p_t, _step_t),
 }

@@ -44,13 +44,6 @@ def coeff_to_str(c):
     return "%d/%d" % (c.numerator, c.denominator)
 
 
-def coeff_from_str(s):
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return int(s)
-
-
 class TSeries:
     """Power series in t with exact coefficients, truncated at t^order."""
 
@@ -82,11 +75,8 @@ class TSeries:
         return cls([1], order)
 
     @classmethod
-    def t(cls, order, power=1, c=1):
-        coeffs = [0] * (order + 1)
-        if power <= order:
-            coeffs[power] = c
-        return cls(coeffs, order)
+    def t(cls, order):
+        return cls([0, 1], order)
 
     @classmethod
     def from_terms(cls, order, terms):
@@ -99,17 +89,6 @@ class TSeries:
 
     # -- basics ------------------------------------------------------------
 
-    def __getitem__(self, n):
-        if not 0 <= n <= self.order:
-            raise IndexError("coefficient t^%d outside truncation order %d" % (n, self.order))
-        return self.coeffs[n]
-
-    def __iter__(self):
-        return iter(self.coeffs)
-
-    def __len__(self):
-        return self.order + 1
-
     def __eq__(self, other):
         if isinstance(other, TSeries):
             return self.order == other.order and all(
@@ -118,9 +97,6 @@ class TSeries:
         if isinstance(other, (int, Fraction)):
             return self.coeffs[0] == other and not any(self.coeffs[1:])
         return NotImplemented
-
-    def __hash__(self):
-        return hash((self.order, tuple(Fraction(c) for c in self.coeffs)))
 
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[: min(8, self.order + 1)])
@@ -225,24 +201,6 @@ class TSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            inv = Fraction(1, 1) / other
-            return self * inv
-        return self * other.inv()
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise SeriesError("only non-negative integer powers")
-        result = TSeries.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def inv(self):
         """Multiplicative inverse; requires a nonzero constant term."""
         c0 = self.coeffs[0]
@@ -318,11 +276,6 @@ class TSeries:
             ],
         }
 
-    @classmethod
-    def from_json(cls, obj):
-        (term,) = obj["terms"]
-        return cls([coeff_from_str(s) for s in term["coeffs"]], obj["order"])
-
 
 def ts_compose(outer, inner):
     """Substitute `inner` (a TSeries, or 0/1) for the auxiliary variable of `outer`.
@@ -377,9 +330,8 @@ def ts_compose(outer, inner):
 # Stored slice-wise: slices[n] maps exponent tuples to the t^n coefficient.
 # --------------------------------------------------------------------------
 
-def _dict_add_into(dst, src, scale=1):
+def _dict_add_into(dst, src):
     for key, c in src.items():
-        c = c * scale if scale != 1 else c
         acc = dst.get(key, 0) + c
         if acc:
             dst[key] = acc
@@ -463,10 +415,10 @@ class CPoly:
         return p
 
     @classmethod
-    def monomial(cls, vars, order, exps, c=1, tpow=0):
+    def monomial(cls, vars, order, exps, tpow=0):
         p = cls(vars, order)
-        if c and tpow <= order:
-            p.slices[tpow][tuple(exps)] = c
+        if tpow <= order:
+            p.slices[tpow][tuple(exps)] = 1
         return p
 
     @classmethod
@@ -481,16 +433,13 @@ class CPoly:
         return p
 
     @classmethod
-    def geom(cls, vars, order, tpow, exps, c=1):
-        """1/(1 - c * t^tpow * mono(exps)); requires tpow >= 1."""
+    def geom(cls, vars, order, tpow, exps):
+        """1/(1 - t^tpow * mono(exps)); requires tpow >= 1."""
         if tpow < 1:
             raise SeriesError("geom needs a positive t-power for convergence")
-        vars = tuple(vars)
         p = cls(vars, order)
-        power = 1
         for m in range(order // tpow + 1):
-            p.slices[m * tpow][tuple(e * m for e in exps)] = power
-            power *= c
+            p.slices[m * tpow][tuple(e * m for e in exps)] = 1
         return p
 
     # -- views -------------------------------------------------------------
@@ -607,8 +556,8 @@ class CPoly:
 
     __rmul__ = __mul__
 
-    def mul_mono(self, exps=None, tpow=0, c=1):
-        """Multiply by c * t^tpow * mono(exps) (fast path)."""
+    def mul_mono(self, exps=None, tpow=0):
+        """Multiply by t^tpow * mono(exps) (fast path)."""
         out = CPoly(self.vars, self.order)
         if exps is None:
             exps = (0,) * len(self.vars)
@@ -619,7 +568,7 @@ class CPoly:
                 break
             tgt = out.slices[m]
             for key, coeff in slc.items():
-                tgt[tuple(map(add, key, exps))] = coeff * c
+                tgt[tuple(map(add, key, exps))] = coeff
         return out
 
     def shift(self, k):
@@ -838,20 +787,3 @@ class CPoly:
             entry["coeffs"] = [coeff_to_str(c) for c in coeff.coeffs]
             terms.append(entry)
         return {"order": self.order, "terms": terms}
-
-    @classmethod
-    def from_json(cls, obj, vars=None):
-        order = obj["order"]
-        if vars is None:
-            used = set()
-            for term in obj["terms"]:
-                for f in cls._JSON_FIELDS:
-                    if term.get(f, 0):
-                        used.add(f)
-            vars = tuple(f for f in cls._JSON_FIELDS if f in used) or ("u",)
-        p = cls._accumulator(vars, order)
-        for term in obj["terms"]:
-            key = tuple(term.get(v, 0) for v in p.vars)
-            for n, s in enumerate(term["coeffs"][: order + 1]):
-                p.slices[n][key] += coeff_from_str(s)
-        return p._drop_zeros()

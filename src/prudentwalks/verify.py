@@ -30,13 +30,13 @@ def first_divergence(routes):
     return worst
 
 
-def verify_class(walk_class, max_n_oracle, series_order, table_order=None):
+def verify_class(walk_class, max_n_oracle, series_order):
     """Compute the four counting routes for one class and compare them."""
     closed = closedforms.length_series(walk_class, series_order)
     routes = {
         "oracle": enumerate_counts(walk_class, max_n_oracle),
         "iteration": funceq.length_series(walk_class, series_order).specialize_ones().integer_coeffs(),
-        "ext_table": ExtTable(walk_class, table_order or series_order).counts(),
+        "ext_table": ExtTable(walk_class, series_order).counts(),
         "closed_form": None if closed is None else closed.integer_coeffs(),
     }
     routes = {name: counts for name, counts in routes.items() if counts is not None}

@@ -160,6 +160,8 @@ class _Walk:
 
     @classmethod
     def from_json(cls, obj):
+        if "steps" not in obj:
+            raise ValueError('missing "steps", the list of steps')
         steps = obj["steps"]
         if not isinstance(steps, (list, str)):
             raise ValueError('"steps" must be a list of steps, not %r' % (steps,))
@@ -220,7 +222,7 @@ class TriWalk(_Walk):
     lattice = "tri"
     _vectors = TRI_STEP_VECTORS
     _codes = {k: d for d, name in enumerate(TRI_STEP_NAMES) for k in (name, d, str(d))}
-    _accepted = "triangular steps are the codes 0-5 (NW, NE, E, SE, SW, W)"
+    _accepted = "triangular steps are the digits 0-5 in text, and in JSON also the names NW, NE, E, SE, SW, W"
 
     def to_text(self):
         return "".join(str(s) for s in self.steps)
@@ -233,7 +235,12 @@ class TriWalk(_Walk):
 
 
 def walk_from_json(obj):
-    return TriWalk.from_json(obj) if obj["lattice"] == "tri" else SquareWalk.from_json(obj)
+    """The walk of a JSON object {"lattice": "square" or "tri", "steps": [...]}."""
+    for cls in (SquareWalk, TriWalk):
+        if obj.get("lattice") == cls.lattice:
+            return cls.from_json(obj)
+    problem = "unknown lattice %r" % (obj["lattice"],) if "lattice" in obj else 'missing "lattice"'
+    raise ValueError('%s: the lattices are "square" and "tri"' % problem)
 
 
 # --------------------------------------------------------------------------

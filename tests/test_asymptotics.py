@@ -148,10 +148,10 @@ def _aitken_full(seq):
     return out or list(seq)
 
 
-def _growth_full(coeffs, stages):
+def _growth_full(coeffs):
     seq = [Fraction(b, a) for a, b in zip(coeffs, coeffs[1:])]
     values = []
-    for _ in range(stages):
+    for _ in range(3):
         seq = _aitken_full(seq)
         values.append(float(seq[-1]))
     return seq[-1], values
@@ -175,26 +175,17 @@ def _closed_form_counts(order):
 def test_growth_estimate_equals_full_aitken():
     inputs = list(_closed_form_counts(40).values())
     inputs.append([n * n + 3 ** n for n in range(20)])
+    fibonacci = [1, 1]
+    while len(fibonacci) < 20:  # the fewest coefficients accepted
+        fibonacci.append(fibonacci[-1] + fibonacci[-2])
+    inputs.append(fibonacci)
     for coeffs in inputs:
-        for stages in (1, 2, 3, 4):
-            mu, diag = growth_estimate(coeffs, stages=stages)
-            exact, values = _growth_full(coeffs, stages)
-            assert diag["mu_hat_exact"] == exact
-            assert diag["stages"] == values
-            assert mu == float(exact)
-            assert diag["raw_ratio_last"] == float(Fraction(coeffs[-1], coeffs[-2]))
-
-
-def test_growth_estimate_stages_beyond_the_sequence():
-    # 19 ratios support 9 full stages; later stages repeat the last value
-    coeffs = [1, 1]
-    while len(coeffs) < 20:
-        coeffs.append(coeffs[-1] + coeffs[-2])
-    for stages in (9, 10, 12):
-        _, diag = growth_estimate(coeffs, stages=stages)
-        exact, values = _growth_full(coeffs, stages)
+        mu, diag = growth_estimate(coeffs)
+        exact, values = _growth_full(coeffs)
         assert diag["mu_hat_exact"] == exact
         assert diag["stages"] == values
+        assert mu == float(exact)
+        assert diag["raw_ratio_last"] == float(Fraction(coeffs[-1], coeffs[-2]))
 
 
 def test_amplitude_estimate_equals_full_aitken():

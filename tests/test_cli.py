@@ -118,22 +118,31 @@ def test_render_rejects_bad_walk(capsys):
     assert code == 2
 
 
+TRI_STEPS = "triangular steps are the digits 0-5 in text, and in JSON also the names NW, NE, E, SE, SW, W"
+LATTICES = 'the lattices are "square" and "tri"'
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (("--steps", "XYZ"), "bad step 'X': square steps are N, E, S, W (codes 0-3)"),
-        (("--lattice", "tri", "--steps", "N"),
-         "bad step 'N': triangular steps are the codes 0-5 (NW, NE, E, SE, SW, W)"),
+        (("--lattice", "tri", "--steps", "N"), "bad step 'N': " + TRI_STEPS),
+        (("--lattice", "tri", "--steps", "NW"), "bad step 'N': " + TRI_STEPS),
         (("--steps", '{"lattice": "square", "steps": [[1]]}'), "bad step [1]: square steps"),
         (("--steps", '{"lattice": "tri", "steps": [6]}'), "bad step 6: triangular steps"),
         (("--steps", '{"lattice": "square", "steps": 5}'), '"steps" must be a list of steps, not 5'),
+        (("--steps", '{"lattice": "hex", "steps": ["N", "E"]}'), "unknown lattice 'hex': " + LATTICES),
+        (("--steps", '{"steps": ["N"]}'), 'missing "lattice": ' + LATTICES),
+        (("--steps", '{"lattice": "square"}'), 'missing "steps"'),
     ],
-    ids=["square-letter", "tri-letter", "unhashable", "tri-code", "steps-not-a-list"],
+    ids=["square-letter", "tri-letter", "tri-name", "unhashable", "tri-code", "steps-not-a-list",
+         "unknown-lattice", "no-lattice", "no-steps"],
 )
 def test_render_names_the_bad_step(capsys, argv, message):
     code, out, err = run(capsys, "render", *argv)
     assert code == 2
     assert out == ""
+    assert err.startswith("error: cannot parse walk: ")
     assert message in err
     assert "Traceback" not in err
 

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from prudentwalks.closedforms import (
-    TruncationError,
     kernel_root_at,
     q_series,
     three_sided_closed,
@@ -82,13 +81,21 @@ def test_kernel_root_at_the_variable_matches_fixed_point():
             assert {k: type(c) for k, c in g.items()} == {k: type(c) for k, c in w.items()}
 
 
+def _power(x, m):
+    """x^m by repeated multiplication."""
+    out = TSeries.one(x.order)
+    for _ in range(m):
+        out = out * x
+    return out
+
+
 def _u_of_uqi_by_substitution(i, order):
     """U(u q^i) = sum_j U_j(t) q^(i j) u^j, with U_j(t) the coefficient of w^j
     in the fixed-point U(t;w)."""
     q = q_series(order)
     out = CPoly(("u",), order)
     for (j,), coeff in _kernel_root_u_of_w(order).terms().items():
-        piece = (coeff * q ** (i * j)).normalized()
+        piece = (coeff * _power(q, i * j)).normalized()
         for n, c in enumerate(piece.coeffs):
             if c:
                 out.slices[n][(j,)] = c
@@ -101,7 +108,7 @@ def test_kernel_root_at_u_q_power_matches_substitution():
     for i in range(7):
         want = _u_of_uqi_by_substitution(i, N)
         for L in range(N + 1):
-            got = kernel_root_at(CPoly.from_tseries(("u",), (q ** i).truncate(L), (1,)))
+            got = kernel_root_at(CPoly.from_tseries(("u",), _power(q, i).truncate(L), (1,)))
             _assert_same_series([got], [want.truncate(L)])
 
 
@@ -250,11 +257,6 @@ def test_three_sided_summand_valuations_grow():
     assert all(b >= a + 3 for a, b in zip(vals, vals[1:]))
 
 
-def test_three_sided_k_terms_too_small():
-    with pytest.raises(TruncationError):
-        three_sided_length_series(30, k_terms=2)
-
-
 def _full_order_setup(order):
     """closedforms._kernel_setup with every power q^m built at the full
     internal order order + 1 and only then cut to the order asked for."""
@@ -272,7 +274,7 @@ def _full_order_setup(order):
     return q_power, A, B
 
 
-def _full_order_sum(u_at, A, B, one, order, k_terms):
+def _full_order_sum(u_at, A, B, one, order):
     """closedforms._kernel_sum with every root, numerator product, inverse
     and phi term of every summand at the full order."""
     M = order + 1
@@ -292,22 +294,18 @@ def _full_order_sum(u_at, A, B, one, order, k_terms):
         term = (numprod.truncate(order) * invden.truncate(order) * (1 + phi + phi_next)).normalized()
         if term.is_zero():
             break
-        if k_terms is not None and k >= k_terms:
-            raise TruncationError(
-                "k_terms=%d leaves a nonzero summand at order %d" % (k_terms, order)
-            )
         total = total + (term if k % 2 == 0 else -term)
         k += 1
     return total
 
 
-def _three_sided_full_order(route, order, k_terms=None):
-    """route(order, k_terms), a 3-sided expansion, through the full-order
-    kernel sum above instead of the per-summand truncated one."""
+def _three_sided_full_order(route, order):
+    """route(order), a 3-sided expansion, through the full-order kernel sum
+    above instead of the per-summand truncated one."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(closedforms, "_kernel_setup", _full_order_setup)
         mp.setattr(closedforms, "_kernel_sum", _full_order_sum)
-        return route(order, k_terms)
+        return route(order)
 
 
 def _coefficient_types(x):
@@ -336,16 +334,12 @@ def test_three_sided_truncated_summands_match_full_order():
 
 
 @pytest.mark.parametrize("route", [three_sided_length_series, three_sided_closed])
-def test_three_sided_k_terms_match_full_order(route):
-    for k_terms in range(9):
-        try:
-            want = _three_sided_full_order(route, 30, k_terms)
-        except TruncationError as exc:
-            with pytest.raises(TruncationError) as got:
-                route(30, k_terms)
-            assert str(got.value) == str(exc)
-        else:
-            _assert_same_series(route(30, k_terms), want)
+def test_three_sided_matches_full_order_at_orders_0_to_40(route):
+    # every order cuts the summands at different places; each result is the
+    # full-order reference at order 40 cut to its own order
+    want = _three_sided_full_order(route, 40)
+    for order in range(41):
+        _assert_same_series(route(order), [x.truncate(order) for x in want])
 
 
 def test_q_power_refuses_an_order_above_the_one_it_was_built_at():
@@ -371,7 +365,7 @@ def test_triangular_closed_values():
     assert y_alg_residual_of(Y).is_zero()
 
 
-def _triangular_full_order(order, k_terms=None):
+def _triangular_full_order(order):
     """triangular_closed with every running factor at the full order N."""
     N = order
     Y = y_series(N)
@@ -388,8 +382,6 @@ def _triangular_full_order(order, k_terms=None):
         term = (ypow.shift(k * (k + 1) // 2) * numfac * invden).normalized()
         if term.is_zero():
             break
-        if k_terms is not None and k >= k_terms:
-            raise TruncationError("k_terms=%d" % k_terms)
         total = total + term
         k += 1
     R1t = ((one + Y) * (one + Y.shift(1)) * total).normalized()
@@ -403,23 +395,10 @@ def _triangular_full_order(order, k_terms=None):
 
 
 def test_triangular_truncated_summands_match_full_order():
-    N = 60
-    for got, want in zip(triangular_closed(N), _triangular_full_order(N)):
-        assert got == want
-        assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
-    for k_terms in range(12):
-        try:
-            want = _triangular_full_order(N, k_terms)
-        except TruncationError:
-            with pytest.raises(TruncationError):
-                triangular_closed(N, k_terms)
-        else:
-            assert triangular_closed(N, k_terms) == want
-
-
-def test_triangular_k_terms_too_small():
-    with pytest.raises(TruncationError):
-        triangular_closed(30, k_terms=2)
+    _assert_same_series(triangular_closed(60), _triangular_full_order(60))
+    want = _triangular_full_order(40)
+    for order in range(41):
+        _assert_same_series(triangular_closed(order), [x.truncate(order) for x in want])
 
 
 def test_triangular_kernel_parametrization():
@@ -537,13 +516,13 @@ def euler_identity_check(order, a):
     while n * (n + 1) // 2 <= N:
         lhs = lhs + (poch_a * inv_poch_t).shift(n * (n + 1) // 2)
         poch_a = (poch_a * (one - a.shift(n))).normalized()
-        inv_poch_t = (inv_poch_t * (one - TSeries.t(N, n + 1)).inv()).normalized()
+        inv_poch_t = (inv_poch_t * (one - TSeries.from_terms(N, {n + 1: 1})).inv()).normalized()
         n += 1
     rhs = one
     va = a.valuation() if not a.is_zero() else N + 1
     m = 1
     while m <= N or va + 2 * m - 1 <= N:
-        f = one + TSeries.t(N, m) if m <= N else one
+        f = one + TSeries.from_terms(N, {m: 1}) if m <= N else one
         g = one - a.shift(2 * m - 1) if va + 2 * m - 1 <= N else one
         rhs = (rhs * f * g).normalized()
         m += 1
@@ -559,7 +538,7 @@ def test_euler_identity_comment_value():
     # a = t^3/(1-2t^2)^2 reproduces the product form of the especially
     # simple specialization of the right-edge series
     N = 30
-    a = TSeries.t(N, 3) * (
+    a = TSeries.from_terms(N, {3: 1}) * (
         TSeries.from_terms(N, {0: 1, 2: -2}) * TSeries.from_terms(N, {0: 1, 2: -2})
     ).inv()
     assert euler_identity_check(N, a)

@@ -24,6 +24,8 @@ KEPT = {
     "_Walk.endpoint": "the endpoint of a walk, the point its endpoint statistics are read at",
 }
 
+KEPT_PARAMS = {}  # "function(param)" or "Class.method(param)": the reason it stays
+
 
 def _public(name):
     return not name.startswith("_")
@@ -87,3 +89,82 @@ def test_every_kept_name_is_still_defined_and_unused():
     definitions, _ = _definitions_and_references()
     assert set(KEPT) <= set(definitions)
     assert set(KEPT) <= _unreferenced()
+
+
+def _calls():
+    """(name, positional count, starred, keywords, double-starred) for every
+    call in the scanned files, named by its function's name or attribute."""
+    out = []
+    for path in SCANNED:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            out.append((name, len(node.args), starred, keywords - {None}, None in keywords))
+    return out
+
+
+def _default_parameters():
+    """{"name(param)": (call names, positional index or None, param)} for each
+    parameter with a default of a package function or method."""
+    functions, bases = [], {}  # functions: (qualname, class name or None, def)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(top, ast.FunctionDef):
+                functions.append((top.name, None, top))
+            elif isinstance(top, ast.ClassDef):
+                bases[top.name] = {b.id for b in top.bases if isinstance(b, ast.Name)}
+                for node in top.body:
+                    if isinstance(node, ast.FunctionDef) and (
+                        not node.name.startswith("__") or node.name == "__init__"
+                    ):
+                        functions.append(("%s.%s" % (top.name, node.name), top.name, node))
+
+    def subclasses(cls):
+        found = {cls}
+        while True:
+            more = {c for c, bs in bases.items() if bs & found} - found
+            if not more:
+                return found
+            found |= more
+
+    out = {}
+    for qualname, owner, node in functions:
+        call_names = subclasses(owner) if node.name == "__init__" else {node.name}
+        a = node.args
+        positional = a.posonlyargs + a.args
+        static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        skip = 1 if owner and not static else 0  # self or cls
+        for i in range(len(positional) - len(a.defaults), len(positional)):
+            name = positional[i].arg
+            out["%s(%s)" % (qualname, name)] = (call_names, i - skip, name)
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                out["%s(%s)" % (qualname, arg.arg)] = (call_names, None, arg.arg)
+    return out
+
+
+def _unset_parameters():
+    calls = _calls()
+    return {
+        key for key, (names, index, param) in _default_parameters().items()
+        if not any(
+            name in names and (
+                param in keywords or double or (index is not None and (starred or index < npos))
+            )
+            for name, npos, starred, keywords, double in calls
+        )
+    }
+
+
+def test_every_default_parameter_is_passed_by_some_call():
+    unset = sorted(_unset_parameters() - set(KEPT_PARAMS))
+    assert not unset, "default parameters no call in src/ or perfbench/ passes: %s" % unset
+
+
+def test_every_kept_parameter_is_still_defined_and_unset():
+    assert set(KEPT_PARAMS) <= set(_default_parameters())
+    assert set(KEPT_PARAMS) <= _unset_parameters()
