@@ -84,7 +84,7 @@ def y_alg_residual_of(Y):
     """Y - t/(1-t)(1+Y)(1+tY), which must vanish identically."""
     N = Y.order
     one = TSeries.one(N)
-    rhs = TSeries.t(N) * _ts(N, {0: 1, 1: -1}).inv() * (one + Y) * (one + Y.shift(1))
+    rhs = TSeries.t(N) * (one + Y) * (one + Y.shift(1)) / _ts(N, {0: 1, 1: -1})
     return Y - rhs
 
 
@@ -115,11 +115,8 @@ def two_sided_closed(order):
     U = U1.truncate(order)
     V = U1.shift_down(1)  # U/t, constant term 1
     # U/(2t - U) = V/(2 - V); 2 - V has constant term 1
-    body = (V * (2 - V).inv()).normalized().truncate(order)
-    pref = (
-        _ts(order, {0: 2, 2: -2}) * _ts(order, {0: 1, 1: -1}) * body
-        * (1 - U.shift(1)).inv()
-    )
+    body = (V / (2 - V)).normalized().truncate(order)
+    pref = _ts(order, {0: 2, 2: -2}) * _ts(order, {0: 1, 1: -1}) * body / (1 - U.shift(1))
     # 1/(1 - uU) = sum_m u^m U^m; coeff runs through pref * U^m
     P = CPoly.zero(("u",), order)
     coeff = pref.normalized()
@@ -147,9 +144,9 @@ def two_sided_endpoint_closed(order):
     V = U.mul_mono((0, -1)).shift_down(1)  # U/(tz), constant term 1
     N = V.order
     # 2 z^3/((z^2-uU)(z-tU)) = 2/((1 - u U z^-2)(1 - t U z^-1)), U/(2tz-U) = V/(2-V)
-    pref = V * (2 - V).inv() * _ts(N, {0: 2, 2: -2}) * (1 - CPoly.monomial(uz, N, (0, 1), tpow=1))
+    pref = V / (2 - V) * _ts(N, {0: 2, 2: -2}) * (1 - CPoly.monomial(uz, N, (0, 1), tpow=1))
     U = U.truncate(N)
-    P = pref * (1 - U.mul_mono((1, -2))).inv() * (1 - U.mul_mono((0, -1), 1)).inv() - 1
+    P = pref / (1 - U.mul_mono((1, -2))) / (1 - U.mul_mono((0, -1), 1)) - 1
     return P.normalized()
 
 
@@ -161,7 +158,7 @@ def _phi(x):
     """(x - t)/(t (1 - t x)) for a kernel-root series x = t + O(t^2), over
     TSeries or CPoly alike."""
     N = x.order
-    return ((x.shift_down(1) - 1) * (1 - x.truncate(N - 1).shift(1)).inv()).normalized()
+    return ((x.shift_down(1) - 1) / (1 - x.truncate(N - 1).shift(1))).normalized()
 
 
 def _kernel_setup(order):
@@ -183,8 +180,8 @@ def _kernel_setup(order):
             qpow.append((qpow[-1].truncate(L) * q).normalized())
         return qpow[m].truncate(L)
 
-    A = (TSeries.t(M) * (1 - (q * TSeries.t(M))).inv()).normalized()
-    B = ((1 - q.shift(1)) * _ts(M, {0: 1, 2: -1}).inv()).normalized()
+    A = (TSeries.t(M) / (1 - q.shift(1))).normalized()
+    B = ((1 - q.shift(1)) / _ts(M, {0: 1, 2: -1})).normalized()
     return q_power, A, B
 
 
@@ -194,35 +191,36 @@ def _kernel_sum(u_at, A, B, one, order):
         sum_k (-1)^k prod_{1<=i<=k} (A - U_i) / prod_{i<=k} (B - U_i)
                      * (1 + phi(U_k) + phi(U_{k+1})),
 
-    with U_i to t^L given by u_at(i, L).  The numerator product of summand k
-    has measured valuation v_k (at least 3k), and is kept divided by t^v_k;
-    the other factors, invden = 1/prod (B - U_i), phi(U_k), phi(U_{k+1}) and
-    U_{k+1} (to t^(L+1), since phi consumes one) are carried only to
-    L = order - v_k, and each summand is raised by t^v_k into the total.  The
-    loop stops once the numerator, hence the summand, vanishes modulo
-    t^(order+1).  `one` is the ring's unit at the internal order of A and B.
+    with U_i to t^L given by u_at(i, L).  The ratio of products is carried as
+    one running quotient quot = prod (A - U_i) / prod (B - U_i) / t^v_k: step
+    k multiplies it by A - U_k, measures the valuation w of that product (at
+    least 3; since prod (B - U_i) is a unit, it is what the numerator's
+    valuation v_k gains), divides by t^w and then by B - U_k.  So quot,
+    phi(U_k), phi(U_{k+1}) and U_{k+1} (to t^(L+1), since phi consumes one)
+    are carried only to L = order - v_k, and each summand is raised by t^v_k
+    into the total.  The loop stops once the numerator, hence the summand,
+    vanishes modulo t^(order+1).  `one` is the ring's unit at the internal
+    order of A and B.
     """
     N = order
     u, u_next = u_at(0, N + 1), u_at(1, N + 1)
     phi, phi_next = _phi(u), _phi(u_next)
     total = one.truncate(N) * 0
-    numprod = one.truncate(N)  # prod (A - U_i) / t^v, to t^(N - v)
-    invden = (B - u.truncate(N)).inv()
+    quot = one / (B - u.truncate(N))
     v = k = 0
     while True:
         if k > 0:  # U_k and phi(U_k) carry over from step k-1
             u = u_next
-            numprod = (numprod * (A - u)).normalized()
-            w = numprod.valuation()
+            num = quot * (A - u)
+            w = num.valuation()
             if w is None:
                 break
             v += w
             L = N - v
-            numprod = numprod.shift_down(w)
+            quot = (num.shift_down(w) / (B - u.truncate(L))).normalized()
             u_next = u_at(k + 1, L + 1)
             phi, phi_next = phi_next.truncate(L), _phi(u_next)
-            invden = (invden.truncate(L) * (B - u.truncate(L)).inv()).normalized()
-        term = (numprod * invden * (1 + phi + phi_next)).normalized()
+        term = (quot * (1 + phi + phi_next)).normalized()
         total = total + _raised(term if k % 2 == 0 else -term, v, N)
         k += 1
     return total
@@ -241,9 +239,9 @@ def three_sided_length_series(order):
     T = _kernel_sum(u_of_qi, A, B, TSeries.one(M), N)
     qN = q_power(1, N)
     P1 = (
-        _ts(N, {0: 1, 1: -2, 2: -1}).inv()
-        * (2 * qN.shift(2) * T + _ts(N, {0: 1, 1: 1}) * (_ts(N, {0: 2, 1: -1}) - qN.shift(2)) * (1 - qN.shift(1)).inv())
-        - _ts(N, {0: 1, 1: -1}).inv()
+        (2 * qN.shift(2) * T + _ts(N, {0: 1, 1: 1}) * (_ts(N, {0: 2, 1: -1}) - qN.shift(2)) / (1 - qN.shift(1)))
+        / _ts(N, {0: 1, 1: -2, 2: -1})
+        - TSeries.one(N) / _ts(N, {0: 1, 1: -1})
     ).normalized()
     return T, P1
 
@@ -270,18 +268,17 @@ def three_sided_closed(order):
     Nt = T.order
     Uu = u_of_uqi(0, Nt)
     one_t = CPoly.from_tseries(uvar, _ts(Nt, {0: 1, 1: 1}))
-    r = one_t * (1 - Uu.shift(1)).inv()  # (1+t)/(1-tU)
+    r = one_t / (1 - Uu.shift(1))  # (1+t)/(1-tU)
     # 1 - t - tu - t^2 u, truncated like every other factor at t^Nt
     den2 = CPoly.from_tseries(uvar, _ts(Nt, {0: 1, 1: -1})) - CPoly.from_tseries(
         uvar, _ts(Nt, {1: 1, 2: 1}), (1,)
     )
-    P = CPoly.from_tseries(uvar, _ts(Nt, {0: 1, 1: -2, 2: -1}).inv()) * (
+    P = (
         Uu.shift(2) * T * 2
         + (CPoly.from_tseries(uvar, _ts(Nt, {0: 2, 1: -1})) - Uu.shift(2)) * r
-        - (1 - Uu) * one_t * (1 - CPoly.monomial(uvar, Nt, (1,))) * den2.inv()
-        * (T.shift(2) + r.shift(1)) * 2
-    )
-    P = (P - CPoly.from_tseries(uvar, _ts(Nt, {0: 1, 1: -1}).inv())).normalized()
+        - (1 - Uu) * one_t * (1 - CPoly.monomial(uvar, Nt, (1,))) * (T.shift(2) + r.shift(1)) * 2 / den2
+    ) / _ts(Nt, {0: 1, 1: -2, 2: -1})
+    P = (P - CPoly.constant(uvar, Nt) / _ts(Nt, {0: 1, 1: -1})).normalized()
     T1t = T.specialize_ones().normalized()
     P1 = P.specialize_ones().normalized()
     return T1t, P, P1
@@ -297,30 +294,26 @@ def triangular_closed(order):
     R(t;1,t) = (1+Y)(1+tY) sum_k t^C(k+1,2) (Y(1-2t^2))^k / (Y(1-2t^2);t)_{k+1}
     * (Y t^2/(1-2t^2); t)_k, with the (1-2t^2) powers cancelled exactly:
     (Y(1-2t^2))^k (Yt^2/(1-2t^2);t)_k = Y^k prod_i (1-2t^2 - Y t^(2+i)).
-    Summand k starts at t^C(k+1,2), so its three running factors are carried
-    only to order L = N - C(k+1,2).
+    Summand k starts at t^C(k+1,2) and is carried divided by it, to order
+    L = N - C(k+1,2), as one running quotient: summand k is summand k-1 times
+    Y (1 - 2t^2 - Y t^(k+1)) / (1 - Y(1-2t^2) t^k).
     """
     N = order
     Y = y_series(N)
     one = TSeries.one(N)
     YB = (Y * _ts(N, {0: 1, 2: -2})).normalized()  # Y (1-2t^2)
+    Y2 = (Y * Y).normalized()
     total = TSeries.zero(N)
-    ypow = one
-    numfac = one
-    invden = (one - YB).inv()  # (Y(1-2t^2); t)_1 inverse
+    summand = one / (one - YB)  # 1 / (Y(1-2t^2); t)_1
     k = 0
     while True:
         tri = k * (k + 1) // 2
         if tri > N:
             break
-        L = N - tri
         if k > 0:
-            YL = Y.truncate(L)
             # a product has the lower order of its factors
-            ypow = (ypow * YL).normalized()
-            numfac = (numfac * (_ts(L, {0: 1, 2: -2}) - YL.shift(k + 1))).normalized()
-            invden = (invden * (1 - YB.truncate(L).shift(k)).inv()).normalized()
-        term = _raised((ypow * numfac * invden).normalized(), tri, N)
+            summand = (summand.truncate(N - tri) * (YB - Y2.shift(k + 1)) / (1 - YB.shift(k))).normalized()
+        term = _raised(summand, tri, N)
         if term.is_zero():
             break
         total = total + term
@@ -328,9 +321,7 @@ def triangular_closed(order):
     R1t = ((one + Y) * (one + Y.shift(1)) * total).normalized()
     P1 = (
         1
-        + _ts(N, {1: 6, 2: 6})
-        * _ts(N, {0: 1, 1: -3, 2: -2}).inv()
-        * (one + _ts(N, {1: 1, 2: 2}) * R1t)
+        + _ts(N, {1: 6, 2: 6}) * (one + _ts(N, {1: 1, 2: 2}) * R1t) / _ts(N, {0: 1, 1: -3, 2: -2})
     ).normalized()
     return Y, R1t, P1
 
@@ -339,7 +330,7 @@ def length_series(walk_class, order):
     """P(t;1) for one class from its closed form, or None for general
     prudent walks, which have none."""
     if walk_class is WalkClass.ONE_SIDED:
-        return _ts(order, {0: 1, 1: 1}) * _ts(order, {0: 1, 1: -2, 2: -1}).inv()
+        return _ts(order, {0: 1, 1: 1}) / _ts(order, {0: 1, 1: -2, 2: -1})
     if walk_class is WalkClass.TWO_SIDED:
         return two_sided_closed(order)[2]
     if walk_class is WalkClass.THREE_SIDED:
@@ -401,10 +392,7 @@ def triangular_kernel_parametrization_residual(order):
     xv = ("x",)
     x = CPoly.monomial(xv, N, (1,))
     one = CPoly.constant(xv, N)
-    u = (x * CPoly.from_tseries(xv, _ts(N, {0: 1, 1: -1}))) * (
-        (one + x.shift(1)) * (one + x.shift(2))
-    ).inv()
-    u = u.normalized()
+    u = (x * _ts(N, {0: 1, 1: -1}) / ((one + x.shift(1)) * (one + x.shift(2)))).normalized()
     v = u.substitute("x", ("t", "x")).normalized()  # U(tx)
     K = (u - v.shift(1)) * (v - u.shift(1)) - (
         u * v * (u + v) * CPoly.from_tseries(xv, _ts(N, {1: 1, 3: -1}))

@@ -141,7 +141,7 @@ def solve_2sided(order):
 def rhs_2sided(T):
     """One application of the 2-sided RHS to a CPoly in u."""
     N = T.order
-    one_tu = CPoly.geom(("u",), N, 1, (1,))
+    one_tu = CPoly.geom(("u",), N, (1,))
     out = one_tu + T.substitute("u", "t").mul_mono(tpow=1)
     out = out + (one_tu * T).mul_mono((1,), 2)
     out = out + T.mul_mono((1,)).divided_difference("u", "t").mul_mono(tpow=1)
@@ -233,7 +233,7 @@ def rhs_3sided(T, R):
     Tp = Tp + T.mul_mono((1, 0)).divided_difference("u", ("t", "v")).mul_mono(tpow=1)
     Tp = Tp + T.mul_mono((0, 1)).divided_difference("v", ("t", "u")).mul_mono(tpow=1)
     Tp = Tp - T.mul_mono(tpow=1)
-    one_tu = CPoly.geom(("u", "w"), N, 1, (1, 0))
+    one_tu = CPoly.geom(("u", "w"), N, (1, 0))
     T_tw_w = T.substitute("u", ("t", "v")).reorder(("v",)).rename({"v": "w"}).reorder(("u", "w"))
     Rp = one_tu + (one_tu * R).mul_mono((1, 1), 2)
     Rp = Rp + R.mul_mono((1, 0)).divided_difference("u", "t").mul_mono((0, 1), 1)

@@ -13,7 +13,7 @@ one-variable CPoly by `ts_compose`.
 
 Divided differences are computed monomial-wise through the finite geometric
 sum (x^i - r^i)/(x - r) = sum_k x^(i-1-k) r^k.  No rational-function
-arithmetic appears anywhere in this module.  A CPoly product, inverse and
+arithmetic appears anywhere in this module.  A CPoly product, quotient and
 square root pack each exponent tuple into one mixed-radix int, so their
 inner loops add ints, and unpack the keys once per output slice.
 """
@@ -35,6 +35,13 @@ def _half(c):
     if isinstance(c, int):
         return c // 2 if c % 2 == 0 else Fraction(c, 2)
     return c / 2
+
+
+def _unit_inverse(c0):
+    """1/c0 for a divisor's constant term c0; c0 = +-1 gives the int +-1."""
+    if not c0:
+        raise SeriesError("division needs a divisor with a nonzero constant term")
+    return int(c0) if c0 in (1, -1) else Fraction(1, 1) / c0
 
 
 def coeff_to_str(c):
@@ -201,29 +208,25 @@ class TSeries:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        """Exact quotient q = self/other, other with constant term d_0 != 0: one
+        pass of q_m = (a_m - sum_{k>=1} d_k q_(m-k)) / d_0 over nonzero d_k."""
+        b0 = _unit_inverse(other.coeffs[0])
+        order = min(self.order, other.order)
+        terms = [(k, dk) for k, dk in enumerate(other.coeffs[1: order + 1], 1) if dk]
+        out = self.coeffs[: order + 1]
+        for m in range(order + 1):
+            s = out[m]
+            for k, dk in terms:
+                if k > m:
+                    break
+                s -= dk * out[m - k]
+            out[m] = s if b0 == 1 else b0 * s
+        return TSeries(out, order)
+
     def inv(self):
         """Multiplicative inverse; requires a nonzero constant term."""
-        c0 = self.coeffs[0]
-        if not c0:
-            raise SeriesError("TSeries.inv requires a nonzero constant term")
-        if c0 == 1:
-            b0 = 1
-        elif c0 == -1:
-            b0 = -1
-        else:
-            b0 = Fraction(1, 1) / c0
-        n = self.order
-        out = [0] * (n + 1)
-        out[0] = b0
-        a = self.coeffs
-        for m in range(1, n + 1):
-            s = 0
-            for k in range(1, m + 1):
-                ak = a[k]
-                if ak:
-                    s += ak * out[m - k]
-            out[m] = -b0 * s if b0 != 1 else -s
-        return TSeries(out, n)
+        return TSeries.one(self.order) / self
 
     def sqrt(self):
         """Square root with constant term 1; r*r == self mod t^(order+1).
@@ -433,13 +436,11 @@ class CPoly:
         return p
 
     @classmethod
-    def geom(cls, vars, order, tpow, exps):
-        """1/(1 - t^tpow * mono(exps)); requires tpow >= 1."""
-        if tpow < 1:
-            raise SeriesError("geom needs a positive t-power for convergence")
+    def geom(cls, vars, order, exps):
+        """1/(1 - t mono(exps))."""
         p = cls(vars, order)
-        for m in range(order // tpow + 1):
-            p.slices[m * tpow][tuple(e * m for e in exps)] = 1
+        for m in range(order + 1):
+            p.slices[m][tuple(e * m for e in exps)] = 1
         return p
 
     # -- views -------------------------------------------------------------
@@ -594,26 +595,37 @@ class CPoly:
                     tgt[key] = c
         return out
 
+    def __truediv__(self, other):
+        """Exact quotient q = self/other, other's t^0 slice a nonzero constant
+        d_0: one pass of q_m = (a_m - sum_{k>=1} d_k q_(m-k)) / d_0 over packed
+        keys, in the numerator's box widened by the divisor's power box."""
+        if isinstance(other, TSeries):
+            other = CPoly.from_tseries(self.vars, other)
+        self._check_vars(other)
+        zero_key = (0,) * len(self.vars)
+        s0 = other.slices[0]
+        if list(s0.keys()) not in ([zero_key], []):
+            raise SeriesError("CPoly division needs a divisor with a pure constant term")
+        b0 = _unit_inverse(s0.get(zero_key, 0))
+        order = min(self.order, other.order)
+        a = self.slices[: order + 1]
+        if not any(a):
+            return CPoly(self.vars, order)
+        cols, (los, his) = list(zip(*[key for slc in a for key in slc])), other._power_box()
+        pack, unpack = _packing(list(map(add, map(min, cols), los)), list(map(add, map(max, cols), his)))
+        pd = list(map(pack, other.slices[: order + 1]))
+        po = []  # packed slices of the quotient
+        for m in range(order + 1):
+            acc = dict(pack(a[m]))
+            get = acc.get
+            for key, c in _packed_products((pd[k], po[m - k]) for k in range(1, m + 1)).items():
+                acc[key] = get(key, 0) - c
+            po.append([(key, c if b0 == 1 else b0 * c) for key, c in acc.items() if c])
+        return CPoly(self.vars, order, list(map(unpack, po)))
+
     def inv(self):
         """Inverse when the t^0 slice is a nonzero constant (no catalytic part)."""
-        zero_key = (0,) * len(self.vars)
-        s0 = self.slices[0]
-        if list(s0.keys()) not in ([zero_key], []) or not s0.get(zero_key):
-            raise SeriesError("CPoly.inv needs a pure nonzero constant term")
-        c0 = s0[zero_key]
-        if c0 == 1:
-            b0 = 1
-        elif c0 == -1:
-            b0 = -1
-        else:
-            b0 = Fraction(1, 1) / c0
-        pack, unpack = _packing(*self._power_box())
-        ps = list(map(pack, self.slices))
-        po = [[(0, b0)]]  # packed slices of the inverse; 0 packs the zero key
-        for m in range(1, self.order + 1):
-            acc = _packed_products((ps[k], po[m - k]) for k in range(1, m + 1))
-            po.append([(key, -b0 * c) for key, c in acc.items() if c])
-        return CPoly(self.vars, self.order, list(map(unpack, po)))
+        return CPoly.constant(self.vars, self.order) / self
 
     def sqrt(self):
         """Square root when the t^0 slice is exactly 1."""

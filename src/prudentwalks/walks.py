@@ -224,6 +224,14 @@ class TriWalk(_Walk):
     _codes = {k: d for d, name in enumerate(TRI_STEP_NAMES) for k in (name, d, str(d))}
     _accepted = "triangular steps are the digits 0-5 in text, and in JSON also the names NW, NE, E, SE, SW, W"
 
+    @classmethod
+    def from_text(cls, text):
+        """The walk of a string of the digits 0-5, one per step."""
+        bad = [s for s in text.strip() if s not in "012345"]
+        if bad:
+            raise ValueError("bad step %r: %s" % (bad[0], cls._accepted))
+        return cls(text.strip())
+
     def to_text(self):
         return "".join(str(s) for s in self.steps)
 

@@ -118,6 +118,14 @@ def test_render_rejects_bad_walk(capsys):
     assert code == 2
 
 
+def test_render_tri_json_list_accepts_step_names(capsys):
+    # the step names are refused in the text form only
+    by_name = run(capsys, "render", "--steps", '{"lattice": "tri", "steps": ["E", "w", "NE"]}')
+    by_code = run(capsys, "render", "--steps", "251", "--lattice", "tri")
+    assert by_name[0] == 0
+    assert by_name == by_code
+
+
 TRI_STEPS = "triangular steps are the digits 0-5 in text, and in JSON also the names NW, NE, E, SE, SW, W"
 LATTICES = 'the lattices are "square" and "tri"'
 
@@ -128,6 +136,8 @@ LATTICES = 'the lattices are "square" and "tri"'
         (("--steps", "XYZ"), "bad step 'X': square steps are N, E, S, W (codes 0-3)"),
         (("--lattice", "tri", "--steps", "N"), "bad step 'N': " + TRI_STEPS),
         (("--lattice", "tri", "--steps", "NW"), "bad step 'N': " + TRI_STEPS),
+        (("--lattice", "tri", "--steps", "EW"), "bad step 'E': " + TRI_STEPS),
+        (("--lattice", "tri", "--steps", "01w"), "bad step 'w': " + TRI_STEPS),
         (("--steps", '{"lattice": "square", "steps": [[1]]}'), "bad step [1]: square steps"),
         (("--steps", '{"lattice": "tri", "steps": [6]}'), "bad step 6: triangular steps"),
         (("--steps", '{"lattice": "square", "steps": 5}'), '"steps" must be a list of steps, not 5'),
@@ -135,7 +145,8 @@ LATTICES = 'the lattices are "square" and "tri"'
         (("--steps", '{"steps": ["N"]}'), 'missing "lattice": ' + LATTICES),
         (("--steps", '{"lattice": "square"}'), 'missing "steps"'),
     ],
-    ids=["square-letter", "tri-letter", "tri-name", "unhashable", "tri-code", "steps-not-a-list",
+    ids=["square-letter", "tri-letter", "tri-name", "tri-text-name", "tri-text-lowercase-name",
+         "unhashable", "tri-code", "steps-not-a-list",
          "unknown-lattice", "no-lattice", "no-steps"],
 )
 def test_render_names_the_bad_step(capsys, argv, message):

@@ -4,9 +4,12 @@ package itself or by the benchmark under perfbench/.  A name that only tests
 call is a dead helper: it goes, or its test calls the code underneath, unless
 KEPT lists it with the reason it stays.  Methods are matched by attribute
 name, whatever the object they are looked up on.  The package's re-export of
-a name from its __init__ is not a use of it."""
+a name from its __init__ is not a use of it.  Parameters are dead too when no
+call passes a defaulted one (unless KEPT_PARAMS lists it) or when every call
+passes one the same literal (unless KEPT_CONSTANT_PARAMS lists it)."""
 
 import ast
+from functools import lru_cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -26,6 +29,16 @@ KEPT = {
 
 KEPT_PARAMS = {}  # "function(param)" or "Class.method(param)": the reason it stays
 
+# "function(param)" or "Class.method(param)" that every call passes as one
+# literal: the reason it stays a parameter
+KEPT_CONSTANT_PARAMS = {}
+
+
+@lru_cache(maxsize=None)
+def _tree(path):
+    """The parsed file, shared by every scan so that they see the same nodes."""
+    return ast.parse(path.read_text(), filename=str(path))
+
 
 def _public(name):
     return not name.startswith("_")
@@ -40,7 +53,7 @@ def _definitions_and_references():
     imports."""
     definitions, references = {}, []
     for path in SCANNED:
-        tree = ast.parse(path.read_text(), filename=str(path))
+        tree = _tree(path)
         if path.parent == PACKAGE:
             for top in tree.body:
                 if isinstance(top, (ast.Assign, ast.AnnAssign)):
@@ -92,27 +105,29 @@ def test_every_kept_name_is_still_defined_and_unused():
 
 
 def _calls():
-    """(name, positional count, starred, keywords, double-starred) for every
-    call in the scanned files, named by its function's name or attribute."""
+    """(name, positional count, starred, keywords, double-starred, call node)
+    for every call in the scanned files, named by its function's name or
+    attribute."""
     out = []
     for path in SCANNED:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for node in ast.walk(_tree(path)):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             starred = any(isinstance(a, ast.Starred) for a in node.args)
             keywords = {k.arg for k in node.keywords}
-            out.append((name, len(node.args), starred, keywords - {None}, None in keywords))
+            out.append((name, len(node.args), starred, keywords - {None}, None in keywords, node))
     return out
 
 
-def _default_parameters():
-    """{"name(param)": (call names, positional index or None, param)} for each
-    parameter with a default of a package function or method."""
+def _functions():
+    """(qualname, call names, skip, def node) for each package function and
+    method (but dunders other than __init__); skip is 1 where the first
+    parameter is self or cls."""
     functions, bases = [], {}  # functions: (qualname, class name or None, def)
     for path in sorted(PACKAGE.glob("*.py")):
-        for top in ast.parse(path.read_text(), filename=str(path)).body:
+        for top in _tree(path).body:
             if isinstance(top, ast.FunctionDef):
                 functions.append((top.name, None, top))
             elif isinstance(top, ast.ClassDef):
@@ -131,13 +146,21 @@ def _default_parameters():
                 return found
             found |= more
 
-    out = {}
+    out = []
     for qualname, owner, node in functions:
         call_names = subclasses(owner) if node.name == "__init__" else {node.name}
+        static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        out.append((qualname, call_names, 1 if owner and not static else 0, node))
+    return out
+
+
+def _default_parameters():
+    """{"name(param)": (call names, positional index or None, param)} for each
+    parameter with a default of a package function or method."""
+    out = {}
+    for qualname, call_names, skip, node in _functions():
         a = node.args
         positional = a.posonlyargs + a.args
-        static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
-        skip = 1 if owner and not static else 0  # self or cls
         for i in range(len(positional) - len(a.defaults), len(positional)):
             name = positional[i].arg
             out["%s(%s)" % (qualname, name)] = (call_names, i - skip, name)
@@ -155,7 +178,7 @@ def _unset_parameters():
             name in names and (
                 param in keywords or double or (index is not None and (starred or index < npos))
             )
-            for name, npos, starred, keywords, double in calls
+            for name, npos, starred, keywords, double, _ in calls
         )
     }
 
@@ -168,3 +191,61 @@ def test_every_default_parameter_is_passed_by_some_call():
 def test_every_kept_parameter_is_still_defined_and_unset():
     assert set(KEPT_PARAMS) <= set(_default_parameters())
     assert set(KEPT_PARAMS) <= _unset_parameters()
+
+
+def _literal(node):
+    """repr of the literal that an expression node spells, or None."""
+    try:
+        return repr(ast.literal_eval(node))
+    except (ValueError, TypeError):
+        return None
+
+
+def _constant_parameters():
+    """{"name(param)": literal} for each parameter of a package function or
+    method that every call in src/ and perfbench/ passes as the same literal;
+    a call that leaves the parameter out passes its default.  A function
+    whose name is also used other than as a call target (passed on, stored)
+    may be called where the scan cannot see, so its parameters never count."""
+    calls = _calls()
+    called = {id(node.func) for *_, node in calls}
+    _, references = _definitions_and_references()
+    out = {}
+    for qualname, call_names, skip, node in _functions():
+        own = {id(n) for n in ast.walk(node)}
+        if any(
+            name in call_names and id(ref) not in called and id(ref) not in own
+            and not isinstance(ref, ast.alias)
+            for name, ref in references
+        ):
+            continue
+        sites = [c for c in calls if c[0] in call_names]
+        a = node.args
+        positional = a.posonlyargs + a.args
+        defaults = dict(zip([p.arg for p in positional[len(positional) - len(a.defaults):]], a.defaults))
+        defaults.update((p.arg, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+        params = [(i - skip, p.arg) for i, p in enumerate(positional) if i >= skip]
+        params += [(None, p.arg) for p in a.kwonlyargs]
+        for index, param in params:
+            values = set()
+            for _, npos, starred, keywords, double, call in sites:
+                if starred or double:
+                    values.add(None)
+                elif param in keywords:
+                    values.add(_literal(next(k.value for k in call.keywords if k.arg == param)))
+                elif index is not None and index < npos:
+                    values.add(_literal(call.args[index]))
+                else:
+                    values.add(_literal(defaults[param]) if param in defaults else None)
+            if len(values) == 1 and None not in values:
+                out["%s(%s)" % (qualname, param)] = values.pop()
+    return out
+
+
+def test_no_parameter_is_the_same_literal_at_every_call():
+    constant = sorted(set(_constant_parameters()) - set(KEPT_CONSTANT_PARAMS))
+    assert not constant, "parameters every call in src/ or perfbench/ passes as one literal: %s" % constant
+
+
+def test_every_kept_constant_parameter_is_still_constant():
+    assert set(KEPT_CONSTANT_PARAMS) <= set(_constant_parameters())

@@ -9,6 +9,8 @@ from prudentwalks.series import (
     CPoly,
     SeriesError,
     TSeries,
+    _packed_products,
+    _packing,
     ts_compose,
 )
 
@@ -371,7 +373,7 @@ def test_laurent_z_exponents():
 
 
 def test_geometric_prefactor():
-    g = CPoly.geom(("u",), 5, 1, (1,))
+    g = CPoly.geom(("u",), 5, (1,))
     for n in range(6):
         assert g.slices[n] == {(n,): 1}
 
@@ -513,3 +515,144 @@ def test_cpoly_inv_and_sqrt_match_schoolbook():
             assert p.inv().slices == _schoolbook_inv(p)
             p.slices[0] = {zero: 1}
             assert p.sqrt().slices == _schoolbook_sqrt(p)
+
+
+# -- exact division against invert-and-multiply --------------------------------
+#
+# A quotient and a product with the inverse have the same value.  With
+# Fraction inputs and d_0 = +-1, an integral coefficient can come out as an
+# int on one route and as a Fraction on the other, according to which integral
+# Fractions met in it; so those cases compare normalized series.  Otherwise a
+# nonzero coefficient has the same type on both routes: ints from ints over
+# d_0 = +-1, and Fractions wherever 1/d_0 is one.
+
+def _typed(p):
+    """Coefficients with the types of the nonzero ones: a TSeries's list, a
+    CPoly's slices.  A zero is int 0 or Fraction(0) according to which terms
+    met in it, and the two routes meet different terms; every closed form
+    normalizes its zeros to int 0."""
+    if isinstance(p, TSeries):
+        return [(c, type(c) if c else 0) for c in p.coeffs]
+    return [{key: (c, type(c) if c else 0) for key, c in slc.items()} for slc in p.slices]
+
+
+def _same_quotient(got, want, fractions, c0):
+    assert got.order == want.order
+    if fractions and c0 in (1, -1):
+        got, want = got.normalized(), want.normalized()
+    assert _typed(got) == _typed(want)
+
+
+def _random_coeff(rng, fractions):
+    if fractions and rng.random() < 0.4:
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return rng.randint(-5, 5)
+
+
+def _random_tseries(rng, order, density, fractions):
+    return TSeries(
+        [_random_coeff(rng, fractions) if rng.random() < density else 0 for _ in range(order + 1)],
+        order,
+    )
+
+
+def test_tseries_division_equals_product_with_inverse():
+    rng = random.Random(1919)
+    for c0 in (1, -1, 3, Fraction(2, 5)):
+        for density in (0.2, 1.0):  # sparse and dense divisors
+            for fractions in (False, True):
+                for _ in range(15):
+                    a = _random_tseries(rng, rng.randint(0, 14), 0.7, fractions)
+                    b = _random_tseries(rng, rng.randint(0, 14), density, fractions)
+                    b.coeffs[0] = c0
+                    got = a / b
+                    assert got.order == min(a.order, b.order)
+                    _same_quotient(got, a * b.inv(), fractions, c0)
+
+
+def test_cpoly_division_equals_product_with_inverse():
+    rng = random.Random(2008)
+    for vars in [(), ("u",), ("z",), ("u", "z"), ("z", "u", "v")]:
+        zero = (0,) * len(vars)
+        for c0 in (1, -1, 3, Fraction(2, 5)):
+            for dense in (False, True):
+                for _ in range(6):
+                    a = _random_laurent_cpoly(rng, vars, rng.randint(0, 6), rng.randint(0, 10))
+                    order = rng.randint(0, 6)
+                    b = _random_laurent_cpoly(rng, vars, order, 4 * (order + 1) if dense else 3)
+                    b.slices[0] = {zero: c0}
+                    got = a / b
+                    assert got.order == min(a.order, b.order)
+                    _same_quotient(got, a * b.inv(), True, c0)
+                    ints = CPoly(vars, a.order, [
+                        {key: c for key, c in slc.items() if type(c) is int} for slc in a.slices
+                    ])
+                    b.slices = [{key: c for key, c in slc.items() if type(c) is int} for slc in b.slices]
+                    b.slices[0] = {zero: c0}
+                    _same_quotient(ints / b, ints * b.inv(), False, c0)
+    # a TSeries divisor divides as the constant-coefficient CPoly
+    a = _random_laurent_cpoly(rng, ("u", "z"), 6, 10)
+    d = _random_tseries(rng, 6, 1.0, True)
+    d.coeffs[0] = 3
+    assert _typed(a / d) == _typed(a / CPoly.from_tseries(("u", "z"), d))
+
+
+def test_division_needs_a_nonzero_constant_divisor():
+    with pytest.raises(SeriesError):
+        ts(4, {0: 1, 1: 2}) / ts(4, {1: 1})
+    p = CPoly.monomial(("u",), 3, (1,), tpow=1) + 1
+    for slice0 in [{}, {(0,): 0}, {(1,): 1}, {(0,): 1, (1,): 2}]:
+        d = CPoly.monomial(("u",), 3, (2,), tpow=1)
+        d.slices[0] = slice0
+        with pytest.raises(SeriesError):
+            p / d
+        with pytest.raises(SeriesError):
+            d.inv()
+
+
+def _loop_tseries_inv(a):
+    """1/a by the inverse's own recurrence, b_m = -b_0 sum_{k=1..m} a_k b_(m-k)."""
+    c0 = a.coeffs[0]
+    b0 = 1 if c0 == 1 else -1 if c0 == -1 else Fraction(1, 1) / c0
+    out = [b0] + [0] * a.order
+    for m in range(1, a.order + 1):
+        s = 0
+        for k in range(1, m + 1):
+            if a.coeffs[k]:
+                s += a.coeffs[k] * out[m - k]
+        out[m] = -b0 * s if b0 != 1 else -s
+    return TSeries(out, a.order)
+
+
+def _loop_cpoly_inv(p):
+    """1/p by the same recurrence over packed slices in p's power box."""
+    c0 = p.slices[0][(0,) * len(p.vars)]
+    b0 = 1 if c0 == 1 else -1 if c0 == -1 else Fraction(1, 1) / c0
+    pack, unpack = _packing(*p._power_box())
+    ps = list(map(pack, p.slices))
+    po = [[(0, b0)]]
+    for m in range(1, p.order + 1):
+        acc = _packed_products((ps[k], po[m - k]) for k in range(1, m + 1))
+        po.append([(key, -b0 * c) for key, c in acc.items() if c])
+    return list(map(unpack, po))
+
+
+def test_inv_equals_the_inverse_recurrence():
+    rng = random.Random(1808)
+
+    def full(a):  # the zeros' types too
+        return [(c, type(c)) for c in a.coeffs]
+
+    for c0 in (1, -1, 3, Fraction(2, 5), Fraction(1), Fraction(-1)):
+        for density in (0.2, 1.0):
+            for fractions in (False, True):
+                for _ in range(10):
+                    a = _random_tseries(rng, rng.randint(0, 14), density, fractions)
+                    a.coeffs[0] = c0
+                    assert full(a.inv()) == full(_loop_tseries_inv(a))
+    for vars in [(), ("u",), ("z",), ("u", "z"), ("z", "u", "v")]:
+        for c0 in (1, -1, 3, Fraction(2, 5)):
+            for _ in range(8):
+                p = _random_laurent_cpoly(rng, vars, rng.randint(0, 6), rng.randint(0, 20))
+                p.slices[0] = {(0,) * len(vars): c0}
+                assert _typed(p.inv()) == _typed(CPoly(vars, p.order, _loop_cpoly_inv(p)))
