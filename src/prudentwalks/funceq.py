@@ -8,64 +8,58 @@ times, but each coefficient is computed once).  ``rhs_*`` apply one full RHS
 pass through the generic CPoly operations; the solved series are their exact
 fixed points, which the tests verify directly.
 
-Divided-difference terms like t (u*T(u,v) - tv*T(tv,v))/(u - tv) send a
-monomial u^i v^j at t^n to t^(n+1+k) u^(i-k) v^(j+k), k = 0..i.  The solvers
-carry the part landing on slice n as a running sum D_n instead of expanding
-it: D_(n+1)(i, j) = T_n(i, j) + D_n(i+1, j-1), i.e. advance D by moving every
-key (a, b) with a >= 1 to (a-1, b+1) and dropping those with a = 0, then add
-T_n.  Geometric runs like t^2 u/(1-tu) T are carried the same way:
-G_(n+1) = u (T_(n-1) + G_n).  A slice then costs time linear in the number of
-its monomials, which also bounds the size of the running sums, so solving to
-order N costs O(N^4) for 4-sided walks, O(N^3) for 3-sided and triangular
-walks and the 2-sided refinements, and O(N^2) for 2-sided walks; expanding
-the terms monomial-wise would cost one power of N more.
+Running sums.  A divided-difference term like t (u T(u,v) - tv T(tv,v))/(u - tv)
+sends a monomial u^i v^j at t^n to t^(n+1+k) u^(i-k) v^(j+k), k = 0..i.  The
+part landing on slice n is carried as a running sum D_n instead of being
+expanded: D_(n+1)(i, j) = T_n(i, j) + D_n(i+1, j-1).  Geometric runs like
+t^2 u/(1-tu) T are carried the same way: G_(n+1) = u (T_(n-1) + G_n).
 
-The 3-sided T(u,v), the 4-sided T(u,v,w) and the triangular R(u,v) are
-symmetric under u <-> v, so their solvers build the canonical half of each
-slice, the keys with i <= j, and carry one of the two mirrored running sums,
-DU, as DV(i, j) = DU(j, i).  A canonical key takes DU(i, j) + DU(j, i), which
-is twice DU(i, i) on the diagonal, and feeds DU at (i, j) and, unless i = j,
-at (j, i).  The full slices are rebuilt once, at the end.
+Single jumps.  A term like t T(tw, w) sends u^i v^j at t^n to t^(n+1+i)
+u^0 w^(i+j).  On slice n it adds up T_(n-1-k)(k, s-k) over k, which is
+D_n(0, s): the running sum's entry at first exponent 0.  So every single jump
+is read off the boundary of a running sum the solver already carries, and a
+solver holds only the slice it builds, the previous slice and the running
+sums; nothing is scattered forward to later slices.
+
+Lines.  Slices and running sums are stored as lines: plain lists along the
+direction in which the running sum shifts, indexed by the first exponent.
+For the 3-sided T(u,v) and the triangular R(u,v) that is the anti-diagonal
+s = i + j, and the 4-sided T(u,v,w) has one line per (s, h).  The 2-sided
+systems and the 3-sided R(u,w) have one line along u per exponent of their
+other variable.  The shift (i, j) -> (i-1, j+1) is then line[1:], the
+u <-> v mirror is reversed(line), and adding running sums is map(add, ...),
+so a u <-> v-symmetric line is built whole as DU + reversed(DU), and the
+element work runs in C.  Solving to order N makes O(N^3) list operations for
+4-sided walks, O(N^2) for the other two-variable systems and O(N) for 2-sided
+walks; converting each slice once into the CPoly dict (tuple keys, zeros
+dropped) costs time linear in its monomials.  Every stored monomial
+u^i v^j w^h at t^n has i+j+h <= n, since the box dimensions are bounded by
+the length (checked by test_pruning_soundness), so slice N is exact.
 """
 
 from __future__ import annotations
 
+from itertools import compress, zip_longest
+from operator import add, sub
+
 from prudentwalks.series import CPoly, TSeries
 from prudentwalks.walks import WalkClass
 
-# The solvers truncate by t-order only: a contribution to slice m is kept iff
-# m <= N, and no monomial is skipped for its degree.  A running sum holds
-# exactly the contributions to the slice being built, so stopping after slice
-# N is the truncation.  Every stored monomial u^i v^j w^h at t^n has
-# i+j+h <= n anyway, since the box dimensions are bounded by the length
-# (checked by test_pruning_soundness).
+
+def _plus(a, b):
+    """The sum of two lines, the shorter one read as 0 past its end."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [*map(add, a, b), *a[len(b):]]
 
 
-def _merge(dst, src):
-    """Add the dict src into the dict dst, key by key."""
-    for key, c in src.items():
-        dst[key] = dst.get(key, 0) + c
-
-
-def _fold(dst, D):
-    """Add D(i, j, ...) + D(j, i, ...) into dst at the canonical keys i <= j;
-    a diagonal key is its own mirror and adds twice."""
-    for key, c in D.items():
-        i, j = key[0], key[1]
-        if i > j:
-            key = (j, i) + key[2:]
-        elif i == j:
-            c += c
-        dst[key] = dst.get(key, 0) + c
-
-
-def _mirror(half):
-    """The full u <-> v-symmetric slice whose canonical half is `half`."""
-    full = dict(half)
-    for key, c in half.items():
-        if key[0] != key[1]:
-            full[(key[1], key[0]) + key[2:]] = c
-    return full
+def _slice(pairs):
+    """The CPoly slice of (keys, line) pairs: each line's nonzero entries
+    under its keys."""
+    out = {}
+    for keys, line in pairs:
+        out.update(compress(zip(keys, line), line))
+    return out
 
 
 def length_series(walk_class, order):
@@ -103,39 +97,53 @@ def iterate_1sided(order):
 # --------------------------------------------------------------------------
 # 2-sided walks (Lemma: T(u) = walks ending on top, distance u to NE corner)
 # --------------------------------------------------------------------------
+# The 2-sided systems and the 3-sided R(u,w) keep a slice as {e: line}, one
+# line along u per exponent e of their other variable.  Each has the run
+# 1/(1-tu) on line 0, a running sum D and a geometric run G whose step moves
+# a term k lines up (k = 0 when there is no other variable).
+
+def _runs_slice(D, G, n, jumps):
+    """Slice n: D + G, the run 1/(1-tu) and each single jump (e, c), which
+    adds c at the first exponent 0 of line e."""
+    cur = {e: _plus(D.get(e, ()), G.get(e, ())) for e in D.keys() | G.keys()}
+    cur[0] = _plus(cur.get(0, ()), [0] * n + [1])
+    for e, c in jumps:
+        cur[e] = _plus(cur.get(e, ()), [c])
+    return cur
+
+
+def _next_runs(cur, prev, D, G, k):
+    """D and G after slice `cur`, whose predecessor is `prev`:
+    D_(n+1)[e+k] = cur[e] + D_n[e+k][1:], G_(n+1)[e+k] = u (prev[e] + G_n[e+k])."""
+    D = {e + k: _plus(cur.get(e, ()), D.get(e + k, ())[1:])
+         for e in cur.keys() | {e - k for e in D}}
+    G = {e + k: [0, *_plus(prev.get(e, ()), G.get(e + k, ()))]
+         for e in prev.keys() | {e - k for e in G}}
+    return D, G
+
+
+def _two_sided_lines(N, k, s):
+    """Slices 0..N of the 2-sided T (k = 0, s = 1) or of a refinement (k = 1)
+    as {e: line}; the jump back to the NE corner is T_n[e][0] += D_n[s e][0]."""
+    T = prev = D = G = {}
+    for n in range(N + 1):
+        if n:
+            D, G = _next_runs(T, prev, D, G, k)
+        prev, T = T, _runs_slice(D, G, n, [(s * e, d[0]) for e, d in D.items() if d])
+        yield T
+
 
 def solve_2sided(order):
     """Fixed point of T = 1/(1-tu) + t T(t) + t^2 u/(1-tu) T + t dd_u(uT, t).
 
-    Returns (T, P) with P = 2T - T(0); P(t;1) counts 2-sided walks.
+    Returns (T, P) with P = 2T - T(0); P(t;1) counts 2-sided walks.  T has the
+    one line along u, D carries t dd_u(uT, u->t), G carries t^2 u/(1-tu) T,
+    and t T(t) is the jump T_n(0) += D_n(0).
     """
-    N = order
-    slices = []
-    acc = [{n: 1} for n in range(N + 1)]  # 1/(1-tu)
-    D = {}  # t dd_u(uT, u->t) on slice n: D_(n+1)(i) = T_n(i) + D_n(i+1)
-    G = {}  # t^2 u/(1-tu) T on slice n: G_(n+1) = u (T_(n-1) + G_n)
-    prev = {}
-    for n in range(N + 1):
-        cur = acc[n]
-        _merge(cur, D)
-        _merge(cur, G)
-        cur = {i: c for i, c in cur.items() if c}
-        slices.append(cur)
-        if n == N:
-            break
-        _merge(G, prev)
-        G = {i + 1: c for i, c in G.items()}
-        D = {i - 1: c for i, c in D.items() if i}
-        for i, c in cur.items():
-            D[i] = D.get(i, 0) + c
-            # t * T[u:=t]
-            m = n + 1 + i
-            if m <= N:
-                acc[m][0] = acc[m].get(0, 0) + c
-        prev = cur
-    T = CPoly(("u",), N, [{(i,): c for i, c in slc.items()} for slc in slices])
-    P = CPoly(("u",), N, [{(i,): 2 * c if i else c for i, c in slc.items()} for slc in slices])
-    return T, P
+    keys = [(i,) for i in range(order + 1)]
+    Ts = [_slice([(keys, T[0])]) for T in _two_sided_lines(order, 0, 1)]
+    P = CPoly(("u",), order, [{k: 2 * c if k[0] else c for k, c in slc.items()} for slc in Ts])
+    return CPoly(("u",), order, Ts), P
 
 
 def rhs_2sided(T):
@@ -147,74 +155,46 @@ def rhs_2sided(T):
     out = out + T.mul_mono((1,)).divided_difference("u", "t").mul_mono(tpow=1)
     return out
 
-
 # --------------------------------------------------------------------------
 # 3-sided walks: T(u,v) top-enders, R(u,w) right-enders
 # --------------------------------------------------------------------------
 
 def solve_3sided(order):
-    """Fixed point of the coupled Lemma system; returns (T, R, P)."""
-    N = order
-    Ts = []  # canonical halves of T, keys (i, j) exponents of u, v with i <= j
-    Rs = []  # keys (a, b) exponents of u, w
-    accT = [dict() for _ in range(N + 1)]
-    accR = [{(n, 0): 1} for n in range(N + 1)]  # 1/(1-tu)
-    accT[0][(0, 0)] = 1  # empty walk
-    # running sums of the terms landing on slice n (module docstring)
-    DU = {}  # t dd_u(uT, u->tv): DU_(n+1)(i, j) = T_n(i, j) + DU_n(i+1, j-1)
-    DR = {}  # t w dd_u(uR, u->t): DR_(n+1)(a, b+1) = R_n(a, b) + DR_n(a+1, b+1)
-    GR = {}  # t^2 uw/(1-tu) R: GR_(n+1) = u (w R_(n-1) + GR_n)
-    prevR = {}
-    for n in range(N + 1):
-        curT = accT[n]
-        _fold(curT, DU)
-        curR = accR[n]
-        _merge(curR, DR)
-        _merge(curR, GR)
-        curT = {k: c for k, c in curT.items() if c}
-        curR = {k: c for k, c in curR.items() if c}
-        Ts.append(curT)
-        Rs.append(curR)
-        if n == N:
-            break
-        nxtT = accT[n + 1]
-        DU = {(i - 1, j + 1): c for (i, j), c in DU.items() if i}
-        for key, c in curT.items():
-            DU[key] = DU.get(key, 0) + c
-            nxtT[key] = nxtT.get(key, 0) - c  # - t T
-            # R-equation: t T(tw, w) sends (i, j) to slice n+1+i, key
-            # (0, i+j), and its mirror (j, i) to slice n+1+j
-            i, j = key
-            kr = (0, i + j)
-            if n + 1 + i <= N:
-                accR[n + 1 + i][kr] = accR[n + 1 + i].get(kr, 0) + c
-            if i != j:
-                DU[j, i] = DU.get((j, i), 0) + c
-                if n + 1 + j <= N:
-                    accR[n + 1 + j][kr] = accR[n + 1 + j].get(kr, 0) + c
-        for (a, b), c in prevR.items():
-            GR[(a, b + 1)] = GR.get((a, b + 1), 0) + c
-        GR = {(a + 1, b): c for (a, b), c in GR.items()}
-        DR = {(a - 1, b): c for (a, b), c in DR.items() if a}
-        for (a, b), c in curR.items():
-            DR[(a, b + 1)] = DR.get((a, b + 1), 0) + c
-            # T-equation: tu R(t,u) + tv R(t,v); R(t,x): u_R := t, w -> x.
-            # Only tv R(t,v) lands on the canonical half, at (0, b+1)
-            if n + 1 + a <= N:
-                accT[n + 1 + a][0, b + 1] = accT[n + 1 + a].get((0, b + 1), 0) + c
-        prevR = curR
+    """Fixed point of the coupled Lemma system; returns (T, R, P).
 
-    Ts = list(map(_mirror, Ts))
-    Ps = []  # P(t;u) = T(u,u) + 2 R(1,u) - 2 T(u,0) - t/(1-t)
+    T lies on anti-diagonal lines s = i + j and R on lines b, its w-exponent.
+    DU carries t dd_u(uT, u->tv), DR carries t w dd_u(uR, u->t) and GR carries
+    t^2 uw/(1-tu) R.  The single jumps: t T(tw, w) adds DU_n(0, s) to
+    R_n(0, s), and tu R(t,u) + tv R(t,v) add DR_n(0, s) to T_n(s, 0) and
+    T_n(0, s).
+    """
+    N = order
+    tkeys = [[(i, s - i) for i in range(s + 1)] for s in range(N + 1)]
+    rkeys = [[(a, b) for a in range(N + 1)] for b in range(N + 1)]
+    pkeys = [(e,) for e in range(N + 1)]
+    Ts, Rs, Ps = [], [], []
+    T, DU = [], []
+    R = prevR = DR = GR = {}
     for n in range(N + 1):
-        acc = {(0,): -1} if n else {}
-        for (i, j), c in Ts[n].items():
-            acc[i + j,] = acc.get((i + j,), 0) + c
-            if j == 0:
-                acc[i,] = acc.get((i,), 0) - 2 * c
-        for (a, b), c in Rs[n].items():
-            acc[b,] = acc.get((b,), 0) + 2 * c
-        Ps.append({key: c for key, c in acc.items() if c})
+        if n:
+            DU = [_plus(t, d[1:]) for t, d in zip_longest(T, DU, fillvalue=())]
+            DR, GR = _next_runs(R, prevR, DR, GR, 1)
+        # T = 1 + DU + its mirror - t T + the jumps from DR
+        T = [list(map(sub, map(add, d, reversed(d)), t)) for d, t in zip(DU, T)]
+        T.append([0] * (n + 1) if n else [1])
+        for s, d in DR.items():
+            T[s][0] += d[0]
+            T[s][s] += d[0]
+        prevR, R = R, _runs_slice(DR, GR, n, [(s, d[0]) for s, d in enumerate(DU)])
+        # P(t;u) = T(u,u) + 2 R(1,u) - 2 T(u,0) - t/(1-t)
+        P = [sum(t) - 2 * t[s] for s, t in enumerate(T)]
+        for b, r in R.items():
+            P[b] += 2 * sum(r)
+        if n:
+            P[0] -= 1
+        Ts.append(_slice(zip(tkeys, T)))
+        Rs.append(_slice((rkeys[b], r) for b, r in R.items()))
+        Ps.append(_slice([(pkeys, P)]))
     return CPoly(("u", "v"), N, Ts), CPoly(("u", "w"), N, Rs), CPoly(("u",), N, Ps)
 
 
@@ -240,57 +220,46 @@ def rhs_3sided(T, R):
     Rp = Rp + T_tw_w.mul_mono(tpow=1)
     return Tp, Rp
 
-
 # --------------------------------------------------------------------------
 # 4-sided (general prudent) walks: T(u,v,w) top-enders
 # --------------------------------------------------------------------------
 
 def solve_4sided(order):
     """Fixed point of T = 1 + G(w,u) + G(w,v) + tw dd_u(uT,tv) + tw dd_v(vT,tu)
-    - tw T with G(x,y) = t y T(x, tx, y); returns (T, P)."""
-    N = order
-    slices = []  # canonical halves, keys (i, j, h) with i <= j
-    acc = [dict() for _ in range(N + 1)]
-    acc[0][(0, 0, 0)] = 1
-    # t w dd_u(u T, u -> tv) on slice n; its mirror image is DU folded onto
-    # the canonical half (module docstring)
-    DU = {}  # DU_(n+1)(i, j, h+1) = T_n(i, j, h) + DU_n(i+1, j-1, h+1)
-    for n in range(N + 1):
-        cur = acc[n]
-        _fold(cur, DU)
-        cur = {k: c for k, c in cur.items() if c}
-        slices.append(cur)
-        if n == N:
-            break
-        nxt = acc[n + 1]
-        DU = {(i - 1, j + 1, h): c for (i, j, h), c in DU.items() if i}
-        for (i, j, h), c in cur.items():
-            key = (i, j, h + 1)
-            DU[key] = DU.get(key, 0) + c
-            nxt[key] = nxt.get(key, 0) - c  # - t w T
-            # G(w, v) = t v T(w, tw, v) sends (i, j, h) to t^(j+1) v^(h+1)
-            # w^(i+j), and its mirror (j, i, h) to t^(i+1); G(w, u) never
-            # lands on the canonical half
-            kv = (0, h + 1, i + j)
-            if n + 1 + j <= N:
-                acc[n + 1 + j][kv] = acc[n + 1 + j].get(kv, 0) + c
-            if i != j:
-                key = (j, i, h + 1)
-                DU[key] = DU.get(key, 0) + c
-                if n + 1 + i <= N:
-                    acc[n + 1 + i][kv] = acc[n + 1 + i].get(kv, 0) + c
+    - tw T with G(x,y) = t y T(x, tx, y); returns (T, P).
 
-    slices = list(map(_mirror, slices))
-    T = CPoly(("u", "v", "w"), N, slices)
-    Ps = []  # P(t;u) = 1 + 4 T(u,u,u) - 4 T(0,u,u)
-    for n, slc in enumerate(slices):
-        tgt = {(0,): 1} if n == 0 else {}
-        for (i, j, h), c in slc.items():
-            tgt[i + j + h,] = tgt.get((i + j + h,), 0) + 4 * c
-            if i == 0:
-                tgt[j + h,] = tgt.get((j + h,), 0) - 4 * c
-        Ps.append({key: c for key, c in tgt.items() if c})
-    return T, CPoly(("u",), N, Ps)
+    T[s][h] is the line of the keys (i, s-i, h).  E[s][h] is line (s, h+1) of
+    DU, which carries tw dd_u(uT, u->tv): DU_(n+1)(i, j, h+1) = T_n(i, j, h) +
+    DU_n(i+1, j-1, h+1).  By the u <-> v symmetry of T, G(w,v) + G(w,u) are the
+    jumps that add DU_n(0, h, s), last two exponents swapped, to T_n(0, s, h)
+    and T_n(s, 0, h).
+    """
+    N = order
+    keys = [[[(i, s - i, h) for i in range(s + 1)] for h in range(N + 1 - s)] for s in range(N + 1)]
+    pkeys = [(e,) for e in range(N + 1)]
+    Ts, Ps = [], []
+    T, E = [], []
+    for n in range(N + 1):
+        if n:
+            E = [[_plus(t, e[1:]) for t, e in zip_longest(ts, es, fillvalue=())]
+                 for ts, es in zip_longest(T, E, fillvalue=())]
+        # T = 1 + DU + its mirror - tw T + the jumps; no DU term has h = 0
+        T = [[[0] * (s + 1), *(list(map(sub, map(add, e, reversed(e)), t)) for e, t in zip(es, ts))]
+             for s, (es, ts) in enumerate(zip(E, T))]
+        T.append([[0] * (n + 1) if n else [1]])
+        for h, es in enumerate(E):
+            for s, e in enumerate(es, 1):
+                T[s][h][0] += e[0]
+                T[s][h][s] += e[0]
+        P = [0] * (n + 1)  # P(t;u) = 1 + 4 T(u,u,u) - 4 T(0,u,u)
+        for s, ts in enumerate(T):
+            for e, t in enumerate(ts, s):
+                P[e] += 4 * (sum(t) - t[0])
+        if not n:
+            P[0] = 1
+        Ts.append(_slice((k, t) for ks, ts in zip(keys, T) for k, t in zip(ks, ts)))
+        Ps.append(_slice([(pkeys, P)]))
+    return CPoly(("u", "v", "w"), N, Ts), CPoly(("u",), N, Ps)
 
 
 def rhs_4sided(T):
@@ -306,57 +275,36 @@ def rhs_4sided(T):
     out = out - T.mul_mono((0, 0, 1), 1)
     return out
 
-
 # --------------------------------------------------------------------------
 # Triangular prudent walks: R(u,v) right-edge enders
 # --------------------------------------------------------------------------
 
 def solve_triangular(order):
     """Fixed point of R = 1 + tu(1+t) R(u,tu) + tv(1+t) R(tv,v)
-    + tv(1+t) dd_u(uR, tv) + tu(1+t) dd_v(vR, tu); returns (R, P)."""
-    N = order
-    slices = []  # canonical halves, keys (i, j) with i <= j
-    # R = 1 + (1+t) Y: acc[n] collects the single jumps of Y on slice n, and
-    # E carries its divided difference; the mirror term tu dd_v(vR, v->tu)
-    # is E folded onto the canonical half (module docstring)
-    acc = [dict() for _ in range(N + 1)]
-    E = {}  # tv dd_u(uR, u->tv): E_(n+1)(i, j+1) = R_n(i, j) + E_n(i+1, j)
-    prevY = {}
-    for n in range(N + 1):
-        Y = acc[n]
-        _fold(Y, E)
-        cur = {(0, 0): 1} if n == 0 else dict(prevY)
-        _merge(cur, Y)
-        cur = {k: c for k, c in cur.items() if c}
-        slices.append(cur)
-        if n == N:
-            break
-        prevY = Y
-        E = {(i - 1, j + 1): c for (i, j), c in E.items() if i}
-        for (i, j), c in cur.items():
-            E[i, j + 1] = E.get((i, j + 1), 0) + c
-            # tv R(tv, v) sends (i, j) to slice n+1+i, key (0, i+j+1), and its
-            # mirror (j, i) to slice n+1+j; tu R(u, tu) never lands on the
-            # canonical half
-            kv = (0, i + j + 1)
-            if n + 1 + i <= N:
-                acc[n + 1 + i][kv] = acc[n + 1 + i].get(kv, 0) + c
-            if i != j:
-                E[j, i + 1] = E.get((j, i + 1), 0) + c
-                if n + 1 + j <= N:
-                    acc[n + 1 + j][kv] = acc[n + 1 + j].get(kv, 0) + c
+    + tv(1+t) dd_u(uR, tv) + tu(1+t) dd_v(vR, tu); returns (R, P).
 
-    slices = list(map(_mirror, slices))
-    R = CPoly(("u", "v"), N, slices)
-    Ps = []  # P(t;u) = 1 + 3 R(u,u) - 3 R(u,0)
-    for n, slc in enumerate(slices):
-        tgt = {(0,): 1} if n == 0 else {}
-        for (i, j), c in slc.items():
-            tgt[i + j,] = tgt.get((i + j,), 0) + 3 * c
-            if j == 0:
-                tgt[i,] = tgt.get((i,), 0) - 3 * c
-        Ps.append({key: c for key, c in tgt.items() if c})
-    return R, CPoly(("u",), N, Ps)
+    R = 1 + (1+t) Y on anti-diagonal lines.  E carries tv dd_u(uR, u->tv):
+    E_(n+1)(i, j+1) = R_n(i, j) + E_n(i+1, j), kept as F[s], line s+1 of E
+    without its last entry, which is 0.  The jumps tv R(tv, v) and tu R(u, tu)
+    add E_n(0, s) to Y_n(0, s) and Y_n(s, 0); with that jump put past F's end,
+    a = F + [F[0]], Y's line s+1 is a + reversed(a).
+    """
+    N = order
+    keys = [[(i, s - i) for i in range(s + 1)] for s in range(N + 1)]
+    pkeys = [(e,) for e in range(N + 1)]
+    Rs, Ps = [], []
+    R, Y, F = [], [], []
+    for n in range(N + 1):
+        if n:
+            F = [_plus(r, f[1:]) for r, f in zip_longest(R, F, fillvalue=())]
+        prevY, Y = Y, [[0], *(list(map(add, a, reversed(a))) for a in ([*f, f[0]] for f in F))]
+        R = [list(map(add, p, y)) for p, y in zip(prevY, Y)] + Y[n:] if n else [[1]]
+        P = [3 * (sum(r) - r[s]) for s, r in enumerate(R)]  # P(t;u) = 1 + 3 R(u,u) - 3 R(u,0)
+        if not n:
+            P[0] = 1
+        Rs.append(_slice(zip(keys, R)))
+        Ps.append(_slice([(pkeys, P)]))
+    return CPoly(("u", "v"), N, Rs), CPoly(("u",), N, Ps)
 
 
 def rhs_triangular(R):
@@ -369,7 +317,6 @@ def rhs_triangular(R):
     out = out + R.mul_mono((0, 1)).divided_difference("v", ("t", "u")).mul_mono((1, 0), 1) * one_plus_t
     return out
 
-
 # --------------------------------------------------------------------------
 # 2-sided refinements: endpoint coordinate sum (z marks X+Y) and
 # diagonal distance (z marks X-Y, Laurent in z)
@@ -380,35 +327,13 @@ def _solve_2sided_z(N, s):
 
     s = 1: z marks X+Y; s = -1: z marks X-Y.  Either way East is t z and
     West is t u / z, North is t z^s, and the jump back to the NE corner is
-    t z T(z^s; t z^s) with the z-exponents of T raised to the power s.
+    t z T(z^s; t z^s) with the z-exponents of T raised to the power s.  Line e
+    holds the keys (i, f) with s (i + f) = e: the West run u^n z^-n lies on
+    line 0, a North step moves a term one line up into D (then a bounded East
+    run) or G (then West steps), and the jump back is T_n(0, g) += D_n(0, s g).
     """
-    slices = []
-    acc = [{(n, -n): 1} for n in range(N + 1)]  # West run: sum (t u / z)^m
-    # North step then bounded East run: t z^s dd_u(u T, u -> t z), and
-    # North step then m >= 1 West steps: sum_a t^(1+a) u^(i+a) z^(f+s-a)
-    D = {}  # D_(n+1)(i, f+s) = T_n(i, f) + D_n(i+1, f+s-1)
-    G = {}  # G_(n+1) = (u/z) (z^s T_(n-1) + G_n)
-    prev = {}
-    for n in range(N + 1):
-        cur = acc[n]
-        _merge(cur, D)
-        _merge(cur, G)
-        cur = {k: c for k, c in cur.items() if c}
-        slices.append(cur)
-        if n == N:
-            break
-        for (i, f), c in prev.items():
-            G[(i, f + s)] = G.get((i, f + s), 0) + c
-        G = {(i + 1, f - 1): c for (i, f), c in G.items()}
-        D = {(i - 1, f + 1): c for (i, f), c in D.items() if i}
-        for (i, f), c in cur.items():
-            D[(i, f + s)] = D.get((i, f + s), 0) + c
-            m = n + 1 + i
-            if m <= N:
-                key = (0, s * (f + i) + 1)
-                acc[m][key] = acc[m].get(key, 0) + c
-        prev = cur
-    return slices
+    keys = {e: [(i, s * e - i) for i in range(N + 1)] for e in range(-N, N + 1)}
+    return [_slice((keys[e], line) for e, line in T.items()) for T in _two_sided_lines(N, 1, s)]
 
 
 def solve_2sided_refined_sum(order):

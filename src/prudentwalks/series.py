@@ -398,6 +398,8 @@ class CPoly:
     __slots__ = ("vars", "order", "slices")
 
     def __init__(self, vars, order, slices=None):
+        if order < 0:
+            raise SeriesError("order must be >= 0")
         self.vars = tuple(vars)
         self.order = order
         if slices is None:
@@ -577,7 +579,7 @@ class CPoly:
 
     def shift_down(self, k):
         """Exact division by t^k; the k lowest slices must vanish."""
-        if any(self.slices[m] for m in range(k)):
+        if any(self.slices[:k]):
             raise SeriesError("CPoly not divisible by t^%d" % k)
         out = CPoly(self.vars, self.order - k)
         out.slices = [dict(s) for s in self.slices[k:]]
@@ -622,10 +624,6 @@ class CPoly:
                 acc[key] = get(key, 0) - c
             po.append([(key, c if b0 == 1 else b0 * c) for key, c in acc.items() if c])
         return CPoly(self.vars, order, list(map(unpack, po)))
-
-    def inv(self):
-        """Inverse when the t^0 slice is a nonzero constant (no catalytic part)."""
-        return CPoly.constant(self.vars, self.order) / self
 
     def sqrt(self):
         """Square root when the t^0 slice is exactly 1."""

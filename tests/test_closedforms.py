@@ -283,14 +283,14 @@ def _full_order_sum(u_at, A, B, one, order):
     phi, phi_next = phi_of(u).truncate(order), phi_of(u_next).truncate(order)
     total = one.truncate(order) * 0
     numprod = one
-    invden = (B - u).inv()
+    invden = one / (B - u)
     k = 0
     while True:
         if k > 0:
             u, u_next = u_next, u_at(k + 1, M)
             phi, phi_next = phi_next, phi_of(u_next).truncate(order)
             numprod = (numprod * (A - u)).normalized()
-            invden = (invden * (B - u).inv()).normalized()
+            invden = (invden * (one / (B - u))).normalized()
         term = (numprod.truncate(order) * invden.truncate(order) * (1 + phi + phi_next)).normalized()
         if term.is_zero():
             break

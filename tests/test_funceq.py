@@ -16,7 +16,7 @@ from prudentwalks.funceq import (
     solve_4sided,
     solve_triangular,
 )
-from prudentwalks.series import CPoly
+from prudentwalks.series import CPoly, SeriesError
 from prudentwalks.walks import (
     WalkClass,
     endpoint_stats,
@@ -267,13 +267,12 @@ def test_lower_order_solutions_are_prefixes():
                 assert a.slices == b.slices[: n + 1]
 
 
-# -- canonical halves against the unreduced solvers ----------------------------
-# The 3-sided, 4-sided and triangular solvers build only the keys i <= j of
-# their u <-> v-symmetric series and carry one of the two mirrored running
-# sums.  The references below solve the same systems with both halves and
-# both running sums; the reduced solvers must return the same slices, keys
-# and coefficient types.  The u <-> v symmetry of the reduced outputs holds
-# by construction, so it is this comparison that checks it.
+# -- the line solvers against forward-scatter references ----------------------
+# The solvers read every single jump off the boundary of a running sum and
+# build each u <-> v-symmetric line whole, as DU + reversed(DU).  The
+# references below solve the same systems on dict slices with both mirrored
+# running sums, scattering each single jump forward into the slice it lands
+# on; the solvers must return the same slices, keys and coefficient types.
 
 def _merge(dst, src):
     for key, c in src.items():
@@ -447,3 +446,87 @@ def test_canonical_half_solvers_equal_two_sum_references(solve, reference, order
             assert {k: (type(c), c) for k, c in sa.items()} == {
                 k: (type(c), c) for k, c in sb.items()
             }
+
+
+def _solve_2sided_scatter(order):
+    N = order
+    slices = []
+    acc = [{n: 1} for n in range(N + 1)]
+    D, G, prev = {}, {}, {}
+    for n in range(N + 1):
+        cur = acc[n]
+        _merge(cur, D)
+        _merge(cur, G)
+        cur = {i: c for i, c in cur.items() if c}
+        slices.append(cur)
+        if n == N:
+            break
+        _merge(G, prev)
+        G = {i + 1: c for i, c in G.items()}
+        D = {i - 1: c for i, c in D.items() if i}
+        for i, c in cur.items():
+            D[i] = D.get(i, 0) + c
+            m = n + 1 + i
+            if m <= N:
+                acc[m][0] = acc[m].get(0, 0) + c
+        prev = cur
+    T = CPoly(("u",), N, [{(i,): c for i, c in slc.items()} for slc in slices])
+    P = CPoly(("u",), N, [{(i,): 2 * c if i else c for i, c in slc.items()} for slc in slices])
+    return T, P
+
+
+def _solve_2sided_z_scatter(N, s):
+    slices = []
+    acc = [{(n, -n): 1} for n in range(N + 1)]
+    D, G, prev = {}, {}, {}
+    for n in range(N + 1):
+        cur = acc[n]
+        _merge(cur, D)
+        _merge(cur, G)
+        cur = {k: c for k, c in cur.items() if c}
+        slices.append(cur)
+        if n == N:
+            break
+        for (i, f), c in prev.items():
+            G[(i, f + s)] = G.get((i, f + s), 0) + c
+        G = {(i + 1, f - 1): c for (i, f), c in G.items()}
+        D = {(i - 1, f + 1): c for (i, f), c in D.items() if i}
+        for (i, f), c in cur.items():
+            D[(i, f + s)] = D.get((i, f + s), 0) + c
+            m = n + 1 + i
+            if m <= N:
+                key = (0, s * (f + i) + 1)
+                acc[m][key] = acc[m].get(key, 0) + c
+        prev = cur
+    return slices
+
+
+def _assert_same_slices(got, want):
+    assert len(got) == len(want)
+    for sa, sb in zip(got, want):
+        assert {k: (type(c), c) for k, c in sa.items()} == {k: (type(c), c) for k, c in sb.items()}
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 5, 12, 40, 120])
+def test_2sided_solver_equals_forward_scatter_reference(order):
+    got, want = solve_2sided(order), _solve_2sided_scatter(order)
+    for a, b in zip(got, want):
+        assert (a.vars, a.order) == (b.vars, b.order)
+        _assert_same_slices(a.slices, b.slices)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 5, 12, 40])
+@pytest.mark.parametrize("solve,sign", [(solve_2sided_refined_sum, 1), (solve_2sided_diagonal, -1)])
+def test_refinements_equal_forward_scatter_reference(solve, sign, order):
+    T = solve(order)[0]
+    assert (T.vars, T.order) == (("u", "z"), order)
+    _assert_same_slices(T.slices, _solve_2sided_z_scatter(order, sign))
+
+
+@pytest.mark.parametrize("solve", [
+    solve_2sided, solve_3sided, solve_4sided, solve_triangular,
+    solve_2sided_refined_sum, solve_2sided_diagonal,
+])
+def test_solvers_refuse_a_negative_order(solve):
+    with pytest.raises(SeriesError, match="order must be >= 0"):
+        solve(-1)
