@@ -101,7 +101,7 @@ class TSeries:
             return self.order == other.order and all(
                 a == b for a, b in zip(self.coeffs, other.coeffs)
             )
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or type(other) is Fraction:
             return self.coeffs[0] == other and not any(self.coeffs[1:])
         return NotImplemented
 
@@ -158,7 +158,7 @@ class TSeries:
         """Same series with integral Fractions demoted to plain ints."""
         return TSeries(
             [
-                c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
+                c.numerator if type(c) is Fraction and c.denominator == 1 else c
                 for c in self.coeffs
             ],
             self.order,
@@ -167,7 +167,7 @@ class TSeries:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or type(other) is Fraction:
             coeffs = self.coeffs[:]
             coeffs[0] = coeffs[0] + other
             return TSeries(coeffs, self.order)
@@ -188,7 +188,7 @@ class TSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or type(other) is Fraction:
             if other == 0:
                 return TSeries.zero(self.order)
             return TSeries([c * other for c in self.coeffs], self.order)
@@ -506,7 +506,7 @@ class CPoly:
         return CPoly(self.vars, order, [dict(s) for s in self.slices[: order + 1]])
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or type(other) is Fraction:
             other = CPoly.constant(self.vars, self.order, other)
         self._check_vars(other)
         order = min(self.order, other.order)
@@ -521,7 +521,7 @@ class CPoly:
         return self * -1
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or type(other) is Fraction:
             other = CPoly.constant(self.vars, self.order, other)
         return self + (other * -1)
 
@@ -529,7 +529,7 @@ class CPoly:
         return (self * -1) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or type(other) is Fraction:
             if other == 0:
                 return CPoly.zero(self.vars, self.order)
             out = CPoly(self.vars, self.order)
@@ -591,7 +591,7 @@ class CPoly:
         for n, slc in enumerate(self.slices):
             tgt = out.slices[n]
             for key, c in slc.items():
-                if isinstance(c, Fraction) and c.denominator == 1:
+                if type(c) is Fraction and c.denominator == 1:
                     c = c.numerator
                 if c:
                     tgt[key] = c

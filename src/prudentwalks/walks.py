@@ -4,7 +4,8 @@
 The oracle is a plain depth-first search with incremental box and
 row/column-extreme updates and no memoization; every other counting route in
 the package is validated against it.  Each walk state gives the legal steps
-from its endpoint in one call (`legal_steps`); the k-sided edge rule is
+from its endpoint in one call (`legal_steps`), and, for each of them, the
+steps legal after it (`lookahead`), without pushing; the k-sided edge rule is
 checked at the step's midpoint only, because a step whose midpoint lies on an
 allowed box edge ends on that edge too (see `SquareState`).
 Each class's symmetries are stated once, as generator matrices
@@ -12,9 +13,9 @@ Each class's symmetries are stated once, as generator matrices
 on a walk's endpoint and box are derived from them at import.
 `enumerate_counts`, `endpoint_stats` and `enumerate_tri_by_box` search from
 one first step per orbit: the counts are weighted by the orbit size, the
-endpoints and boxes folded through every member's map.  The first two count
-the walks of the final length from their parents' legal steps instead of
-visiting them.  `enumerate_walks` searches every first step.
+endpoints and boxes folded through every member's map.  The first two stop
+at length n - 2 and read the last two generations off each walk's lookahead
+instead of visiting them.  `enumerate_walks` searches every first step.
 """
 
 from __future__ import annotations
@@ -137,14 +138,19 @@ class _Walk:
 
     @classmethod
     def _parse(cls, steps):
-        """Step codes of the steps, each a key of the class's _codes (names
-        in any case)."""
+        """Step codes of the steps, each a str or an exact int key of the
+        class's _codes (names in any case).  The type is checked first, as
+        True and 1.0 look up the same key as the code 1."""
+        codes = cls._codes
         out = []
         for s in steps:
-            try:
-                out.append(cls._codes[s.upper() if isinstance(s, str) else s])
-            except (KeyError, TypeError):  # TypeError: an unhashable step
-                raise ValueError("bad step %r: %s" % (s, cls._accepted)) from None
+            if isinstance(s, str):
+                code = codes.get(s.upper())
+            else:
+                code = codes.get(s) if type(s) is int else None
+            if code is None:
+                raise ValueError("bad step %r: %s" % (s, cls._accepted))
+            out.append(code)
         return tuple(out)
 
     @classmethod
@@ -278,6 +284,8 @@ class SquareState:
     in row y / column x.  They all lie in the box, so a step points at one
     inside the box iff the current vertex is not the extreme of its line in
     the step's direction: prudence is one lookup.  push(d) needs legal(d).
+    lookahead() applies both rules to the lines and box push(d) would leave,
+    for every legal d, and changes nothing.
     """
 
     lattice = "square"
@@ -298,18 +306,8 @@ class SquareState:
                 return False
         elif self.col[x][d < 2] != y:
             return False
-        return self.k is None or self._edge_steps() >> d & 1 == 1
-
-    def _edge_steps(self):
-        """Mask of the steps (bit d for step d) whose midpoint lies on an
-        allowed edge of the box; k-sided walks only."""
-        k, x = self.k, self.x
-        mask = 11 if self.y == self.y_max else 0  # top: N, E, W
-        if k >= 2 and x == self.x_max:
-            mask |= 7  # right: N, E, S
-        if k >= 3 and x == self.x_min:
-            mask |= 13  # left: N, S, W
-        return mask
+        k = self.k
+        return k is None or _edge_steps(k, x, y, self.x_min, self.x_max, self.y_max) >> d & 1 == 1
 
     def legal_steps(self):
         """The legal steps from the current vertex, in N, E, S, W order."""
@@ -317,9 +315,64 @@ class SquareState:
         south, north = self.col[x]
         west, east = self.row[y]
         mask = (north == y) | (east == x) << 1 | (south == y) << 2 | (west == x) << 3
-        if self.k is not None:
-            mask &= self._edge_steps()
+        k = self.k
+        if k is not None:
+            mask &= _edge_steps(k, x, y, self.x_min, self.x_max, self.y_max)
         return _MASK_STEPS[mask]
+
+    def lookahead(self):
+        """(d, the steps that would be legal after push(d)) for each legal
+        step d, in N, E, S, W order, read off the state without pushing.
+
+        The walker becomes the extreme of its own line in d's direction; the
+        new vertex's cross line widens to it or, as the box grows past it, is
+        new.  Those two lines and the grown box go through the same rules as
+        legal_steps."""
+        k, x, y = self.k, self.x, self.y
+        row, col = self.row, self.col
+        x_min, x_max, y_max = self.x_min, self.x_max, self.y_max
+        south0, north0 = col[x]
+        west0, east0 = row[y]
+        out = []
+        for d in self.legal_steps():
+            dx, dy = SQ_STEP_VECTORS[d]
+            px, py = x + dx, y + dy
+            if dx:
+                west, east = (west0, px) if dx > 0 else (px, east0)
+                cross = col.get(px)
+                if cross is None:
+                    south = north = py
+                else:
+                    south, north = cross
+                    if py < south:
+                        south = py
+                    elif py > north:
+                        north = py
+            else:
+                south, north = (south0, py) if dy > 0 else (py, north0)
+                cross = row.get(py)
+                if cross is None:
+                    west = east = px
+                else:
+                    west, east = cross
+                    if px < west:
+                        west = px
+                    elif px > east:
+                        east = px
+            # legal_steps' prudence mask, written out so that legal_steps,
+            # which the kinetic sampler calls per step, stays free of a call
+            mask = (north == py) | (east == px) << 1 | (south == py) << 2 | (west == px) << 3
+            if k is not None:
+                mask &= _edge_steps(
+                    k,
+                    px,
+                    py,
+                    px if px < x_min else x_min,
+                    px if px > x_max else x_max,
+                    py if py > y_max else y_max,
+                )
+            out.append((d, _MASK_STEPS[mask]))
+        return out
 
     def push(self, d):
         # the own line's extreme moves with the step; the new vertex's cross
@@ -384,6 +437,17 @@ class SquareState:
                     self.y_min = y
 
 
+def _edge_steps(k, x, y, x_min, x_max, y_max):
+    """Mask of the steps (bit d for step d) from (x, y) whose midpoint lies
+    on an allowed edge of the box; k-sided walks only."""
+    mask = 11 if y == y_max else 0  # top: N, E, W
+    if k >= 2 and x == x_max:
+        mask |= 7  # right: N, E, S
+    if k >= 3 and x == x_min:
+        mask |= 13  # left: N, S, W
+    return mask
+
+
 # the step codes of each mask of square steps (bit d for step d), in code order
 _MASK_STEPS = tuple(tuple(d for d in range(4) if mask >> d & 1) for mask in range(16))
 
@@ -391,7 +455,9 @@ _MASK_STEPS = tuple(tuple(d for d in range(4) if mask >> d & 1) for mask in rang
 class TriState:
     """Triangular prudent walk state: each step either strictly inflates the
     box, or keeps it fixed while the step lies along one box edge and points
-    at no visited vertex."""
+    at no visited vertex.  legal_steps() and lookahead() run one scan of that
+    rule (_steps_from), at the current vertex and at each vertex a legal
+    step reaches; lookahead() changes nothing."""
 
     lattice = "tri"
     # steps that would inflate the box past this size are refused (only
@@ -431,8 +497,31 @@ class TriState:
     def legal_steps(self):
         """The legal steps from the current vertex, in code order: the same
         rule as legal(d), from one reading of the box and position."""
+        return self._steps_from(self.x, self.y, self.x_min, self.y_min, self.s_max)
+
+    def lookahead(self):
+        """(d, the steps that would be legal after push(d), as a tuple) for
+        each legal step d, in code order: the legal_steps scan from the vertex
+        d reaches, in the box grown to it, without pushing."""
         x, y = self.x, self.y
         x_min, y_min, s_max = self.x_min, self.y_min, self.s_max
+        steps_from = self._steps_from
+        out = []
+        for d in self.legal_steps():
+            dx, dy = TRI_STEP_VECTORS[d]
+            px, py = x + dx, y + dy
+            out.append((d, tuple(steps_from(
+                px,
+                py,
+                px if px < x_min else x_min,
+                py if py < y_min else y_min,
+                px + py if px + py > s_max else s_max,
+            ))))
+        return out
+
+    def _steps_from(self, x, y, x_min, y_min, s_max):
+        """The steps legal from (x, y) in the box with these bounds, given the
+        visited vertices."""
         on = (x == x_min, y == y_min, x + y == s_max)
         may_inflate = s_max - x_min - y_min < self._max_size
         visited = self.visited
@@ -647,10 +736,14 @@ def _geometry(state):
     return state.x, state.y, state.x_min, state.x_max, state.y_min, state.y_max
 
 
-def _grown(geo, x, y):
-    """The geometry with its endpoint moved to (x, y), a neighbour of it."""
+def _grown(geo, d):
+    """The geometry after the step d from its endpoint."""
     if len(geo) == 5:  # triangular
+        dx, dy = TRI_STEP_VECTORS[d]
+        x, y = geo[0] + dx, geo[1] + dy
         return x, y, min(geo[2], x), min(geo[3], y), max(geo[4], x + y)
+    dx, dy = SQ_STEP_VECTORS[d]
+    x, y = geo[0] + dx, geo[1] + dy
     return x, y, min(geo[2], x), max(geo[3], x), min(geo[4], y), max(geo[5], y)
 
 
@@ -672,19 +765,28 @@ def enumerate_counts(walk_class, n_max):
 
     The search runs once per first-step orbit (FIRST_STEP_ORBITS), from the
     orbit's first step, and counts each walk it finds once per orbit member.
-    It visits the walks of length < n_max only: the length-n_max walks are
-    counted as the legal steps of their parents.
+    It visits the walks of length <= n_max - 2 only: the last two generations
+    are counted from each such walk's lookahead, its legal steps and the
+    steps legal after each.  At n_max = 2 the length-2 walks are counted as
+    the legal steps of their length-1 parents.
     """
     _check_length(n_max)
     tail = [0] * n_max  # tail[i] counts the walks of length i + 1
-    last = n_max - 2  # depth of the length n_max - 1 walks
+    last = n_max - 3  # depth of the length n_max - 2 walks
 
     def visit(state, depth):
         tail[depth] += weight
         if depth < last:
             return True
         if depth == last:
-            tail[depth + 1] += weight * len(state.legal_steps())
+            ahead = state.lookahead()
+            grandchildren = 0
+            for _, steps in ahead:
+                grandchildren += len(steps)
+            tail[depth + 1] += weight * len(ahead)
+            tail[depth + 2] += weight * grandchildren
+        elif n_max == 2:
+            tail[1] += weight * len(state.legal_steps())
         return False
 
     if n_max:
@@ -755,32 +857,34 @@ def endpoint_stats(walk_class, n):
     endpoint to the NE box corner), 'width'.  Triangular: 'box_size'.
 
     The search runs once per first-step orbit (_orbit_geometry) and stops at
-    length n - 1: each walk there is counted with its legal steps, and its
-    children's geometry follows from its own and the step.
+    length n - 2: each walk there is counted with its lookahead, and the
+    geometry of its children and grandchildren follows from its own and the
+    steps.  At n = 2 the first step's walk is grown by its legal steps.
     """
     _check_length(n)
     tri = walk_class is WalkClass.TRIANGULAR
-    vectors = TRI_STEP_VECTORS if tri else SQ_STEP_VECTORS
     state = _make_state(walk_class)
-    last = n - 2  # depth of the length n - 1 walks
+    last = n - 3  # depth of the length n - 2 walks
 
     def search(state):
-        if n == 1:
-            return Counter([_geometry(state)])
+        if n <= 2:
+            geo = _geometry(state)
+            return Counter([geo] if n == 1 else [_grown(geo, d) for d in state.legal_steps()])
         parents = Counter()
 
         def visit(state, depth):
             if depth < last:
                 return True
-            parents[_geometry(state), tuple(state.legal_steps())] += 1
+            parents[_geometry(state), tuple(state.lookahead())] += 1
             return False
 
         _dfs(state, visit)
         found = Counter()
-        for (geo, steps), count in parents.items():
-            for d in steps:
-                dx, dy = vectors[d]
-                found[_grown(geo, geo[0] + dx, geo[1] + dy)] += count
+        for (geo, ahead), count in parents.items():
+            for d, steps in ahead:
+                child = _grown(geo, d)
+                for e in steps:
+                    found[_grown(child, e)] += count
         return found
 
     found = _orbit_geometry(walk_class, state, search) if n else Counter([_geometry(state)])

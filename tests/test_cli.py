@@ -140,13 +140,18 @@ LATTICES = 'the lattices are "square" and "tri"'
         (("--lattice", "tri", "--steps", "01w"), "bad step 'w': " + TRI_STEPS),
         (("--steps", '{"lattice": "square", "steps": [[1]]}'), "bad step [1]: square steps"),
         (("--steps", '{"lattice": "tri", "steps": [6]}'), "bad step 6: triangular steps"),
+        (("--steps", '{"lattice": "square", "steps": [true]}'), "bad step True: square steps"),
+        (("--steps", '{"lattice": "square", "steps": [1.0]}'), "bad step 1.0: square steps"),
+        (("--steps", '{"lattice": "tri", "steps": [false]}'), "bad step False: triangular steps"),
+        (("--steps", '{"lattice": "tri", "steps": [2.0]}'), "bad step 2.0: triangular steps"),
         (("--steps", '{"lattice": "square", "steps": 5}'), '"steps" must be a list of steps, not 5'),
         (("--steps", '{"lattice": "hex", "steps": ["N", "E"]}'), "unknown lattice 'hex': " + LATTICES),
         (("--steps", '{"steps": ["N"]}'), 'missing "lattice": ' + LATTICES),
         (("--steps", '{"lattice": "square"}'), 'missing "steps"'),
     ],
     ids=["square-letter", "tri-letter", "tri-name", "tri-text-name", "tri-text-lowercase-name",
-         "unhashable", "tri-code", "steps-not-a-list",
+         "unhashable", "tri-code", "square-bool", "square-float", "tri-bool", "tri-float",
+         "steps-not-a-list",
          "unknown-lattice", "no-lattice", "no-steps"],
 )
 def test_render_names_the_bad_step(capsys, argv, message):

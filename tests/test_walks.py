@@ -158,6 +158,15 @@ def test_walk_text_and_json():
     assert SquareWalk((0, 1)) != TriWalk((0, 1))  # same codes, different lattices
 
 
+@pytest.mark.parametrize("make", [SquareWalk, TriWalk])
+@pytest.mark.parametrize("step", [True, False, 1.0, 2.0])
+def test_steps_neither_str_nor_int_raise(make, step):
+    # True == 1 == 1.0 would look up the code 1
+    with pytest.raises(ValueError, match="bad step"):
+        make((step,))
+    assert make((1,)).steps == (1,)
+
+
 def test_boxes():
     w = SquareWalk("NES")
     b = w.box()
@@ -193,8 +202,8 @@ SYMMETRIES = {
 
 def _unreduced_dfs(state, visit):
     # every first step, legal(d) tried for every d, every walk pushed and
-    # visited: shares neither the orbits, the step sets nor the last-level
-    # count with the oracle's searches
+    # visited: shares neither the orbits, the step sets nor the lookahead
+    # with the oracle's searches
     dirs = range(6 if state.lattice == "tri" else 4)
 
     def rec(depth):
@@ -315,6 +324,23 @@ def test_orbit_reduced_counts_match_unreduced_dfs(wc):
 
 
 @pytest.mark.parametrize("wc", list(WalkClass))
+def test_searches_push_no_walk_longer_than_n_minus_2(monkeypatch, wc):
+    # the last two generations are read off the lookahead, never pushed
+    lengths = []
+    for cls in (SquareState, walks.TriState):
+        def push(self, d, _push=cls.push):
+            _push(self, d)
+            lengths.append(len(self.trail))
+
+        monkeypatch.setattr(cls, "push", push)
+    for n in range(3, 8 if wc is WalkClass.TRIANGULAR else 10):
+        for search in (enumerate_counts, endpoint_stats):
+            lengths.clear()
+            search(wc, n)
+            assert max(lengths) == n - 2
+
+
+@pytest.mark.parametrize("wc", list(WalkClass))
 def test_first_step_orbits_are_symmetry_orbits(wc):
     ndirs = 6 if wc is WalkClass.TRIANGULAR else 4
     # every generator maps the class onto itself
@@ -418,9 +444,20 @@ def _box_and_position(state):
     return (state.x, state.y, state.x_min, state.x_max, state.y_min, state.y_max)
 
 
+def _reference_lookahead(ref, steps, ndirs):
+    # the legal steps after pushing each step, read off the pushed reference
+    out = []
+    for d in steps:
+        ref.push(d)
+        out.append((d, tuple(e for e in range(ndirs) if ref.legal(e))))
+        ref.pop()
+    return out
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, None])
 def test_square_state_matches_reference_dfs(k):
-    # every legal answer at every node of the full search, in lockstep
+    # every legal answer and lookahead at every node of the full search, in
+    # lockstep; the lookahead leaves the state as it found it
     state, ref = SquareState(k), ReferenceSquareState(k)
     nodes = 0
 
@@ -431,6 +468,10 @@ def test_square_state_matches_reference_dfs(k):
         assert [state.legal(d) for d in range(4)] == answers
         assert state.legal_steps() == tuple(d for d in range(4) if answers[d])
         assert _box_and_position(state) == _box_and_position(ref)
+        before = (dict(state.row), dict(state.col), _box_and_position(state), list(state.trail))
+        ahead = state.lookahead()
+        assert (dict(state.row), dict(state.col), _box_and_position(state), list(state.trail)) == before
+        assert ahead == _reference_lookahead(ref, [d for d in range(4) if answers[d]], 4)
         if depth == 10:
             return
         for d in range(4):
@@ -458,10 +499,15 @@ def test_prudent_steps_match_reference_on_kinetic_walks():
         assert state.legal_steps() == tuple(e for e in range(4) if ref.legal(e))
 
 
+def _tri_state_snapshot(state):
+    return (state.x, state.y, state.x_min, state.y_min, state.s_max, set(state.visited), list(state.trail))
+
+
 @pytest.mark.parametrize("cap", [None, 3, 4])
 def test_tri_state_legal_steps_match_legal(cap):
     # at every node of the full search to n = 8 (cap None), or of the whole
-    # box-capped search enumerate_tri_by_box(cap) makes
+    # box-capped search enumerate_tri_by_box(cap) makes; the lookahead is
+    # checked against legal(e) after push(d), and leaves the state as it was
     state = walks.TriState()
     if cap is not None:
         state._max_size = cap
@@ -472,6 +518,10 @@ def test_tri_state_legal_steps_match_legal(cap):
         nodes += 1
         steps = [d for d in range(6) if state.legal(d)]
         assert state.legal_steps() == steps
+        before = _tri_state_snapshot(state)
+        ahead = state.lookahead()
+        assert _tri_state_snapshot(state) == before
+        assert ahead == _reference_lookahead(state, steps, 6)
         if depth == 8 and cap is None:
             return
         for d in steps:
