@@ -9,9 +9,7 @@ generation and numerical recovery of the growth constants.
 
 from prudentwalks.series import CPoly, SeriesError, TSeries
 from prudentwalks.walks import (
-    RectBox,
     SquareWalk,
-    TriBox,
     TriWalk,
     WalkClass,
     enumerate_counts,
@@ -23,9 +21,7 @@ __all__ = [
     "CPoly",
     "SeriesError",
     "TSeries",
-    "RectBox",
     "SquareWalk",
-    "TriBox",
     "TriWalk",
     "WalkClass",
     "enumerate_counts",

@@ -98,7 +98,7 @@ def _poly_eval(coeffs, x):
     return acc
 
 
-def find_real_root(poly_coeffs, interval, tol=Fraction(1, 10**12)):
+def find_real_root(poly_coeffs, interval, tol):
     """Bisection root of a rational polynomial bracketing a sign change.
 
     Returns a RatInterval of width <= tol containing the root; deterministic.
@@ -125,7 +125,7 @@ def find_real_root(poly_coeffs, interval, tol=Fraction(1, 10**12)):
     return RatInterval(lo, hi)
 
 
-def sqrt_interval(n, tol=Fraction(1, 10**15)):
+def sqrt_interval(n, tol):
     """sqrt(n) for a positive rational n, as a RatInterval of width <= tol."""
     n = Fraction(n)
     hi = max(Fraction(1), n)

@@ -118,7 +118,7 @@ def two_sided_closed(order):
     body = (V / (2 - V)).normalized().truncate(order)
     pref = _ts(order, {0: 2, 2: -2}) * _ts(order, {0: 1, 1: -1}) * body / (1 - U.shift(1))
     # 1/(1 - uU) = sum_m u^m U^m; coeff runs through pref * U^m
-    P = CPoly.zero(("u",), order)
+    P = CPoly(("u",), order)
     coeff = pref.normalized()
     m = 0
     while m == 0 or not coeff.is_zero():

@@ -8,7 +8,7 @@ lattice only; a triangular character grid would be lossy.
 
 from __future__ import annotations
 
-from prudentwalks.walks import SquareWalk, TriWalk, _square_bounds
+from prudentwalks.walks import SquareWalk, TriWalk, _square_bounds, _tri_bounds
 
 SCALE = 20
 MARGIN = 30
@@ -31,7 +31,7 @@ def _svg_document(width, height, body):
     return head + "".join(body) + "</svg>\n"
 
 
-def render_square_svg(walk, box=False):
+def render_square_svg(walk, box):
     vs = walk.vertices()
     x0, x1, y0, y1 = _square_bounds(vs)
     # lattice (x, y) sits at pixel (ox + x*SCALE, oy - y*SCALE), North up
@@ -62,15 +62,16 @@ def render_square_svg(walk, box=False):
     return _svg_document(right + MARGIN, bottom + MARGIN, body)
 
 
-def render_tri_svg(walk, box=False):
+def render_tri_svg(walk, box):
     vs = walk.vertices()
 
     def embed(x, y):
         return (x + y / 2.0, y * SQRT3_2)
 
-    bx = walk.box()
+    x_min, y_min, s_max = _tri_bounds(vs)
     pts = [embed(x, y) for x, y in vs]
-    corner_pts = [embed(*c) for c in bx.corners()]
+    # the box's North, SW and SE corners
+    corner_pts = [embed(x_min, s_max - x_min), embed(x_min, y_min), embed(s_max - y_min, y_min)]
     all_pts = pts + corner_pts
     ex0 = min(p[0] for p in all_pts)
     ex1 = max(p[0] for p in all_pts)

@@ -163,7 +163,6 @@ class ExtTable:
         estimate = estimate_entries(walk_class, n)
         if estimate > max_entries:
             raise ResourceBudgetError(estimate, max_entries)
-        self.walk_class = walk_class
         self.n = n
         self.rules = RULES[walk_class]
         self.values = values = [None] * (n + 1)
@@ -227,7 +226,6 @@ class UniformSampler:
     """
 
     def __init__(self, walk_class, n, max_entries=DEFAULT_MAX_ENTRIES, table=None):
-        self.walk_class = walk_class
         self.n = n
         self.rules = RULES[walk_class]
         self.table = table if table is not None else ExtTable(walk_class, n, max_entries)

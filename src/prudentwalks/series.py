@@ -6,9 +6,9 @@ truncation order N and is exact modulo t^(N+1); binary operations on
 mismatched orders truncate to the smaller one.
 
 A CPoly variable can be substituted by four images: 0, 1, t, or t times a
-variable (possibly itself).  Every nonzero image, variable reordering and
-z -> 1/z maps each monomial to one monomial and a power of t, so they share
-one loop, `CPoly._remap`.  A series in t is substituted for the variable of a
+variable (possibly itself).  Every nonzero image and variable reordering maps
+each monomial to one monomial and a power of t, so they share one loop,
+`CPoly._remap`.  A series in t is substituted for the variable of a
 one-variable CPoly by `ts_compose`.
 
 Divided differences are computed monomial-wise through the finite geometric
@@ -56,12 +56,8 @@ class TSeries:
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs, order=None):
+    def __init__(self, coeffs, order):
         coeffs = list(coeffs)
-        if order is None:
-            if not coeffs:
-                raise SeriesError("empty coefficient list needs an explicit order")
-            order = len(coeffs) - 1
         if order < 0:
             raise SeriesError("order must be >= 0")
         if len(coeffs) <= order:
@@ -281,7 +277,7 @@ class TSeries:
 
 
 def ts_compose(outer, inner):
-    """Substitute `inner` (a TSeries, or 0/1) for the auxiliary variable of `outer`.
+    """Substitute the TSeries `inner` for the auxiliary variable of `outer`.
 
     `outer` is a single-variable CPoly: a series in t whose coefficients are
     polynomials in one catalytic variable.  The substitution is exact modulo
@@ -293,15 +289,7 @@ def ts_compose(outer, inner):
     """
     if len(outer.vars) != 1:
         raise SeriesError("ts_compose expects a single-variable outer series")
-    order = outer.order
-    if isinstance(inner, int):
-        if inner == 0:
-            return outer.coefficient((0,)).truncate(order)
-        if inner == 1:
-            inner = TSeries.one(order)
-        else:
-            raise SeriesError("constant inner must be 0 or 1")
-    order = min(order, inner.order)
+    order = min(outer.order, inner.order)
     if inner.coeffs[0] != 0:
         for exps, coeff in outer.terms().items():
             e = exps[0]
@@ -313,7 +301,7 @@ def ts_compose(outer, inner):
                 )
     # group coefficients by variable exponent, then Horner-free direct sum
     by_exp = {}
-    for n in range(min(outer.order, order) + 1):
+    for n in range(order + 1):
         for exps, c in outer.slices[n].items():
             by_exp.setdefault(exps[0], {})[n] = c
     result = TSeries.zero(order)
@@ -409,10 +397,6 @@ class CPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, vars, order):
-        return cls(vars, order)
-
-    @classmethod
     def constant(cls, vars, order, c=1):
         p = cls(vars, order)
         if c:
@@ -460,11 +444,6 @@ class CPoly:
             for key, c in slc.items():
                 acc.setdefault(key, [0] * (self.order + 1))[n] = c
         return {key: TSeries(cs, self.order) for key, cs in acc.items() if any(cs)}
-
-    def coefficient(self, exps):
-        exps = tuple(exps)
-        cs = [slc.get(exps, 0) for slc in self.slices]
-        return TSeries(cs, self.order)
 
     def is_zero(self):
         return all(not slc for slc in self.slices)
@@ -531,7 +510,7 @@ class CPoly:
     def __mul__(self, other):
         if isinstance(other, int) or type(other) is Fraction:
             if other == 0:
-                return CPoly.zero(self.vars, self.order)
+                return CPoly(self.vars, self.order)
             out = CPoly(self.vars, self.order)
             for n, slc in enumerate(self.slices):
                 out.slices[n] = {k: c * other for k, c in slc.items()}
@@ -735,11 +714,6 @@ class CPoly:
                     out.slices[tn][tuple(nk)] += c
         return out._drop_zeros()
 
-    def invert_var(self, var):
-        """var -> 1/var (negate exponents; meaningful for the Laurent variable z)."""
-        k = self._vi(var)
-        return self._remap(self.vars, lambda key: (0, key[:k] + (-key[k],) + key[k + 1:]))
-
     def rename(self, mapping):
         """Rename variables; mapping old->new must be a bijection on names."""
         new_vars = tuple(mapping.get(v, v) for v in self.vars)
@@ -787,8 +761,7 @@ class CPoly:
 
     def to_json(self):
         terms = []
-        for key in sorted(self.terms().keys()):
-            coeff = self.coefficient(key)
+        for key, coeff in sorted(self.terms().items()):
             entry = {f: 0 for f in self._JSON_FIELDS}
             for v, e in zip(self.vars, key):
                 if v not in self._JSON_FIELDS:

@@ -51,7 +51,7 @@ def verify_class(walk_class, max_n_oracle, series_order):
     }
 
 
-def verify_tri_box(k_max=4):
+def verify_tri_box(k_max):
     """Box-spanning totals and the r-matrix: formula vs exhaustive search."""
     results = []
     ok = True
@@ -72,7 +72,7 @@ def verify_tri_box(k_max=4):
     return {"agree": ok, "by_size": results}
 
 
-def run_verify(max_n_oracle=12, series_order=60, classes=None, tri_box_k=4):
+def run_verify(max_n_oracle, series_order, tri_box_k, classes=None):
     """The full cross-check matrix.  Returns a JSON-able report; the overall
     'agree' flag is False iff any route pair diverges anywhere."""
     if classes is None:
@@ -85,7 +85,7 @@ def run_verify(max_n_oracle=12, series_order=60, classes=None, tri_box_k=4):
         entry = verify_class(wc, cap, series_order)
         report["classes"].append(entry)
         report["agree"] = report["agree"] and entry["agree"]
-    if tri_box_k is not None and WalkClass.TRIANGULAR in classes:
+    if WalkClass.TRIANGULAR in classes:
         box = verify_tri_box(tri_box_k)
         report["tri_box"] = box
         report["agree"] = report["agree"] and box["agree"]

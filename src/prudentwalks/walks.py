@@ -49,70 +49,6 @@ SQUARE_CLASSES = (
 )
 
 
-class _Box:
-    """A box is equal to a box of its own kind with the same bounds."""
-
-    __slots__ = ()
-
-    def _bounds(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._bounds() == other._bounds()
-
-
-class RectBox(_Box):
-    """Minimal axis-aligned rectangle containing a square-lattice walk."""
-
-    __slots__ = ("x_min", "x_max", "y_min", "y_max")
-
-    def __init__(self, x_min, x_max, y_min, y_max):
-        self.x_min, self.x_max = x_min, x_max
-        self.y_min, self.y_max = y_min, y_max
-
-    def __repr__(self):
-        return "RectBox(x=[%d,%d], y=[%d,%d])" % (
-            self.x_min,
-            self.x_max,
-            self.y_min,
-            self.y_max,
-        )
-
-    @property
-    def width(self):
-        return self.x_max - self.x_min
-
-
-class TriBox(_Box):
-    """Minimal North-pointing triangle x >= x_min, y >= y_min, x+y <= s_max."""
-
-    __slots__ = ("x_min", "y_min", "s_max")
-
-    def __init__(self, x_min, y_min, s_max):
-        self.x_min, self.y_min, self.s_max = x_min, y_min, s_max
-
-    def __repr__(self):
-        return "TriBox(x_min=%d, y_min=%d, s_max=%d)" % (
-            self.x_min,
-            self.y_min,
-            self.s_max,
-        )
-
-    @property
-    def size(self):
-        return self.s_max - self.x_min - self.y_min
-
-    def corners(self):
-        """(North, SW, SE) lattice corners."""
-        return (
-            (self.x_min, self.s_max - self.x_min),
-            (self.x_min, self.y_min),
-            (self.s_max - self.y_min, self.y_min),
-        )
-
-
 def _square_bounds(points):
     """(x_min, x_max, y_min, y_max) of the points."""
     xs = [p[0] for p in points]
@@ -131,9 +67,9 @@ def _tri_bounds(points):
 
 class _Walk:
     """Walk from the origin, stored as a tuple of step codes; the subclasses
-    give the lattice's step parser, text and JSON forms and box."""
+    give the lattice's step parser and its text and JSON forms."""
 
-    def __init__(self, steps=()):
+    def __init__(self, steps):
         self.steps = self._parse(steps)
 
     @classmethod
@@ -171,7 +107,7 @@ class _Walk:
         steps = obj["steps"]
         if not isinstance(steps, (list, str)):
             raise ValueError('"steps" must be a list of steps, not %r' % (steps,))
-        return cls(steps)
+        return cls.from_text(steps) if isinstance(steps, str) else cls(steps)
 
     def __len__(self):
         return len(self.steps)
@@ -196,9 +132,6 @@ class _Walk:
             out.append((x, y))
         return out
 
-    def endpoint(self):
-        return self.vertices()[-1]
-
 
 class SquareWalk(_Walk):
     """Square-lattice walk from the origin, steps over {N, E, S, W}."""
@@ -213,9 +146,6 @@ class SquareWalk(_Walk):
 
     def to_json(self):
         return {"lattice": "square", "steps": [SQ_STEP_NAMES[s] for s in self.steps]}
-
-    def box(self):
-        return RectBox(*_square_bounds(self.vertices()))
 
 
 class TriWalk(_Walk):
@@ -243,9 +173,6 @@ class TriWalk(_Walk):
 
     def to_json(self):
         return {"lattice": "tri", "steps": list(self.steps)}
-
-    def box(self):
-        return TriBox(*_tri_bounds(self.vertices()))
 
 
 def walk_from_json(obj):

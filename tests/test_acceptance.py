@@ -29,6 +29,8 @@ from prudentwalks.walks import (
     enumerate_tri_by_box,
     in_class,
     is_prudent,
+    _square_bounds,
+    _tri_bounds,
 )
 
 ITER_ORDER = 40
@@ -205,10 +207,10 @@ def test_c7_monte_carlo_constants():
     walks = _mc_walks(WalkClass.TWO_SIDED, 400, count, seed=20080902)
     sums, nes, diffs = [], [], []
     for w in walks:
-        x, y = w.endpoint()
-        b = w.box()
+        vs = w.vertices()
+        (x, y), (_, x_max, _, y_max) = vs[-1], _square_bounds(vs)
         sums.append(x + y)
-        nes.append((b.x_max - x) + (b.y_max - y))
+        nes.append((x_max - x) + (y_max - y))
         diffs.append(x - y)
     drift = sum(sums) / count / 400
     ok &= abs(drift - 0.63) <= 0.03
@@ -222,12 +224,14 @@ def test_c7_monte_carlo_constants():
     details.append("Var(X-Y)/n=%.3f" % var_diff)
 
     walks = _mc_walks(WalkClass.THREE_SIDED, 200, count, seed=20080903)
-    width = sum(w.box().width for w in walks) / count / 200
+    bounds = [_square_bounds(w.vertices()) for w in walks]
+    width = sum(x_max - x_min for x_min, x_max, _, _ in bounds) / count / 200
     ok &= abs(width - 0.31) <= 0.03
     details.append("3-sided width/n=%.4f" % width)
 
     walks = _mc_walks(WalkClass.TRIANGULAR, 200, count, seed=20080904)
-    size = sum(w.box().size for w in walks) / count / 200
+    bounds = [_tri_bounds(w.vertices()) for w in walks]
+    size = sum(s_max - x_min - y_min for x_min, y_min, s_max in bounds) / count / 200
     ok &= abs(size - 0.6213) <= 0.03
     details.append("tri box/n=%.4f" % size)
 

@@ -106,6 +106,9 @@ def test_render_roundtrip(capsys):
     code, out, _ = run(capsys, "render", "--steps", "NES", "--format", "ascii")
     assert code == 0
     assert "O X" in out
+    # a JSON string of steps is read as the text form
+    as_json = '{"lattice": "square", "steps": "nes"}'
+    assert run(capsys, "render", "--steps", as_json, "--format", "ascii") == (0, out, "")
     code, out, _ = run(
         capsys, "render", "--steps", "210", "--lattice", "tri", "--format", "svg"
     )
@@ -138,6 +141,7 @@ LATTICES = 'the lattices are "square" and "tri"'
         (("--lattice", "tri", "--steps", "NW"), "bad step 'N': " + TRI_STEPS),
         (("--lattice", "tri", "--steps", "EW"), "bad step 'E': " + TRI_STEPS),
         (("--lattice", "tri", "--steps", "01w"), "bad step 'w': " + TRI_STEPS),
+        (("--steps", '{"lattice": "tri", "steps": "EW"}'), "bad step 'E': " + TRI_STEPS),
         (("--steps", '{"lattice": "square", "steps": [[1]]}'), "bad step [1]: square steps"),
         (("--steps", '{"lattice": "tri", "steps": [6]}'), "bad step 6: triangular steps"),
         (("--steps", '{"lattice": "square", "steps": [true]}'), "bad step True: square steps"),
@@ -150,6 +154,7 @@ LATTICES = 'the lattices are "square" and "tri"'
         (("--steps", '{"lattice": "square"}'), 'missing "steps"'),
     ],
     ids=["square-letter", "tri-letter", "tri-name", "tri-text-name", "tri-text-lowercase-name",
+         "tri-json-text-name",
          "unhashable", "tri-code", "square-bool", "square-float", "tri-bool", "tri-float",
          "steps-not-a-list",
          "unknown-lattice", "no-lattice", "no-steps"],
@@ -389,6 +394,14 @@ GOLDEN_STDOUT = [
     # 07fb736, before the extension tables became index-addressed value lists
     ("sample --class 4-sided --length 120 --count 4 --seed 7", 0,
      "e20f1c97355a1ed54d09d2a2e93525603af348adc186dbed528fd146c6fbfacd"),
+    # the box outlines, recorded at commit 8a17643, before the triangular
+    # corners were read off the walk's bounds instead of a box object
+    ("sample --class triangular --length 300 --format svg --box --seed 3", 0,
+     "a59ae8e5114fcc065f4c6138f66e10e87bb7d53f907036638e2f1df8d2fb9d64"),
+    ("render --lattice tri --steps 2101343 --box", 0,
+     "6ef7632a68a285e9cd68d1503ad233acd6a8db6877b77926eeffd981b62f31ce"),
+    ("render --steps NEENNWS --box", 0,
+     "51db0d8dca7af320063de970276002477b06f692fb961828eb7bf4d1037ecda4"),
 ]
 
 

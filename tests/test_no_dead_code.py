@@ -5,8 +5,9 @@ call is a dead helper: it goes, or its test calls the code underneath, unless
 KEPT lists it with the reason it stays.  Methods are matched by attribute
 name, whatever the object they are looked up on.  The package's re-export of
 a name from its __init__ is not a use of it.  Parameters are dead too when no
-call passes a defaulted one (unless KEPT_PARAMS lists it) or when every call
-passes one the same literal (unless KEPT_CONSTANT_PARAMS lists it)."""
+call passes a defaulted one (unless KEPT_PARAMS lists it), when every call
+passes one the same literal (unless KEPT_CONSTANT_PARAMS lists it), or when
+every call passes a defaulted one (unless KEPT_ALWAYS_PASSED lists it)."""
 
 import ast
 from functools import lru_cache
@@ -22,9 +23,6 @@ KEPT = {
     "rhs_triangular": "one application of the functional equation: the independent fixed-point check",
     "two_sided_endpoint_closed": "closed form of the X+Y-refined 2-sided series; joins the exact drift route",
     "enumerate_walks": "the exhaustive walk list, unreduced by symmetry, that the searches are checked against",
-    "CPoly.invert_var": "z -> 1/z, the X-Y <-> Y-X symmetry of the diagonal series that its tests check",
-    "TriBox.size": "the triangular box size, the statistic the box-spanning formulas count walks by",
-    "_Walk.endpoint": "the endpoint of a walk, the point its endpoint statistics are read at",
 }
 
 KEPT_PARAMS = {}  # "function(param)" or "Class.method(param)": the reason it stays
@@ -32,6 +30,10 @@ KEPT_PARAMS = {}  # "function(param)" or "Class.method(param)": the reason it st
 # "function(param)" or "Class.method(param)" that every call passes as one
 # literal: the reason it stays a parameter
 KEPT_CONSTANT_PARAMS = {}
+
+# "function(param)" or "Class.method(param)" that every call passes: the
+# reason it keeps its default
+KEPT_ALWAYS_PASSED = {}
 
 
 @lru_cache(maxsize=None)
@@ -104,20 +106,46 @@ def test_every_kept_name_is_still_defined_and_unused():
     assert set(KEPT) <= _unreferenced()
 
 
+def _spelled_keywords(node, dicts):
+    """{key: value node} of a ** argument that spells a dict literal with str
+    keys, directly or as a constant subscript of a module-level dict literal
+    (dicts, by name); None for any other."""
+    if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) in dicts:
+        outer = dicts[node.value.id]
+        key = _literal(node.slice)
+        node = next((v for k, v in zip(outer.keys, outer.values) if k and _literal(k) == key), None)
+    if isinstance(node, ast.Dict) and all(isinstance(getattr(k, "value", None), str) for k in node.keys):
+        return {k.value: v for k, v in zip(node.keys, node.values)}
+    return None
+
+
 def _calls():
-    """(name, positional count, starred, keywords, double-starred, call node)
-    for every call in the scanned files, named by its function's name or
-    attribute."""
+    """(name, positional count, starred, {keyword: value node},
+    double-starred, call node) for every call in the scanned files, named by
+    its function's name or attribute.  A ** argument whose keys the source
+    spells counts as those keywords, any other as double-starred."""
     out = []
     for path in SCANNED:
-        for node in ast.walk(_tree(path)):
+        tree = _tree(path)
+        dicts = {
+            target.id: top.value for top in tree.body
+            if isinstance(top, ast.Assign) and isinstance(top.value, ast.Dict)
+            for target in top.targets if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             starred = any(isinstance(a, ast.Starred) for a in node.args)
-            keywords = {k.arg for k in node.keywords}
-            out.append((name, len(node.args), starred, keywords - {None}, None in keywords, node))
+            keywords, double = {}, False
+            for k in node.keywords:
+                spelled = {k.arg: k.value} if k.arg else _spelled_keywords(k.value, dicts)
+                if spelled is None:
+                    double = True
+                else:
+                    keywords.update(spelled)
+            out.append((name, len(node.args), starred, keywords, double, node))
     return out
 
 
@@ -232,7 +260,7 @@ def _constant_parameters():
                 if starred or double:
                     values.add(None)
                 elif param in keywords:
-                    values.add(_literal(next(k.value for k in call.keywords if k.arg == param)))
+                    values.add(_literal(keywords[param]))
                 elif index is not None and index < npos:
                     values.add(_literal(call.args[index]))
                 else:
@@ -249,3 +277,28 @@ def test_no_parameter_is_the_same_literal_at_every_call():
 
 def test_every_kept_constant_parameter_is_still_constant():
     assert set(KEPT_CONSTANT_PARAMS) <= set(_constant_parameters())
+
+
+def _always_passed_parameters():
+    """Defaulted parameters that some call in src/ and perfbench/ passes and
+    no call leaves out, so that the default is never read.  A call with * or
+    with a ** whose keys the source does not spell may leave any out."""
+    calls = _calls()
+    out = set()
+    for key, (names, index, param) in _default_parameters().items():
+        sites = [c for c in calls if c[0] in names]
+        if sites and all(
+            not (starred or double) and (param in keywords or (index is not None and index < npos))
+            for _, npos, starred, keywords, double, _ in sites
+        ):
+            out.add(key)
+    return out
+
+
+def test_no_default_is_passed_by_every_call():
+    always = sorted(_always_passed_parameters() - set(KEPT_ALWAYS_PASSED))
+    assert not always, "defaults every call in src/ or perfbench/ overrides: %s" % always
+
+
+def test_every_kept_always_passed_parameter_is_still_passed_by_every_call():
+    assert set(KEPT_ALWAYS_PASSED) <= _always_passed_parameters()

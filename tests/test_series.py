@@ -205,7 +205,7 @@ def test_compose_zero_keeps_constant_term():
     f = CPoly(("w",), 5)
     f.slices[1][(0,)] = 1
     f.slices[2][(1,)] = 3
-    assert ts_compose(f, 0) == TSeries.from_terms(5, {1: 1})
+    assert ts_compose(f, TSeries.zero(5)) == TSeries.from_terms(5, {1: 1})
 
 
 # -- substitution -----------------------------------------------------------
@@ -256,7 +256,7 @@ def _substitute_reference(p, var, image):
     else:
         name = image[1] if isinstance(image, tuple) else None
         img = CPoly.monomial(vars, N, tuple(int(v == name) for v in vars), tpow=1)
-    out = CPoly.zero(vars, N)
+    out = CPoly(vars, N)
     for n, slc in enumerate(p.slices):
         for key, c in slc.items():
             term = CPoly.monomial(vars, N, key[:k] + (0,) + key[k + 1:], n) * c
@@ -266,7 +266,7 @@ def _substitute_reference(p, var, image):
     return out
 
 
-def test_substitute_reorder_and_invert_match_monomial_references():
+def test_substitute_and_reorder_match_monomial_references():
     rng = random.Random(2008)
     vars = ("u", "v", "z")
     images = (0, 1, "t", ("t", "u"), ("t", "v"), ("t", "z"))
@@ -285,9 +285,6 @@ def test_substitute_reorder_and_invert_match_monomial_references():
         assert moved.reorder(vars) == p
         assert p.substitute("v", 0).reorder(("u", "z")).slices == [
             {(u, z): c for (u, v, z), c in slc.items() if v == 0} for slc in p.slices
-        ]
-        assert p.invert_var("z").slices == [
-            {(u, v, -z): c for (u, v, z), c in slc.items()} for slc in p.slices
         ]
         # a t-image has no power-series value at a negative exponent
         p.slices[0][(1, 0, -1)] = 1
@@ -368,7 +365,7 @@ def test_cpoly_mul_matches_tseries():
         b = TSeries([rng.randrange(-4, 5) for _ in range(7)], 6)
         pa = CPoly.from_tseries(("u",), a)
         pb = CPoly.from_tseries(("u",), b)
-        assert (pa * pb).coefficient((0,)) == a * b
+        assert pa * pb == CPoly.from_tseries(("u",), a * b)
 
 
 def test_cpoly_inv_and_sqrt():
@@ -378,12 +375,6 @@ def test_cpoly_inv_and_sqrt():
         p = p + CPoly.constant(("z",), 7)  # constant term exactly 1
         assert (p * (CPoly.constant(p.vars, p.order) / p)) == CPoly.constant(("z",), 7)
         assert (p * p).sqrt() == p
-
-
-def test_laurent_z_exponents():
-    p = CPoly.monomial(("z",), 4, (-2,), tpow=1) * 3
-    q = p.invert_var("z")
-    assert q == CPoly.monomial(("z",), 4, (2,), tpow=1) * 3
 
 
 def test_geometric_prefactor():
@@ -469,8 +460,8 @@ def test_cpoly_mul_matches_schoolbook():
 def test_cpoly_mul_zero_operand_and_cancellation():
     vars = ("u", "z")
     f = CPoly.monomial(vars, 3, (1, -2), tpow=1) * Fraction(1, 2) + 3
-    assert (f * CPoly.zero(vars, 3)).is_zero()
-    assert (CPoly.zero(vars, 5) * f).slices == [{}] * 4
+    assert (f * CPoly(vars, 3)).is_zero()
+    assert (CPoly(vars, 5) * f).slices == [{}] * 4
     # (3 + m)(3 - m) = 9 - m^2 with m = t u z^-2 / 2: the cross terms cancel
     g = (f - 3) * -1 + 3
     got = f * g

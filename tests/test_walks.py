@@ -9,10 +9,8 @@ from prudentwalks.walks import (
     GEOMETRY_MAPS,
     SQ_STEP_VECTORS,
     SQUARE_CLASSES,
-    RectBox,
     SquareState,
     SquareWalk,
-    TriBox,
     TriWalk,
     WalkClass,
     endpoint_stats,
@@ -22,6 +20,8 @@ from prudentwalks.walks import (
     in_class,
     is_prudent,
     walk_from_json,
+    _square_bounds,
+    _tri_bounds,
 )
 from prudentwalks import funceq, walks
 
@@ -79,20 +79,21 @@ def test_every_length2_saw_is_prudent():
 def test_endpoint_on_box_border():
     for wc in SQUARE_CLASSES:
         for w in enumerate_walks(wc, 5):
-            x, y = w.endpoint()
-            b = w.box()
-            assert x in (b.x_min, b.x_max) or y in (b.y_min, b.y_max)
+            vs = w.vertices()
+            (x, y), (x_min, x_max, y_min, y_max) = vs[-1], _square_bounds(vs)
+            assert x in (x_min, x_max) or y in (y_min, y_max)
     for w in enumerate_walks(WalkClass.TRIANGULAR, 4):
-        x, y = w.endpoint()
-        b = w.box()
-        assert x == b.x_min or y == b.y_min or x + y == b.s_max
+        vs = w.vertices()
+        (x, y), (x_min, y_min, s_max) = vs[-1], _tri_bounds(vs)
+        assert x == x_min or y == y_min or x + y == s_max
 
 
 def test_triangular_single_steps():
     for s in range(6):
         w = TriWalk((s,))
         assert in_class(w, WalkClass.TRIANGULAR)
-        assert w.box().size == 1
+        x_min, y_min, s_max = _tri_bounds(w.vertices())
+        assert s_max - x_min - y_min == 1
 
 
 def test_triangular_box_spanning_small():
@@ -168,21 +169,8 @@ def test_steps_neither_str_nor_int_raise(make, step):
 
 
 def test_boxes():
-    w = SquareWalk("NES")
-    b = w.box()
-    assert (b.x_min, b.x_max, b.y_min, b.y_max) == (0, 1, 0, 1)
-    t = TriWalk("2")  # E
-    tb = t.box()
-    assert (tb.x_min, tb.y_min, tb.s_max, tb.size) == (0, 0, 1, 1)
-
-
-def test_box_equality_with_foreign_operands():
-    assert RectBox(0, 1, 0, 1) == RectBox(0, 1, 0, 1)
-    assert TriBox(0, 0, 1) == TriBox(0, 0, 1)
-    for box in (RectBox(0, 0, 0, 0), TriBox(0, 0, 0)):
-        assert box != None  # noqa: E711
-        assert not box == (0, 0, 0, 0)
-    assert RectBox(0, 0, 0, 0) != TriBox(0, 0, 0)
+    assert _square_bounds(SquareWalk("NES").vertices()) == (0, 1, 0, 1)
+    assert _tri_bounds(TriWalk("2").vertices()) == (0, 0, 1)  # E
 
 
 def test_in_class_dispatch():
@@ -283,10 +271,9 @@ def test_tri_by_box_matches_unreduced_dfs():
 
 
 def _walk_geometry(walk):
-    (x, y), b = walk.endpoint(), walk.box()
-    if walk.lattice == "tri":
-        return (x, y, b.x_min, b.y_min, b.s_max)
-    return (x, y, b.x_min, b.x_max, b.y_min, b.y_max)
+    vs = walk.vertices()
+    bounds = _tri_bounds(vs) if walk.lattice == "tri" else _square_bounds(vs)
+    return vs[-1] + bounds
 
 
 @pytest.mark.parametrize("wc", list(WalkClass))
