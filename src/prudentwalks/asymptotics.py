@@ -91,8 +91,8 @@ def _iv(x):
 
 
 def _poly_eval(coeffs, x):
-    """Horner evaluation; coeffs[k] multiplies t^k."""
-    acc = Fraction(0) if not isinstance(x, RatInterval) else RatInterval(0)
+    """Horner evaluation at a rational x; coeffs[k] multiplies t^k."""
+    acc = Fraction(0)
     for c in reversed(list(coeffs)):
         acc = acc * x + Fraction(c)
     return acc

@@ -208,7 +208,7 @@ def _load_walk(args):
 def cmd_render(args):
     try:
         walk = _load_walk(args)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deeply
         raise CliError("cannot parse walk: %s" % exc) from exc
     if args.format == "ascii":
         if isinstance(walk, TriWalk):

@@ -43,11 +43,11 @@ def _quadratic_root(b, c, s, mono=None):
     ac = c.shift(s) if mono is None else c.mul_mono(mono, s)
     num = (b - (b * b - ac * 4).sqrt()).shift_down(s)
     if isinstance(num, TSeries):
-        return TSeries(map(_half, num.coeffs), num.order).normalized()
+        return TSeries(map(_half, num.coeffs), num.order)
     if mono is not None:
         num = num.mul_mono([-e for e in mono])
     halved = [{key: _half(x) for key, x in slc.items()} for slc in num.slices]
-    return CPoly(num.vars, num.order, halved).normalized()
+    return CPoly(num.vars, num.order, halved)
 
 
 def kernel_root_at(w):
@@ -115,20 +115,20 @@ def two_sided_closed(order):
     U = U1.truncate(order)
     V = U1.shift_down(1)  # U/t, constant term 1
     # U/(2t - U) = V/(2 - V); 2 - V has constant term 1
-    body = (V / (2 - V)).normalized().truncate(order)
+    body = V / (2 - V)
     pref = _ts(order, {0: 2, 2: -2}) * _ts(order, {0: 1, 1: -1}) * body / (1 - U.shift(1))
     # 1/(1 - uU) = sum_m u^m U^m; coeff runs through pref * U^m
     P = CPoly(("u",), order)
-    coeff = pref.normalized()
+    coeff = pref
     m = 0
     while m == 0 or not coeff.is_zero():
         for n, c in enumerate(coeff.coeffs):
             if c:
                 P.slices[n][(m,)] = c
-        coeff = (coeff * U).normalized()
+        coeff = coeff * U
         m += 1
     P = P - 1
-    P1 = P.specialize_ones().normalized()
+    P1 = P.specialize_ones()
     return U, P, P1
 
 
@@ -146,8 +146,7 @@ def two_sided_endpoint_closed(order):
     # 2 z^3/((z^2-uU)(z-tU)) = 2/((1 - u U z^-2)(1 - t U z^-1)), U/(2tz-U) = V/(2-V)
     pref = V / (2 - V) * _ts(N, {0: 2, 2: -2}) * (1 - CPoly.monomial(uz, N, (0, 1), tpow=1))
     U = U.truncate(N)
-    P = pref / (1 - U.mul_mono((1, -2))) / (1 - U.mul_mono((0, -1), 1)) - 1
-    return P.normalized()
+    return pref / (1 - U.mul_mono((1, -2))) / (1 - U.mul_mono((0, -1), 1)) - 1
 
 
 # --------------------------------------------------------------------------
@@ -158,7 +157,7 @@ def _phi(x):
     """(x - t)/(t (1 - t x)) for a kernel-root series x = t + O(t^2), over
     TSeries or CPoly alike."""
     N = x.order
-    return ((x.shift_down(1) - 1) / (1 - x.truncate(N - 1).shift(1))).normalized()
+    return (x.shift_down(1) - 1) / (1 - x.truncate(N - 1).shift(1))
 
 
 def _kernel_setup(order):
@@ -177,11 +176,11 @@ def _kernel_setup(order):
 
     def q_power(m, L):
         while len(qpow) <= m:
-            qpow.append((qpow[-1].truncate(L) * q).normalized())
+            qpow.append(qpow[-1].truncate(L) * q)
         return qpow[m].truncate(L)
 
-    A = (TSeries.t(M) / (1 - q.shift(1))).normalized()
-    B = ((1 - q.shift(1)) / _ts(M, {0: 1, 2: -1})).normalized()
+    A = TSeries.t(M) / (1 - q.shift(1))
+    B = (1 - q.shift(1)) / _ts(M, {0: 1, 2: -1})
     return q_power, A, B
 
 
@@ -217,10 +216,10 @@ def _kernel_sum(u_at, A, B, one, order):
                 break
             v += w
             L = N - v
-            quot = (num.shift_down(w) / (B - u.truncate(L))).normalized()
+            quot = num.shift_down(w) / (B - u.truncate(L))
             u_next = u_at(k + 1, L + 1)
             phi, phi_next = phi_next.truncate(L), _phi(u_next)
-        term = (quot * (1 + phi + phi_next)).normalized()
+        term = quot * (1 + phi + phi_next)
         total = total + _raised(term if k % 2 == 0 else -term, v, N)
         k += 1
     return total
@@ -242,7 +241,7 @@ def three_sided_length_series(order):
         (2 * qN.shift(2) * T + _ts(N, {0: 1, 1: 1}) * (_ts(N, {0: 2, 1: -1}) - qN.shift(2)) / (1 - qN.shift(1)))
         / _ts(N, {0: 1, 1: -2, 2: -1})
         - TSeries.one(N) / _ts(N, {0: 1, 1: -1})
-    ).normalized()
+    )
     return T, P1
 
 
@@ -264,7 +263,7 @@ def three_sided_closed(order):
     T = _kernel_sum(
         u_of_uqi, CPoly.from_tseries(uvar, A), CPoly.from_tseries(uvar, B),
         CPoly.constant(uvar, M), order,
-    ).normalized()
+    )
     Nt = T.order
     Uu = u_of_uqi(0, Nt)
     one_t = CPoly.from_tseries(uvar, _ts(Nt, {0: 1, 1: 1}))
@@ -278,9 +277,9 @@ def three_sided_closed(order):
         + (CPoly.from_tseries(uvar, _ts(Nt, {0: 2, 1: -1})) - Uu.shift(2)) * r
         - (1 - Uu) * one_t * (1 - CPoly.monomial(uvar, Nt, (1,))) * (T.shift(2) + r.shift(1)) * 2 / den2
     ) / _ts(Nt, {0: 1, 1: -2, 2: -1})
-    P = (P - CPoly.constant(uvar, Nt) / _ts(Nt, {0: 1, 1: -1})).normalized()
-    T1t = T.specialize_ones().normalized()
-    P1 = P.specialize_ones().normalized()
+    P = P - CPoly.constant(uvar, Nt) / _ts(Nt, {0: 1, 1: -1})
+    T1t = T.specialize_ones()
+    P1 = P.specialize_ones()
     return T1t, P, P1
 
 
@@ -301,8 +300,8 @@ def triangular_closed(order):
     N = order
     Y = y_series(N)
     one = TSeries.one(N)
-    YB = (Y * _ts(N, {0: 1, 2: -2})).normalized()  # Y (1-2t^2)
-    Y2 = (Y * Y).normalized()
+    YB = Y * _ts(N, {0: 1, 2: -2})  # Y (1-2t^2)
+    Y2 = Y * Y
     total = TSeries.zero(N)
     summand = one / (one - YB)  # 1 / (Y(1-2t^2); t)_1
     k = 0
@@ -312,17 +311,14 @@ def triangular_closed(order):
             break
         if k > 0:
             # a product has the lower order of its factors
-            summand = (summand.truncate(N - tri) * (YB - Y2.shift(k + 1)) / (1 - YB.shift(k))).normalized()
+            summand = summand.truncate(N - tri) * (YB - Y2.shift(k + 1)) / (1 - YB.shift(k))
         term = _raised(summand, tri, N)
         if term.is_zero():
             break
         total = total + term
         k += 1
-    R1t = ((one + Y) * (one + Y.shift(1)) * total).normalized()
-    P1 = (
-        1
-        + _ts(N, {1: 6, 2: 6}) * (one + _ts(N, {1: 1, 2: 2}) * R1t) / _ts(N, {0: 1, 1: -3, 2: -2})
-    ).normalized()
+    R1t = (one + Y) * (one + Y.shift(1)) * total
+    P1 = 1 + _ts(N, {1: 6, 2: 6}) * (one + _ts(N, {1: 1, 2: 2}) * R1t) / _ts(N, {0: 1, 1: -3, 2: -2})
     return Y, R1t, P1
 
 
@@ -372,7 +368,7 @@ def two_sided_kernel_residual(order):
     """(1-tU)(U-t) - tU(1-t^2) at the 2-sided kernel root U; must vanish."""
     U = q_series(order)
     t = TSeries.t(order)
-    return ((1 - U.shift(1)) * (U - t) - U.shift(1) * _ts(order, {0: 1, 2: -1})).normalized()
+    return (1 - U.shift(1)) * (U - t) - U.shift(1) * _ts(order, {0: 1, 2: -1})
 
 
 def three_sided_q_homogeneity_residual(order):
@@ -381,8 +377,7 @@ def three_sided_q_homogeneity_residual(order):
     N = order
     u = CPoly.monomial(("u",), N, (1,))
     v = u * q_series(N)
-    K = (u - v.shift(1)) * (v - u.shift(1)) - u * v * _ts(N, {1: 1, 3: -1})
-    return K.normalized()
+    return (u - v.shift(1)) * (v - u.shift(1)) - u * v * _ts(N, {1: 1, 3: -1})
 
 
 def triangular_kernel_parametrization_residual(order):
@@ -392,12 +387,11 @@ def triangular_kernel_parametrization_residual(order):
     xv = ("x",)
     x = CPoly.monomial(xv, N, (1,))
     one = CPoly.constant(xv, N)
-    u = (x * _ts(N, {0: 1, 1: -1}) / ((one + x.shift(1)) * (one + x.shift(2)))).normalized()
-    v = u.substitute("x", ("t", "x")).normalized()  # U(tx)
-    K = (u - v.shift(1)) * (v - u.shift(1)) - (
+    u = x * _ts(N, {0: 1, 1: -1}) / ((one + x.shift(1)) * (one + x.shift(2)))
+    v = u.substitute("x", ("t", "x"))  # U(tx)
+    return (u - v.shift(1)) * (v - u.shift(1)) - (
         u * v * (u + v) * CPoly.from_tseries(xv, _ts(N, {1: 1, 3: -1}))
     )
-    return K.normalized()
 
 
 def x_kernel_residual(order):
@@ -408,4 +402,4 @@ def x_kernel_residual(order):
     one = CPoly.constant(uvar, N)
     lhs = CPoly.monomial(uvar, N, (1,)) * (one + X.shift(1)) * (one + X.shift(2))
     rhs = X * CPoly.from_tseries(uvar, _ts(N, {0: 1, 1: -1}))
-    return (lhs - rhs).normalized()
+    return lhs - rhs

@@ -1,9 +1,12 @@
 """Exact truncated power series in t and polynomials in catalytic variables.
 
-All coefficients are exact: Python ints, or fractions.Fraction where square
-roots and inverses force denominators.  Every series carries an explicit
-truncation order N and is exact modulo t^(N+1); binary operations on
-mismatched orders truncate to the smaller one.
+All coefficients are exact: Python ints, or fractions.Fraction where a
+denominator is forced.  That happens only for a Fraction input, a square root
+past its first odd numerator, or a divisor whose constant term is not +-1:
+`_half` returns an int whenever the half is integral and `_unit_inverse`
+gives the int +-1, so integer data stay in ints without a later pass.
+Every series carries an explicit truncation order N and is exact modulo
+t^(N+1); binary operations on mismatched orders truncate to the smaller one.
 
 A CPoly variable can be substituted by four images: 0, 1, t, or t times a
 variable (possibly itself).  Every nonzero image and variable reordering maps
@@ -31,10 +34,11 @@ class SeriesError(ValueError):
 
 
 def _half(c):
-    """Exact c/2, staying an int when possible."""
+    """Exact c/2, an int whenever it is integral."""
     if isinstance(c, int):
         return c // 2 if c % 2 == 0 else Fraction(c, 2)
-    return c / 2
+    h = c / 2
+    return h.numerator if h.denominator == 1 else h
 
 
 def _unit_inverse(c0):
@@ -94,9 +98,7 @@ class TSeries:
 
     def __eq__(self, other):
         if isinstance(other, TSeries):
-            return self.order == other.order and all(
-                a == b for a, b in zip(self.coeffs, other.coeffs)
-            )
+            return self.order == other.order and self.coeffs == other.coeffs
         if isinstance(other, int) or type(other) is Fraction:
             return self.coeffs[0] == other and not any(self.coeffs[1:])
         return NotImplemented
@@ -149,16 +151,6 @@ class TSeries:
         """The series itself, which has no catalytic variables to set to 1;
         lets a TSeries stand wherever a CPoly is specialized to counts."""
         return self
-
-    def normalized(self):
-        """Same series with integral Fractions demoted to plain ints."""
-        return TSeries(
-            [
-                c.numerator if type(c) is Fraction and c.denominator == 1 else c
-                for c in self.coeffs
-            ],
-            self.order,
-        )
 
     # -- ring operations ---------------------------------------------------
 
@@ -455,15 +447,7 @@ class CPoly:
     def __eq__(self, other):
         if not isinstance(other, CPoly):
             return NotImplemented
-        if self.vars != other.vars or self.order != other.order:
-            return False
-        for a, b in zip(self.slices, other.slices):
-            if len(a) != len(b):
-                return False
-            for key, c in a.items():
-                if key not in b or b[key] != c:
-                    return False
-        return True
+        return self.vars == other.vars and self.order == other.order and self.slices == other.slices
 
     def __repr__(self):
         nterms = sum(len(s) for s in self.slices)
@@ -562,18 +546,6 @@ class CPoly:
             raise SeriesError("CPoly not divisible by t^%d" % k)
         out = CPoly(self.vars, self.order - k)
         out.slices = [dict(s) for s in self.slices[k:]]
-        return out
-
-    def normalized(self):
-        """Demote integral Fraction coefficients to ints, drop zeros."""
-        out = CPoly(self.vars, self.order)
-        for n, slc in enumerate(self.slices):
-            tgt = out.slices[n]
-            for key, c in slc.items():
-                if type(c) is Fraction and c.denominator == 1:
-                    c = c.numerator
-                if c:
-                    tgt[key] = c
         return out
 
     def __truediv__(self, other):

@@ -152,12 +152,13 @@ LATTICES = 'the lattices are "square" and "tri"'
         (("--steps", '{"lattice": "hex", "steps": ["N", "E"]}'), "unknown lattice 'hex': " + LATTICES),
         (("--steps", '{"steps": ["N"]}'), 'missing "lattice": ' + LATTICES),
         (("--steps", '{"lattice": "square"}'), 'missing "steps"'),
+        (("--steps", '{"a":' + "[" * 10000), "maximum recursion depth exceeded"),
     ],
     ids=["square-letter", "tri-letter", "tri-name", "tri-text-name", "tri-text-lowercase-name",
          "tri-json-text-name",
          "unhashable", "tri-code", "square-bool", "square-float", "tri-bool", "tri-float",
          "steps-not-a-list",
-         "unknown-lattice", "no-lattice", "no-steps"],
+         "unknown-lattice", "no-lattice", "no-steps", "nested-too-deep"],
 )
 def test_render_names_the_bad_step(capsys, argv, message):
     code, out, err = run(capsys, "render", *argv)

@@ -29,6 +29,7 @@ from prudentwalks.funceq import (
 )
 from prudentwalks.series import CPoly, SeriesError, TSeries, ts_compose
 from prudentwalks.walks import WalkClass, enumerate_tri_by_box
+from test_series import _normalized
 
 
 def _kernel_root_u_of_w(order):
@@ -95,7 +96,7 @@ def _u_of_uqi_by_substitution(i, order):
     q = q_series(order)
     out = CPoly(("u",), order)
     for (j,), coeff in _kernel_root_u_of_w(order).terms().items():
-        piece = (coeff * _power(q, i * j)).normalized()
+        piece = coeff * _power(q, i * j)
         for n, c in enumerate(piece.coeffs):
             if c:
                 out.slices[n][(j,)] = c
@@ -125,23 +126,23 @@ def test_q_series_values():
 def test_compose_unit_dominance_allows_q():
     # U(t;w) has coefficient valuation >= w-exponent, so w := 1 is exact
     Uw = _bivariate_root(12)
-    assert ts_compose(Uw, TSeries.one(12)).normalized() == q_series(12)
+    assert ts_compose(Uw, TSeries.one(12)) == q_series(12)
 
 
 def test_kernel_root_at_matches_bivariate_root():
     # U(t;W) at its argument equals the fixed-point U(t;w) composed with W
     N = 40
     Uw = _kernel_root_u_of_w(N + 1)
-    q = ts_compose(Uw, TSeries.one(N + 1)).normalized()
+    q = ts_compose(Uw, TSeries.one(N + 1))
     qp = TSeries.one(N + 1)
     for i in range(6):
         U = kernel_root_at(qp)
-        assert U == ts_compose(Uw, qp).normalized()
+        assert U == ts_compose(Uw, qp)
         assert all(type(c) is int for c in U.coeffs)
-        qp = (qp * q).normalized()
+        qp = qp * q
     # a rational argument gives odd numerators to halve
     W = TSeries([Fraction(1, 2), Fraction(-1, 3), 5], N + 1)
-    U, want = kernel_root_at(W), ts_compose(Uw, W).normalized()
+    U, want = kernel_root_at(W), _normalized(ts_compose(Uw, W))
     assert U == want and any(type(c) is Fraction for c in U.coeffs)
     assert [type(c) for c in U.coeffs] == [type(c) for c in want.coeffs]
 
@@ -159,9 +160,29 @@ def test_length_series_never_build_the_bivariate_root(monkeypatch):
     assert q_series(30).coeffs[:6] == [0, 1, 1, 1, 1, 2]
 
 
+def test_closed_forms_are_integral_without_stored_zeros():
+    # every closed form is built from ints over divisors with constant term
+    # +-1, so each coefficient is an exact int and no CPoly keeps a zero term
+    for order in [*range(13), 40]:
+        outputs = [
+            *two_sided_closed(order), two_sided_endpoint_closed(order),
+            *three_sided_length_series(order), *three_sided_closed(order),
+            *triangular_closed(order), y_series(order), x_of_u(order), q_series(order),
+        ]
+        for wc in WalkClass:
+            P1 = closedforms.length_series(wc, order)
+            if P1 is not None:  # general prudent walks have no closed form
+                outputs.append(P1)
+        for out in outputs:
+            if isinstance(out, TSeries):
+                assert all(type(c) is int for c in out.coeffs), order
+            else:
+                assert all(type(c) is int and c for slc in out.slices for c in slc.values()), order
+
+
 def test_compose_with_zero_gives_t():
     Uw = _bivariate_root(12)
-    assert ts_compose(Uw, TSeries.zero(12)).normalized() == TSeries.t(12)
+    assert ts_compose(Uw, TSeries.zero(12)) == TSeries.t(12)
 
 
 def _ts(order, terms):
@@ -174,7 +195,7 @@ def two_sided_p1_display(order):
     N = order
     root = (_ts(N, {0: 1, 4: -1}) * _ts(N, {0: 1, 1: -2, 2: -1}).inv()).sqrt()
     num = _ts(N, {0: 1, 1: 1, 3: -1}) + _ts(N, {1: 1, 2: -1}) * root
-    return (num * _ts(N, {0: 1, 1: -2, 2: -2, 3: 2}).inv()).normalized()
+    return num * _ts(N, {0: 1, 1: -2, 2: -2, 3: 2}).inv()
 
 
 def test_two_sided_closed_matches_everything():
@@ -183,10 +204,10 @@ def test_two_sided_closed_matches_everything():
     assert P1.integer_coeffs()[:6] == [1, 4, 10, 26, 66, 168]
     assert two_sided_p1_display(14) == P1
     # full catalytic agreement with the functional-equation route
-    assert P.normalized() == solve_2sided(14)[1].normalized()
+    assert P == solve_2sided(14)[1]
     # the sqrt-formula root coincides with the fixed-point q, byte for byte
     assert U == q_series(14)
-    assert U == ts_compose(_kernel_root_u_of_w(14), TSeries.one(14)).normalized()
+    assert U == ts_compose(_kernel_root_u_of_w(14), TSeries.one(14))
 
 
 def test_two_sided_kernel_residual():
@@ -198,7 +219,7 @@ def test_two_sided_endpoint_closed():
         assert two_sided_endpoint_closed(order) == solve_2sided_refined_sum(order)[1]
     P = two_sided_endpoint_closed(10)
     ref = solve_2sided_refined_sum(10)[1]
-    assert P.normalized() == ref.truncate(P.order).normalized()
+    assert P == ref.truncate(P.order)
     # z = 1 reduces to the unrefined series
     z1 = P.substitute("z", 1).substitute("u", 1).specialize_ones()
     assert z1.integer_coeffs()[:6] == [1, 4, 10, 26, 66, 168]
@@ -215,8 +236,8 @@ def test_two_sided_endpoint_kernel_root_quadratic():
     residual = (z - U.shift(1)) * (U - z.shift(1)) - U.mul_mono(
         (2,), 1
     ) * CPoly.from_tseries(zv, TSeries.from_terms(N, {0: 1, 2: -1}))
-    assert residual.normalized().is_zero()
-    assert U.substitute("z", 1).specialize_ones().normalized() == q_series(N)
+    assert residual.is_zero()
+    assert U.substitute("z", 1).specialize_ones() == q_series(N)
 
 
 def test_three_sided_closed_cross_checks():
@@ -227,7 +248,7 @@ def test_three_sided_closed_cross_checks():
     assert P1.integer_coeffs()[:9] == [1, 4, 12, 34, 90, 236, 612, 1580, 4060]
     # Ptu-expr agrees with the iterated functional equation in full
     ref = solve_3sided(12)[2]
-    assert Pu.normalized() == ref.truncate(Pu.order).normalized()
+    assert Pu == ref.truncate(Pu.order)
 
 
 def test_three_sided_closed_low_orders():
@@ -244,14 +265,14 @@ def test_three_sided_summand_valuations_grow():
     # the measured-valuation auto truncation terminates
     N = 40
     Uw = _kernel_root_u_of_w(N + 1)
-    q = ts_compose(Uw, TSeries.one(N + 1)).normalized()
-    A = (TSeries.t(N) * (1 - q.truncate(N).shift(1)).inv()).normalized()
+    q = ts_compose(Uw, TSeries.one(N + 1))
+    A = TSeries.t(N) * (1 - q.truncate(N).shift(1)).inv()
     qp = TSeries.one(N + 1)
     numprod = TSeries.one(N)
     vals = [0]
     for i in range(1, 6):
-        qp = (qp * q).normalized()
-        numprod = (numprod * (A - ts_compose(Uw, qp).truncate(N))).normalized()
+        qp = qp * q
+        numprod = numprod * (A - ts_compose(Uw, qp).truncate(N))
         vals.append(numprod.valuation())
     assert all(b >= a + 3 for a, b in zip(vals, vals[1:]))
 
@@ -265,11 +286,11 @@ def _full_order_setup(order):
 
     def q_power(m, L):
         while len(qpow) <= m:
-            qpow.append((qpow[-1] * q).normalized())
+            qpow.append(qpow[-1] * q)
         return qpow[m].truncate(L)
 
-    A = (TSeries.t(M) * (1 - (q * TSeries.t(M))).inv()).normalized()
-    B = ((1 - q.shift(1)) * TSeries.from_terms(M, {0: 1, 2: -1}).inv()).normalized()
+    A = TSeries.t(M) * (1 - (q * TSeries.t(M))).inv()
+    B = (1 - q.shift(1)) * TSeries.from_terms(M, {0: 1, 2: -1}).inv()
     return q_power, A, B
 
 
@@ -288,9 +309,9 @@ def _full_order_sum(u_at, A, B, one, order):
         if k > 0:
             u, u_next = u_next, u_at(k + 1, M)
             phi, phi_next = phi_next, phi_of(u_next).truncate(order)
-            numprod = (numprod * (A - u)).normalized()
-            invden = (invden * (one / (B - u))).normalized()
-        term = (numprod.truncate(order) * invden.truncate(order) * (1 + phi + phi_next)).normalized()
+            numprod = numprod * (A - u)
+            invden = invden * (one / (B - u))
+        term = numprod.truncate(order) * invden.truncate(order) * (1 + phi + phi_next)
         if term.is_zero():
             break
         total = total + (term if k % 2 == 0 else -term)
@@ -344,8 +365,8 @@ def test_three_sided_matches_full_order_at_orders_0_to_40(route):
 def test_q_power_refuses_an_order_above_the_one_it_was_built_at():
     q_power = closedforms._kernel_setup(20)[0]
     q = q_series(21)
-    assert q_power(3, 21) == (q * q * q).normalized()
-    assert q_power(5, 12) == (q * q * q * q * q).truncate(12).normalized()
+    assert q_power(3, 21) == q * q * q
+    assert q_power(5, 12) == (q * q * q * q * q).truncate(12)
     assert q_power(3, 15) == q_power(3, 21).truncate(15)
     with pytest.raises(SeriesError):
         q_power(5, 13)  # q^5 was built to t^12
@@ -369,27 +390,27 @@ def _triangular_full_order(order):
     N = order
     Y = y_series(N)
     one = TSeries.one(N)
-    YB = (Y * TSeries.from_terms(N, {0: 1, 2: -2})).normalized()
+    YB = Y * TSeries.from_terms(N, {0: 1, 2: -2})
     total = TSeries.zero(N)
     ypow, numfac, invden = one, one, (one - YB).inv()
     k = 0
     while k * (k + 1) // 2 <= N:
         if k > 0:
-            ypow = (ypow * Y).normalized()
-            numfac = (numfac * (TSeries.from_terms(N, {0: 1, 2: -2}) - Y.shift(k + 1))).normalized()
-            invden = (invden * (one - YB.shift(k)).inv()).normalized()
-        term = (ypow.shift(k * (k + 1) // 2) * numfac * invden).normalized()
+            ypow = ypow * Y
+            numfac = numfac * (TSeries.from_terms(N, {0: 1, 2: -2}) - Y.shift(k + 1))
+            invden = invden * (one - YB.shift(k)).inv()
+        term = ypow.shift(k * (k + 1) // 2) * numfac * invden
         if term.is_zero():
             break
         total = total + term
         k += 1
-    R1t = ((one + Y) * (one + Y.shift(1)) * total).normalized()
+    R1t = (one + Y) * (one + Y.shift(1)) * total
     P1 = (
         1
         + TSeries.from_terms(N, {1: 6, 2: 6})
         * TSeries.from_terms(N, {0: 1, 1: -3, 2: -2}).inv()
         * (one + TSeries.from_terms(N, {1: 1, 2: 2}) * R1t)
-    ).normalized()
+    )
     return Y, R1t, P1
 
 
@@ -408,7 +429,7 @@ def test_x_series():
     assert x_kernel_residual(24).is_zero()
     X = x_of_u(12)
     Y = y_series(12)
-    assert X.substitute("u", 1).specialize_ones().shift(1).normalized() == Y
+    assert X.substitute("u", 1).specialize_ones().shift(1) == Y
 
 
 def _x_of_u_every_prefix(order):
@@ -514,8 +535,8 @@ def euler_identity_check(order, a):
     n = 0
     while n * (n + 1) // 2 <= N:
         lhs = lhs + (poch_a * inv_poch_t).shift(n * (n + 1) // 2)
-        poch_a = (poch_a * (one - a.shift(n))).normalized()
-        inv_poch_t = (inv_poch_t * (one - TSeries.from_terms(N, {n + 1: 1})).inv()).normalized()
+        poch_a = poch_a * (one - a.shift(n))
+        inv_poch_t = inv_poch_t * (one - TSeries.from_terms(N, {n + 1: 1})).inv()
         n += 1
     rhs = one
     va = a.valuation() if not a.is_zero() else N + 1
@@ -523,9 +544,9 @@ def euler_identity_check(order, a):
     while m <= N or va + 2 * m - 1 <= N:
         f = one + TSeries.from_terms(N, {m: 1}) if m <= N else one
         g = one - a.shift(2 * m - 1) if va + 2 * m - 1 <= N else one
-        rhs = (rhs * f * g).normalized()
+        rhs = rhs * f * g
         m += 1
-    return lhs.normalized() == rhs.normalized()
+    return lhs == rhs
 
 
 def test_euler_identity_zero_case():
