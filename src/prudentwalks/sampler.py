@@ -2,10 +2,12 @@
 
 The extension numbers Ex(l, m) -- the number of length-m continuations of
 any walk with L-label l -- are precomputed in per-remaining-length slabs
-over the compact L-labels only (the recursive method).  Slab m holds the
-labels of depth <= n-m, a prefix of one depth-sorted label list, so it is
+over the compact L-labels only (the recursive method).  The labels are
+listed once, in the breadth-first order in which walks first reach them, so
+slab m -- the labels reached in <= n-m steps -- is a prefix of that list and
 one plain list of values addressed by label index; each slab is summed from
-the previous one through child-index columns, so l_children runs once per
+the previous one through child-index columns, and the breadth-first pass
+that finds the labels produces their children, so l_children runs once per
 label.  The refined P-labels live in the sampling walk state: each P-label's
 children, their steps and the table indices of their L-labels are cached as
 one record.  Each step is drawn by bisecting the cumulative child weights
@@ -18,10 +20,10 @@ as CPython's Random.randrange does.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import accumulate, islice, zip_longest
+from itertools import accumulate, chain, islice, zip_longest
 from math import comb
 from operator import add
 
@@ -36,56 +38,10 @@ class ResourceBudgetError(MemoryError):
 
     def __init__(self, estimate, budget):
         super().__init__(
-            "extension table needs about %d entries, budget is %d" % (estimate, budget)
+            "extension table needs up to about %d entries, budget is %d" % (estimate, budget)
         )
         self.estimate = estimate
         self.budget = budget
-
-
-def _slab_labels(walk_class, d):
-    """Superset of the L-labels reachable at depth d (distance sums <= d).
-
-    Children of depth-d labels stay inside the depth-(d+1) superset, which is
-    what the slab recursion needs.
-    """
-    if walk_class is WalkClass.ONE_SIDED:
-        yield (0,)
-        yield (1,)
-        return
-    if walk_class is WalkClass.TWO_SIDED:
-        for ty in range(3):
-            for i in range(d + 1):
-                yield (ty, i)
-        return
-    if walk_class is WalkClass.THREE_SIDED:
-        for i in range(d + 1):
-            for j in range(i, d + 1 - i):
-                yield (0, i, j)  # I_v, unordered i <= j
-        for ty in range(1, 5):
-            for i in range(d + 1):
-                for j in range(d + 1 - i):
-                    yield (ty, i, j)
-        return
-    if walk_class is WalkClass.PRUDENT4:
-        for h in range(d + 1):
-            for i in range(d + 1 - h):
-                for j in range(i, d + 1 - h - i):
-                    yield (0, i, j, h)
-        for h in range(d + 1):
-            for i in range(d + 1 - h):
-                for j in range(d + 1 - h - i):
-                    yield (1, i, j, h)
-        return
-    # triangular: every reachable label has second distance >= 1
-    for ty in range(2):
-        for i in range(d):
-            for j in range(1, d + 1 - i):
-                yield (ty, i, j)
-
-
-def _label_depth(label):
-    """Distance sum of an L-label: slab m holds exactly the labels of depth <= n-m."""
-    return sum(label[1:])
 
 
 def _quarter_squares(k):
@@ -99,11 +55,13 @@ def _quarter_squares_2(k):
 
 
 def estimate_entries(walk_class, n):
-    """Number of (label, remaining-length) entries the table will hold.
+    """Upper bound on the (label, remaining-length) entries the table holds.
 
-    Exact and O(1): slab m holds the labels of depth <= d = n-m, of which
-    there are 2 (1-sided), 3(d+1) (2-sided), floor((d+2)^2/4) + 2(d+1)(d+2)
-    (3-sided), C(d+3,3) + sum_{e<=d} floor((e+2)^2/4) (4-sided) and d(d+1)
+    O(1), so the budget is checked before the table is built.  A label
+    reached in k steps has distance sum <= k, so slab m lies inside the
+    labels of distance sum <= d = n-m, of which there are 2 (1-sided),
+    3(d+1) (2-sided), floor((d+2)^2/4) + 2(d+1)(d+2) (3-sided),
+    C(d+3,3) + sum_{e<=d} floor((e+2)^2/4) (4-sided) and d(d+1)
     (triangular); the sum over d = 0..n-1 is taken in closed form.
     """
     if walk_class is WalkClass.ONE_SIDED:
@@ -118,9 +76,9 @@ def estimate_entries(walk_class, n):
 
 
 class _Slab(Mapping):
-    """Read-only label -> Ex(label, m) view of one slab: the labels of depth
-    <= n-m, a prefix of the table's shared label list, over that slab's
-    value list.  A label outside the prefix raises KeyError."""
+    """Read-only label -> Ex(label, m) view of one slab: the labels reached
+    in <= n-m steps, a prefix of the table's shared label list, over that
+    slab's value list.  A label outside the prefix raises KeyError."""
 
     __slots__ = ("_labels", "_index", "_values")
 
@@ -145,18 +103,22 @@ class _Slab(Mapping):
 class ExtTable:
     """Extension numbers Ex(label, m) for one class and target length n.
 
-    The labels of depth < n are listed once, sorted by depth, in `labels`,
-    and `index` maps each to its position.  Slab m (the labels of depth
-    <= n-m) is a prefix of that list, so it is stored as one plain list
-    `values[m]` of Ex(label, m) in list order; slab 0 is the constant
-    function 1 and is not materialized.  `slabs[m]` is a read-only mapping
-    view over (labels, index, values[m]).
+    One breadth-first pass over l_children, from the L-labels of the root's
+    children, lists in `labels` exactly the labels that walks of 1..n-1
+    steps reach, in the order first reached; `index` maps each to its
+    position and `ends[d]` counts the labels first reached in fewer than d
+    steps.  Slab m (the labels reached in <= n-m steps) is the prefix of
+    `ends[n-m+1]` labels, so it is stored as one plain list `values[m]` of
+    Ex(label, m) in list order; slab 0 is the constant function 1 and is
+    not materialized.  `slabs[m]` is a read-only mapping view over
+    (labels, index, values[m]).
 
-    l_children runs once per label: its children become index columns (one
-    per child position, padded with -1), and each slab is summed column by
-    column with C-level maps over the previous slab's values.  The pad reads
-    a 0 appended to the previous list only while the next slab is summed, so
-    `values[m]` holds exactly its prefix and an index past it raises.
+    l_children runs once per label, in the pass that finds the labels: the
+    children become index columns (one per child position, padded with -1),
+    and each slab is summed column by column with C-level maps over the
+    previous slab's values.  The pad reads a 0 appended to the previous list
+    only while the next slab is summed, so `values[m]` holds exactly its
+    prefix and an index past it raises.
     """
 
     def __init__(self, walk_class, n, max_entries=DEFAULT_MAX_ENTRIES):
@@ -164,19 +126,27 @@ class ExtTable:
         if estimate > max_entries:
             raise ResourceBudgetError(estimate, max_entries)
         self.n = n
-        self.rules = RULES[walk_class]
+        self.rules = rules = RULES[walk_class]
         self.values = values = [None] * (n + 1)
         self.slabs = [None] * (n + 1)
-        self.labels = labels = sorted(_slab_labels(walk_class, n - 1), key=_label_depth) if n else []
+        self.labels = labels = list(dict.fromkeys(map(rules.l_of_p, rules.root))) if n > 1 else []
         self.index = index = dict(zip(labels, range(len(labels))))
+        self.ends = ends = [0, 0][:n + 1]  # no label is reached in 0 steps
         if n == 0:
             return
-        depths = list(map(_label_depth, labels))
-        ends = [bisect_left(depths, d) for d in range(n + 1)]  # labels of depth < d
-        kids = list(map(self.rules.l_children, labels))
+        kids = []
+        for d in range(2, n + 1):  # l_children of the labels first reached in d-1 steps
+            level = list(map(rules.l_children, labels[ends[-1]:]))
+            ends.append(len(labels))
+            kids += level
+            if d < n:
+                for label in chain.from_iterable(level):
+                    if label not in index:
+                        index[label] = len(labels)
+                        labels.append(label)
         vals = values[1] = list(map(len, kids))  # slab 1, since Ex(., 0) = 1
-        # one index column per child position, over the labels of depth < n-1
-        # (deeper labels are read by slab 1 only); -1 pads the shorter rows
+        # one index column per child position, over the labels reached in
+        # < n-1 steps (later ones are read by slab 1 only); -1 pads the shorter rows
         cols = list(zip_longest(*[map(index.__getitem__, ks) for ks in kids[:ends[n - 1]]], fillvalue=-1))
         first, *rest = cols or [()]  # no columns: every slab from 2 on is empty
         del kids, cols
@@ -236,20 +206,23 @@ class UniformSampler:
         """(P-children, their steps, the table indices of their L-labels) of a
         P-label; None is the root.
 
-        The indices are None when the P-label has depth >= n-1: its children
-        may lie at depth n, outside the table, and it is only ever the parent
-        of the last step, which is drawn without weights.
+        The indices are None when the P-label's L-label sits at table position
+        ends[n-1] or later (first reached in >= n-1 steps): its children may
+        first be reached in n steps, outside the table, and it is only ever
+        the parent of the last step, which is drawn without weights.
         """
         cached = self._child_cache.get(plabel)
         if cached is None:
             rules = self.rules
+            table = self.table
             if plabel is None:
-                kids, depth = rules.root, 0
+                kids, inside = rules.root, self.n > 1
             else:
-                kids, depth = rules.p_children(plabel), _label_depth(rules.l_of_p(plabel))
+                kids = rules.p_children(plabel)
+                inside = table.index[rules.l_of_p(plabel)] < table.ends[self.n - 1]
             idx = None
-            if depth < self.n - 1:
-                idx = tuple(map(self.table.index.__getitem__, map(rules.l_of_p, kids)))
+            if inside:
+                idx = tuple(map(table.index.__getitem__, map(rules.l_of_p, kids)))
             cached = (kids, tuple(map(rules.step_of, kids)), idx)
             if len(self._child_cache) < (1 << 20):
                 self._child_cache[plabel] = cached

@@ -219,9 +219,10 @@ class TSeries:
     def sqrt(self):
         """Square root with constant term 1; r*r == self mod t^(order+1).
 
-        The coefficients are ints up to the first odd numerator 2 r_m and
-        Fractions from there on.  An integer series gets that tail from ints:
-        a(4t) = 1 + 4x(t) with x integral, so each s_m = 4^m r_m is an int."""
+        As with `_half`, each coefficient is an int when it is integral and a
+        Fraction otherwise.  An integer series gets the tail from its first
+        odd numerator 2 r_m on from ints: a(4t) = 1 + 4x(t) with x integral,
+        so each s_m = 4^m r_m is an int."""
         if self.coeffs[0] != 1:
             raise SeriesError("TSeries.sqrt requires constant term 1")
         n = self.order
@@ -248,7 +249,8 @@ class TSeries:
                 if sk:
                     s -= sk * scaled[j - k]
             scaled.append(s >> 1)
-            out[j] = Fraction(s >> 1, 1 << 2 * j)
+            r = Fraction(s >> 1, 1 << 2 * j)
+            out[j] = r.numerator if r.denominator == 1 else r
         return TSeries(out, n)
 
     # -- serialization -----------------------------------------------------

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from test_sampler_reference import reference_slabs
+from test_sampler_reference import p_tree_depths, reference_slabs
 
 from prudentwalks.labels import RULES
 from prudentwalks.sampler import (
@@ -10,7 +10,6 @@ from prudentwalks.sampler import (
     ResourceBudgetError,
     UniformSampler,
     _below,
-    _label_depth,
     estimate_entries,
     exact_distribution,
     kinetic_sample,
@@ -210,11 +209,15 @@ def test_slab_views_copy_to_reference_dicts(wc):
 def test_slab_views_refuse_deeper_labels(wc):
     n = 8
     table = ExtTable(wc, n)
-    assert table.labels == sorted(table.labels, key=_label_depth)
+    depth = p_tree_depths(wc, n)
+    assert sorted(table.labels) == sorted(lab for lab, d in depth.items() if d < n)
+    order = [depth[label] for label in table.labels]
+    assert order == sorted(order)
+    assert table.ends == [sum(k < d for k in order) for d in range(n + 1)]
     for m in range(1, n + 1):
         slab = table.slabs[m]
         for label in table.labels:
-            if _label_depth(label) <= n - m:
+            if depth[label] <= n - m:
                 assert label in slab
                 assert slab[label] == table.ex(label, m)
             else:
@@ -223,13 +226,23 @@ def test_slab_views_refuse_deeper_labels(wc):
                     slab[label]
                 with pytest.raises(KeyError):
                     table.ex(label, m)
-    # depth n is outside the table: no slab holds it, not even as a pad zero
-    deep = next(lab for lab in reference_slabs(wc, n + 1)[1] if _label_depth(lab) == n)
-    assert deep not in table.index
-    for m in range(1, n + 1):
-        assert deep not in table.slabs[m]
-        with pytest.raises(KeyError):
-            table.slabs[m][deep]
+    # labels first reached in n steps are outside the table: no slab holds
+    # them, not even as a pad zero; nor labels of the distance-sum superset
+    # that no walk reaches
+    deep = next(lab for lab, d in depth.items() if d == n)
+    never = {
+        WalkClass.TWO_SIDED: [(2, 0)],
+        WalkClass.THREE_SIDED: [(1, i, 0) for i in range(n)],
+        WalkClass.PRUDENT4: [(0, 0, 0, 0)],
+        WalkClass.TRIANGULAR: [],
+    }[wc]
+    assert not depth.keys() & set(never)
+    for label in [deep, *never]:
+        assert label not in table.index
+        for m in range(1, n + 1):
+            assert label not in table.slabs[m]
+            with pytest.raises(KeyError):
+                table.slabs[m][label]
     assert (99,) not in table.slabs[1]
 
 

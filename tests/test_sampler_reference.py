@@ -2,9 +2,11 @@
 
 ExtTable builds its slabs from index columns and UniformSampler bisects
 cumulative weights from cached child records; the references below are the
-direct forms: one l_children call per (label, remaining length) entry, and a
-linear scan over Ex(child, m-1) at every step.  Both must give the same
-slabs and the same draws for the same seed.
+direct forms: the labels of each slab read off the refined P-tree rather
+than the table's breadth-first pass over l_children, one l_children call
+per (label, remaining length) entry, and a linear scan over Ex(child, m-1)
+at every step.  Both must give the same slabs and the same draws for the
+same seed.
 """
 
 import random
@@ -18,22 +20,76 @@ from prudentwalks.labels import RULES
 from prudentwalks.sampler import (
     ExtTable,
     UniformSampler,
-    _slab_labels,
     estimate_entries,
     exact_distribution,
 )
 from prudentwalks.walks import SquareWalk, TriWalk, WalkClass
 
 
+def _slab_labels(walk_class, d):
+    """Superset of the L-labels reachable in d steps (distance sums <= d):
+    the labels `estimate_entries` counts for the remaining length n-d."""
+    if walk_class is WalkClass.ONE_SIDED:
+        yield (0,)
+        yield (1,)
+        return
+    if walk_class is WalkClass.TWO_SIDED:
+        for ty in range(3):
+            for i in range(d + 1):
+                yield (ty, i)
+        return
+    if walk_class is WalkClass.THREE_SIDED:
+        for i in range(d + 1):
+            for j in range(i, d + 1 - i):
+                yield (0, i, j)  # I_v, unordered i <= j
+        for ty in range(1, 5):
+            for i in range(d + 1):
+                for j in range(d + 1 - i):
+                    yield (ty, i, j)
+        return
+    if walk_class is WalkClass.PRUDENT4:
+        for h in range(d + 1):
+            for i in range(d + 1 - h):
+                for j in range(i, d + 1 - h - i):
+                    yield (0, i, j, h)
+        for h in range(d + 1):
+            for i in range(d + 1 - h):
+                for j in range(d + 1 - h - i):
+                    yield (1, i, j, h)
+        return
+    # triangular: every reachable label has second distance >= 1
+    for ty in range(2):
+        for i in range(d):
+            for j in range(1, d + 1 - i):
+                yield (ty, i, j)
+
+
+def p_tree_depths(walk_class, d):
+    """{L-label: fewest steps in which a walk reaches it}, over 1..d steps,
+    read off the refined P-tree (p_children/l_of_p from the root)."""
+    rules = RULES[walk_class]
+    level = set(rules.root) if d > 0 else set()
+    seen = set(level)
+    depths = {}
+    for k in range(1, d + 1):
+        for p in level:
+            depths.setdefault(rules.l_of_p(p), k)
+        level = {c for p in level for c in rules.p_children(p)} - seen
+        seen |= level
+    return depths
+
+
 def reference_slabs(walk_class, n):
     l_children = RULES[walk_class].l_children
+    depths = p_tree_depths(walk_class, n - 1)
     slabs = [None] * (n + 1)
     prev = None
     for m in range(1, n + 1):
         slab = {}
-        for label in _slab_labels(walk_class, n - m):
-            kids = l_children(label)
-            slab[label] = len(kids) if prev is None else sum(prev[c] for c in kids)
+        for label, d in depths.items():
+            if d <= n - m:
+                kids = l_children(label)
+                slab[label] = len(kids) if prev is None else sum(prev[c] for c in kids)
         slabs[m] = slab
         prev = slab
     return slabs
@@ -96,9 +152,14 @@ def test_slabs_share_key_tuples():
 
 @pytest.mark.parametrize("walk_class", list(WalkClass), ids=lambda wc: wc.value)
 def test_estimate_entries_is_exact(walk_class):
+    # exact for the distance-sum superset, an upper bound on the table built
     for n in range(16):
         table = ExtTable(walk_class, n)
-        assert estimate_entries(walk_class, n) == sum(len(s) for s in table.slabs[1:])
+        estimate = estimate_entries(walk_class, n)
+        assert estimate == sum(len(list(_slab_labels(walk_class, n - m))) for m in range(1, n + 1))
+        assert estimate >= sum(len(s) for s in table.slabs[1:])
+        for m in range(1, n + 1):
+            assert set(table.slabs[m]) <= set(_slab_labels(walk_class, n - m))
 
 
 @pytest.mark.parametrize("walk_class", ["3-sided", "4-sided"])
