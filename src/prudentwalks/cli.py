@@ -76,8 +76,9 @@ def _emit_json(args, obj):
 
 def cmd_count(args):
     wc = _walk_class(args.walk_class)
-    if args.n_max < 0 or args.n_max > 20:
-        raise CliError("--n-max must be in 0..20 (exhaustive search)")
+    cap = verify.SLOW_ORACLE_N_MAX if wc is WalkClass.TRIANGULAR else 20
+    if not 0 <= args.n_max <= cap:
+        raise CliError("--n-max must be in 0..%d for %s walks (exhaustive search)" % (cap, wc.value))
     counts = enumerate_counts(wc, args.n_max)
     _emit_json(args, {"class": wc.value, "route": "oracle", "counts": counts})
 
@@ -157,6 +158,8 @@ def cmd_sample(args):
         raise CliError("--length must be >= 0")
     if args.count < 1:
         raise CliError("--count must be >= 1")
+    if args.max_entries < 0:
+        raise CliError("--max-entries must be >= 0")
     rng = random.Random(args.seed)
     if args.kinetic:
         if wc is not WalkClass.PRUDENT4:

@@ -184,7 +184,7 @@ def _kernel_setup(order):
     return q_power, A, B
 
 
-def _kernel_sum(u_at, A, B, one, order):
+def _kernel_sum(u_at, A, B, order):
     """The iterated kernel sum for T(t;u,tu), over TSeries or CPoly alike:
 
         sum_k (-1)^k prod_{1<=i<=k} (A - U_i) / prod_{i<=k} (B - U_i)
@@ -198,10 +198,10 @@ def _kernel_sum(u_at, A, B, one, order):
     phi(U_k), phi(U_{k+1}) and U_{k+1} (to t^(L+1), since phi consumes one)
     are carried only to L = order - v_k, and each summand is raised by t^v_k
     into the total.  The loop stops once the numerator, hence the summand,
-    vanishes modulo t^(order+1).  `one` is the ring's unit at the internal
-    order of A and B.
+    vanishes modulo t^(order+1).
     """
     N = order
+    one = A * 0 + 1  # the unit of A's ring, at the internal order
     u, u_next = u_at(0, N + 1), u_at(1, N + 1)
     phi, phi_next = _phi(u), _phi(u_next)
     total = one.truncate(N) * 0
@@ -228,14 +228,13 @@ def _kernel_sum(u_at, A, B, one, order):
 def three_sided_length_series(order):
     """(T(t;1,t), P(t;1)) for 3-sided walks from the iterated sum at u=1."""
     N = order
-    M = N + 1
     q_power, A, B = _kernel_setup(N)
 
     def u_of_qi(i, L):
         """U(q^i) to t^L as a TSeries."""
         return q_power(1, L) if i == 0 else kernel_root_at(q_power(i, L))  # U(1) = q
 
-    T = _kernel_sum(u_of_qi, A, B, TSeries.one(M), N)
+    T = _kernel_sum(u_of_qi, A, B, N)
     qN = q_power(1, N)
     P1 = (
         (2 * qN.shift(2) * T + _ts(N, {0: 1, 1: 1}) * (_ts(N, {0: 2, 1: -1}) - qN.shift(2)) / (1 - qN.shift(1)))
@@ -252,7 +251,6 @@ def three_sided_closed(order):
     term carries an explicit (1-u) factor, so the u=1 specialization reduces
     to the displayed length series.
     """
-    M = order + 1
     q_power, A, B = _kernel_setup(order)
     uvar = ("u",)
 
@@ -260,10 +258,7 @@ def three_sided_closed(order):
         """U(u q^i) to t^L as a CPoly in u."""
         return kernel_root_at(CPoly.from_tseries(uvar, q_power(i, L), (1,)))
 
-    T = _kernel_sum(
-        u_of_uqi, CPoly.from_tseries(uvar, A), CPoly.from_tseries(uvar, B),
-        CPoly.constant(uvar, M), order,
-    )
+    T = _kernel_sum(u_of_uqi, CPoly.from_tseries(uvar, A), CPoly.from_tseries(uvar, B), order)
     Nt = T.order
     Uu = u_of_uqi(0, Nt)
     one_t = CPoly.from_tseries(uvar, _ts(Nt, {0: 1, 1: 1}))

@@ -14,6 +14,8 @@ function then resolves.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from prudentwalks.walks import WalkClass
 
 # type tags (first tuple entry of every label)
@@ -334,15 +336,7 @@ _ROOT_T = tuple(
 # dispatch
 # --------------------------------------------------------------------------
 
-class RuleSet:
-    __slots__ = ("root", "p_children", "l_children", "l_of_p", "step_of")
-
-    def __init__(self, root, p_children, l_children, l_of_p, step_of):
-        self.root = root
-        self.p_children = p_children
-        self.l_children = l_children
-        self.l_of_p = l_of_p
-        self.step_of = step_of
+RuleSet = namedtuple("RuleSet", "root p_children l_children l_of_p step_of")
 
 
 RULES = {

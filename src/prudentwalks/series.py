@@ -256,18 +256,7 @@ class TSeries:
     # -- serialization -----------------------------------------------------
 
     def to_json(self):
-        return {
-            "order": self.order,
-            "terms": [
-                {
-                    "u": 0,
-                    "v": 0,
-                    "w": 0,
-                    "z": 0,
-                    "coeffs": [coeff_to_str(c) for c in self.coeffs],
-                }
-            ],
-        }
+        return CPoly.from_tseries((), self).to_json()
 
 
 def ts_compose(outer, inner):

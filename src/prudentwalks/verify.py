@@ -7,6 +7,10 @@ from prudentwalks import closedforms, funceq
 from prudentwalks.sampler import ExtTable
 from prudentwalks.walks import WalkClass, enumerate_counts, enumerate_tri_by_box
 
+# the longest walks searched exhaustively: 4-sided and triangular ones in
+# run_verify, triangular ones (search time about 4-fold per step) in `count`
+SLOW_ORACLE_N_MAX = 12
+
 
 def first_divergence(routes):
     """routes: mapping name -> coefficient list.  Compares all pairs on the
@@ -81,7 +85,7 @@ def run_verify(max_n_oracle, series_order, tri_box_k, classes=None):
     for wc in classes:
         cap = max_n_oracle
         if wc in (WalkClass.PRUDENT4, WalkClass.TRIANGULAR):
-            cap = min(cap, 12)  # exhaustive-search budget
+            cap = min(cap, SLOW_ORACLE_N_MAX)
         entry = verify_class(wc, cap, series_order)
         report["classes"].append(entry)
         report["agree"] = report["agree"] and entry["agree"]

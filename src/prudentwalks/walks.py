@@ -66,18 +66,18 @@ def _tri_bounds(points):
 
 
 class _Walk:
-    """Walk from the origin, stored as a tuple of step codes; the subclasses
-    give the lattice's step parser and its text and JSON forms."""
+    """Walk from the origin, stored as a tuple of step codes; each subclass
+    gives its lattice's step codes (_codes; in text, _text_codes) and its
+    text and JSON forms."""
 
     def __init__(self, steps):
-        self.steps = self._parse(steps)
+        self.steps = self._parse(steps, self._codes)
 
     @classmethod
-    def _parse(cls, steps):
-        """Step codes of the steps, each a str or an exact int key of the
-        class's _codes (names in any case).  The type is checked first, as
-        True and 1.0 look up the same key as the code 1."""
-        codes = cls._codes
+    def _parse(cls, steps, codes):
+        """Step codes of the steps, each a str or an exact int key of codes
+        (names in any case).  The type is checked first, as True and 1.0 look
+        up the same key as the code 1."""
         out = []
         for s in steps:
             if isinstance(s, str):
@@ -98,7 +98,7 @@ class _Walk:
 
     @classmethod
     def from_text(cls, text):
-        return cls(text.strip())
+        return cls._trusted(cls._parse(text.strip(), cls._text_codes))
 
     @classmethod
     def from_json(cls, obj):
@@ -139,6 +139,7 @@ class SquareWalk(_Walk):
     lattice = "square"
     _vectors = SQ_STEP_VECTORS
     _codes = {k: d for d, name in enumerate(SQ_STEP_NAMES) for k in (name, d)}
+    _text_codes = _codes
     _accepted = "square steps are N, E, S, W (codes 0-3)"
 
     def to_text(self):
@@ -158,15 +159,8 @@ class TriWalk(_Walk):
     lattice = "tri"
     _vectors = TRI_STEP_VECTORS
     _codes = {k: d for d, name in enumerate(TRI_STEP_NAMES) for k in (name, d, str(d))}
+    _text_codes = {str(d): d for d in range(6)}
     _accepted = "triangular steps are the digits 0-5 in text, and in JSON also the names NW, NE, E, SE, SW, W"
-
-    @classmethod
-    def from_text(cls, text):
-        """The walk of a string of the digits 0-5, one per step."""
-        bad = [s for s in text.strip() if s not in "012345"]
-        if bad:
-            raise ValueError("bad step %r: %s" % (bad[0], cls._accepted))
-        return cls(text.strip())
 
     def to_text(self):
         return "".join(str(s) for s in self.steps)
@@ -379,12 +373,22 @@ def _edge_steps(k, x, y, x_min, x_max, y_max):
 _MASK_STEPS = tuple(tuple(d for d in range(4) if mask >> d & 1) for mask in range(16))
 
 
+# per triangular step: its code, its vector, the box edge (0 left x = x_min,
+# 1 bottom y = y_min, 2 right x+y = s_max) it inflates the box past when it
+# leaves from it, and the edge it runs along otherwise, the one whose
+# coordinate it keeps
+_TRI_MOVES = tuple(
+    (d, dx, dy, 0 if dx < 0 else 1 if dy < 0 else 2, 0 if dx == 0 else 1 if dy == 0 else 2)
+    for d, (dx, dy) in enumerate(TRI_STEP_VECTORS)
+)
+
+
 class TriState:
     """Triangular prudent walk state: each step either strictly inflates the
     box, or keeps it fixed while the step lies along one box edge and points
-    at no visited vertex.  legal_steps() and lookahead() run one scan of that
-    rule (_steps_from), at the current vertex and at each vertex a legal
-    step reaches; lookahead() changes nothing."""
+    at no visited vertex.  legal(d), legal_steps() and lookahead() run one
+    scan of that rule (_steps_from), over the step d or over every step at
+    the current vertex or at each vertex a legal step reaches."""
 
     lattice = "tri"
     # steps that would inflate the box past this size are refused (only
@@ -398,32 +402,9 @@ class TriState:
         self.trail = []
 
     def legal(self, d):
-        dx, dy = TRI_STEP_VECTORS[d]
-        x, y = self.x, self.y
-        x_min, y_min, s_max = self.x_min, self.y_min, self.s_max
-        px, py = x + dx, y + dy
-        if px < x_min or py < y_min or px + py > s_max:
-            # inflating: the whole forward ray leaves the box
-            return s_max - x_min - y_min < self._max_size
-        # box unchanged: both endpoints must share a box edge
-        if not (
-            (x == x_min and px == x_min)
-            or (y == y_min and py == y_min)
-            or (x + y == s_max and px + py == s_max)
-        ):
-            return False
-        # prudence along the edge: scan the forward half-line inside the box
-        visited = self.visited
-        while x_min <= px and y_min <= py and px + py <= s_max:
-            if (px, py) in visited:
-                return False
-            px += dx
-            py += dy
-        return True
+        return bool(self._steps_from(self.x, self.y, self.x_min, self.y_min, self.s_max, (_TRI_MOVES[d],)))
 
-    def legal_steps(self):
-        """The legal steps from the current vertex, in code order: the same
-        rule as legal(d), from one reading of the box and position."""
+    def legal_steps(self):  # in code order
         return self._steps_from(self.x, self.y, self.x_min, self.y_min, self.s_max)
 
     def lookahead(self):
@@ -446,14 +427,14 @@ class TriState:
             ))))
         return out
 
-    def _steps_from(self, x, y, x_min, y_min, s_max):
-        """The steps legal from (x, y) in the box with these bounds, given the
-        visited vertices."""
+    def _steps_from(self, x, y, x_min, y_min, s_max, moves=_TRI_MOVES):
+        """The steps among moves (entries of _TRI_MOVES) legal from (x, y) in
+        the box with these bounds, given the visited vertices."""
         on = (x == x_min, y == y_min, x + y == s_max)
         may_inflate = s_max - x_min - y_min < self._max_size
         visited = self.visited
         out = []
-        for d, dx, dy, inflates, along in _TRI_MOVES:
+        for d, dx, dy, inflates, along in moves:
             if on[inflates]:
                 if may_inflate:
                     out.append(d)
@@ -490,16 +471,6 @@ class TriState:
     def pop(self):
         self.visited.discard((self.x, self.y))
         (self.x, self.y, self.x_min, self.y_min, self.s_max) = self.trail.pop()
-
-
-# per triangular step: its code, its vector, the box edge (0 left x = x_min,
-# 1 bottom y = y_min, 2 right x+y = s_max) it inflates the box past when it
-# leaves from it, and the edge it runs along otherwise, the one whose
-# coordinate it keeps
-_TRI_MOVES = tuple(
-    (d, dx, dy, 0 if dx < 0 else 1 if dy < 0 else 2, 0 if dx == 0 else 1 if dy == 0 else 2)
-    for d, (dx, dy) in enumerate(TRI_STEP_VECTORS)
-)
 
 
 def _make_state(walk_class):

@@ -102,6 +102,44 @@ def test_sample_budget_exceeded(capsys):
     assert "entries" in err
 
 
+def test_sample_negative_budget_exits_2_without_traceback(capsys):
+    # a negative budget is a bad argument, not a budget a table exceeds
+    for extra in ((), ("--kinetic",)):
+        code, out, err = run(
+            capsys, "sample", "--class", "3-sided", "--length", "2", "--max-entries", "-1", *extra
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--max-entries" in err
+        assert "Traceback" not in err
+    code, _, err = run(capsys, "sample", "--class", "3-sided", "--length", "2", "--max-entries", "0")
+    assert code == 3 and "budget is 0" in err
+
+
+def test_count_triangular_above_oracle_cap_exits_2_without_traceback(capsys):
+    # each triangular length beyond the cap multiplies the search time by about 4
+    cap = verify_mod.SLOW_ORACLE_N_MAX
+    code, out, err = run(capsys, "count", "--class", "triangular", "--n-max", str(cap + 1))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--n-max" in err and "0..%d" % cap in err
+    assert "Traceback" not in err
+
+
+def test_count_oracle_cap_applies_to_triangular_only(capsys, monkeypatch):
+    # the cap itself and the other classes up to 20 reach the search (stubbed:
+    # these sizes take seconds to days)
+    import prudentwalks.cli as cli
+
+    seen = []
+    monkeypatch.setattr(cli, "enumerate_counts", lambda wc, n: seen.append((wc.value, n)) or [1])
+    cap = verify_mod.SLOW_ORACLE_N_MAX
+    for name, n in (("triangular", cap), ("4-sided", 20), ("1-sided", cap + 1)):
+        code, _, _ = run(capsys, "count", "--class", name, "--n-max", str(n))
+        assert code == 0
+    assert seen == [("triangular", cap), ("4-sided", 20), ("1-sided", cap + 1)]
+
+
 def test_render_roundtrip(capsys):
     code, out, _ = run(capsys, "render", "--steps", "NES", "--format", "ascii")
     assert code == 0

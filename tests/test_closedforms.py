@@ -294,10 +294,11 @@ def _full_order_setup(order):
     return q_power, A, B
 
 
-def _full_order_sum(u_at, A, B, one, order):
+def _full_order_sum(u_at, A, B, order):
     """closedforms._kernel_sum with every root, numerator product, inverse
     and phi term of every summand at the full order."""
     M = order + 1
+    one = A * 0 + 1
     phi_of = closedforms._phi
     u, u_next = u_at(0, M), u_at(1, M)
     phi, phi_next = phi_of(u).truncate(order), phi_of(u_next).truncate(order)

@@ -1,8 +1,9 @@
-"""Every public module-level function, class and assigned name of the
-package, and every public method and property of its classes, is used by the
-package itself or by the benchmark under perfbench/.  A name that only tests
-call is a dead helper: it goes, or its test calls the code underneath, unless
-KEPT lists it with the reason it stays.  Methods are matched by attribute
+"""Every module-level function, class and assigned name of the package,
+and every method and property of its classes, public or private (one leading
+underscore), is used by the package itself or by the benchmark under
+perfbench/.  A name that only tests call is a dead helper: it goes, or its
+test calls the code underneath, unless KEPT (public names) or KEPT_PRIVATE
+lists it with the reason it stays.  Methods are matched by attribute
 name, whatever the object they are looked up on.  The package's re-export of
 a name from its __init__ is not a use of it.  Parameters are dead too when no
 call passes a defaulted one (unless KEPT_PARAMS lists it), when every call
@@ -25,6 +26,8 @@ KEPT = {
     "enumerate_walks": "the exhaustive walk list, unreduced by symmetry, that the searches are checked against",
 }
 
+KEPT_PRIVATE = {}  # private names with one leading underscore: the reason each stays
+
 KEPT_PARAMS = {}  # "function(param)" or "Class.method(param)": the reason it stays
 
 # "function(param)" or "Class.method(param)" that every call passes as one
@@ -46,13 +49,18 @@ def _public(name):
     return not name.startswith("_")
 
 
-def _definitions_and_references():
-    """(definitions, references): definitions maps each public module-level
-    function, class or assigned name of the package, and each public method
-    or property of a package class as "Class.name", to (name, defining
-    nodes); references lists (name, node) for every name, attribute and
-    imported name in the scanned files, but for the package __init__'s
-    imports."""
+def _private(name):
+    """One leading underscore: not public, and not a dunder or mangled name."""
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _definitions_and_references(wanted=_public):
+    """(definitions, references): definitions maps each module-level
+    function, class or assigned name of the package, and each method or
+    property of a package class as "Class.name", whose name is wanted, to
+    (name, defining nodes); references lists (name, node) for every name,
+    attribute and imported name in the scanned files, but for the package
+    __init__'s imports."""
     definitions, references = {}, []
     for path in SCANNED:
         tree = _tree(path)
@@ -62,15 +70,15 @@ def _definitions_and_references():
                     targets = top.targets if isinstance(top, ast.Assign) else [top.target]
                     for node in (n for target in targets for n in ast.walk(target)):
                         stored = isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
-                        if stored and _public(node.id):
+                        if stored and wanted(node.id):
                             definitions.setdefault(node.id, (node.id, []))[1].append(node)
                 if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
                     continue
-                if _public(top.name):
+                if wanted(top.name):
                     definitions.setdefault(top.name, (top.name, []))[1].append(top)
                 if isinstance(top, ast.ClassDef):
                     for node in top.body:
-                        if isinstance(node, ast.FunctionDef) and _public(node.name):
+                        if isinstance(node, ast.FunctionDef) and wanted(node.name):
                             qualname = "%s.%s" % (top.name, node.name)
                             definitions.setdefault(qualname, (node.name, []))[1].append(node)
         for node in ast.walk(tree):
@@ -83,10 +91,10 @@ def _definitions_and_references():
     return definitions, references
 
 
-def _unreferenced():
-    """Public names referenced nowhere outside their own definition (by
+def _unreferenced(wanted=_public):
+    """Wanted names referenced nowhere outside their own definition (by
     name: a name defined in two places counts as one)."""
-    definitions, references = _definitions_and_references()
+    definitions, references = _definitions_and_references(wanted)
     own = {}  # name -> ids of the nodes inside its definitions
     for name, nodes in definitions.values():
         own.setdefault(name, set()).update(id(n) for d in nodes for n in ast.walk(d))
@@ -104,6 +112,25 @@ def test_every_kept_name_is_still_defined_and_unused():
     definitions, _ = _definitions_and_references()
     assert set(KEPT) <= set(definitions)
     assert set(KEPT) <= _unreferenced()
+
+
+def test_no_private_name_is_used_only_by_tests():
+    dead = sorted(_unreferenced(_private) - set(KEPT_PRIVATE))
+    assert not dead, "private names referenced nowhere in src/ or perfbench/: %s" % dead
+
+
+def test_every_kept_private_name_is_still_defined_and_unused():
+    definitions, _ = _definitions_and_references(_private)
+    assert set(KEPT_PRIVATE) <= set(definitions)
+    assert set(KEPT_PRIVATE) <= _unreferenced(_private)
+
+
+def test_private_scan_finds_the_private_definitions():
+    # the gate covers module-level functions, classes and assigned names and
+    # methods, and leaves public, dunder and mangled names to others
+    definitions, _ = _definitions_and_references(_private)
+    assert {"_dfs", "_TRI_MOVES", "_Walk", "TriState._steps_from", "_Walk._parse"} <= set(definitions)
+    assert not any(name.startswith("__") or _public(name) for name, _ in definitions.values())
 
 
 def _spelled_keywords(node, dicts):

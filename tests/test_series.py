@@ -435,6 +435,14 @@ def test_tseries_json_roundtrip():
         "order": 4,
         "terms": [{"u": 0, "v": 0, "w": 0, "z": 0, "coeffs": ["1", "1/2", "-3", "0", "0"]}],
     }
+    assert a.to_json() == CPoly.from_tseries(("u",), a).to_json()
+
+
+def test_zero_tseries_json_lists_no_terms():
+    # a zero series has no nonzero coefficient series, the same as a zero CPoly
+    for order in (0, 3):
+        assert TSeries.zero(order).to_json() == {"order": order, "terms": []}
+        assert TSeries.zero(order).to_json() == CPoly(("u",), order).to_json()
 
 
 def test_mismatched_orders_truncate():

@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -9,6 +10,7 @@ from prudentwalks.walks import (
     GEOMETRY_MAPS,
     SQ_STEP_VECTORS,
     SQUARE_CLASSES,
+    TRI_STEP_VECTORS,
     SquareState,
     SquareWalk,
     TriWalk,
@@ -523,6 +525,116 @@ def test_tri_state_legal_steps_match_legal(cap):
         boxes = [enumerate_tri_by_box(k)[0] for k in range(cap + 1)]
         assert nodes == sum(boxes)
     assert state.visited == {(0, 0)} and state.trail == []
+
+
+class ReferenceTriState:
+    """Reference triangular state: the visited vertices in walk order, the
+    box recomputed from all of them, and prudence checked by scanning the
+    forward ray one vertex at a time until it leaves the box.  Steps that
+    would grow the box past max_size are refused."""
+
+    def __init__(self, max_size=float("inf")):
+        self.max_size = max_size
+        self.path = [(0, 0)]
+
+    @staticmethod
+    def box(points):
+        return min(x for x, _ in points), min(y for _, y in points), max(x + y for x, y in points)
+
+    def legal(self, d):
+        x, y = self.path[-1]
+        dx, dy = TRI_STEP_VECTORS[d]
+        px, py = x + dx, y + dy
+        x_min, y_min, s_max = self.box(self.path)
+
+        def inside(px, py):
+            return x_min <= px and y_min <= py and px + py <= s_max
+
+        if not inside(px, py):  # the step grows the box by one
+            return s_max - x_min - y_min + 1 <= self.max_size
+        edges = [(x, px, x_min), (y, py, y_min), (x + y, px + py, s_max)]
+        if not any(a == b == bound for a, b, bound in edges):
+            return False
+        while inside(px, py):
+            if (px, py) in self.path:
+                return False
+            px, py = px + dx, py + dy
+        return True
+
+    def push(self, d):
+        x, y = self.path[-1]
+        dx, dy = TRI_STEP_VECTORS[d]
+        self.path.append((x + dx, y + dy))
+
+    def pop(self):
+        self.path.pop()
+
+
+def _check_tri_state_against_reference(state, ref):
+    answers = [ref.legal(d) for d in range(6)]
+    steps = [d for d in range(6) if answers[d]]
+    assert [state.legal(d) for d in range(6)] == answers
+    assert state.legal_steps() == steps
+    assert (state.x, state.y) == ref.path[-1]
+    assert (state.x_min, state.y_min, state.s_max) == ref.box(ref.path)
+    return steps
+
+
+@pytest.mark.parametrize("cap", [None, 3])
+def test_tri_state_matches_reference_dfs(cap):
+    # every legal and legal_steps answer and the membership of every walk,
+    # at every node of the full search to n = 7 (cap None) or of the whole
+    # search in boxes of size <= 3
+    state, ref = walks.TriState(), ReferenceTriState()
+    if cap is not None:
+        state._max_size = ref.max_size = cap
+    walk, nodes = [], 0
+
+    def rec():
+        nonlocal nodes
+        nodes += 1
+        assert in_class(TriWalk(tuple(walk)), WalkClass.TRIANGULAR)
+        steps = _check_tri_state_against_reference(state, ref)
+        if len(walk) == 7 and cap is None:
+            return
+        for d in steps:
+            state.push(d)
+            ref.push(d)
+            walk.append(d)
+            rec()
+            state.pop()
+            ref.pop()
+            walk.pop()
+
+    rec()
+    if cap is None:
+        assert nodes == sum(enumerate_counts(WalkClass.TRIANGULAR, 7))
+    else:
+        assert nodes == sum(enumerate_tri_by_box(k)[0] for k in range(cap + 1))
+
+
+def test_tri_state_matches_reference_on_random_walks():
+    # random step strings over the six codes, half of the steps drawn among
+    # the legal ones so that walks run long, the rest from all six so that
+    # most walks end with a step that is not prudent
+    rng = Random(2008)
+    verdicts = Counter()
+    for _ in range(600):
+        state, ref = walks.TriState(), ReferenceTriState()
+        walk, prudent = [], True
+        for _ in range(rng.randrange(1, 40)):
+            steps = _check_tri_state_against_reference(state, ref)
+            assert state.lookahead() == _reference_lookahead(ref, steps, 6)
+            d = rng.choice(steps) if steps and rng.random() < 0.5 else rng.randrange(6)
+            walk.append(d)
+            if d not in steps:
+                prudent = False
+                break
+            state.push(d)
+            ref.push(d)
+        assert in_class(TriWalk(tuple(walk)), WalkClass.TRIANGULAR) == prudent
+        verdicts[prudent] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 50
 
 
 @pytest.mark.parametrize("wc", SQUARE_CLASSES[:3])
