@@ -160,6 +160,8 @@ def cmd_sample(args):
         raise CliError("--count must be >= 1")
     if args.max_entries < 0:
         raise CliError("--max-entries must be >= 0")
+    if args.format == "svg" and args.count > 1 and not args.out:
+        raise CliError("--format svg with --count > 1 needs --out PREFIX")
     rng = random.Random(args.seed)
     if args.kinetic:
         if wc is not WalkClass.PRUDENT4:
@@ -181,16 +183,13 @@ def cmd_sample(args):
                 "walks": [w.to_json() for w in walks],
             },
         )
-    else:  # svg
-        if args.count == 1:
-            _emit(args, render.render_svg(walks[0], box=args.box))
-        else:
-            if not args.out:
-                raise CliError("--format svg with --count > 1 needs --out PREFIX")
-            for idx, w in enumerate(walks):
-                path = "%s-%04d.svg" % (args.out, idx)
-                with open(path, "w") as fh:
-                    fh.write(render.render_svg(w, box=args.box))
+    elif args.count == 1:  # svg
+        _emit(args, render.render_svg(walks[0], box=args.box))
+    else:
+        for idx, w in enumerate(walks):
+            path = "%s-%04d.svg" % (args.out, idx)
+            with open(path, "w") as fh:
+                fh.write(render.render_svg(w, box=args.box))
 
 
 def _load_walk(args):
@@ -291,7 +290,13 @@ def build_parser():
     p.add_argument("--format", choices=("steps", "json", "svg"), default="steps")
     p.add_argument("--kinetic", action="store_true")
     p.add_argument("--box", action="store_true", help="draw the box outline (svg)")
-    p.add_argument("--max-entries", type=int, default=DEFAULT_MAX_ENTRIES)
+    p.add_argument(
+        "--max-entries",
+        type=int,
+        default=DEFAULT_MAX_ENTRIES,
+        help="cap on extension-table entries, checked by an O(1) estimate "
+        "before the table is built; above it, exit 3 (default %(default)d)",
+    )
     p.add_argument("--out")
     p.set_defaults(func=cmd_sample)
 

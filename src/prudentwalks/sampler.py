@@ -5,16 +5,17 @@ any walk with L-label l -- are precomputed in per-remaining-length slabs
 over the compact L-labels only (the recursive method).  The labels are
 listed once, in the breadth-first order in which walks first reach them, so
 slab m -- the labels reached in <= n-m steps -- is a prefix of that list and
-one plain list of values addressed by label index; each slab is summed from
-the previous one through child-index columns, and the breadth-first pass
-that finds the labels produces their children, so l_children runs once per
-label.  The refined P-labels live in the sampling walk state: each P-label's
-children, their steps and the table indices of their L-labels are cached as
-one record.  Each step is drawn by bisecting the cumulative child weights
-Ex(child, m-1), read by index, at one integer in [0, Ex(l, m)), so every
-length-n walk has probability exactly 1/p_n.  That integer is drawn by the
-getrandbits rejection rule of `_below`, which consumes the generator exactly
-as CPython's Random.randrange does.
+one plain list of values addressed by label index, each distinct value
+stored once per slab; each slab is summed from the previous one through
+child-index columns, and the breadth-first pass that finds the labels
+produces their children, so l_children runs once per label.  The refined
+P-labels live in the sampling walk state: each P-label's children, their
+steps and the table indices of their L-labels are cached as one record.
+Each step is drawn by bisecting the cumulative child weights Ex(child, m-1),
+read by index, at one integer in [0, Ex(l, m)), so every length-n walk has
+probability exactly 1/p_n.  That integer is drawn by the getrandbits
+rejection rule of `_below`, which consumes the generator exactly as
+CPython's Random.randrange does.
 """
 
 from __future__ import annotations
@@ -118,7 +119,9 @@ class ExtTable:
     and each slab is summed column by column with C-level maps over the
     previous slab's values.  The pad reads a 0 appended to the previous list
     only while the next slab is summed, so `values[m]` holds exactly its
-    prefix and an index past it raises.
+    prefix and an index past it raises.  Equal values within a slab are
+    stored once, as one shared int object: with m steps left a distance
+    above m acts as m, so most labels share their Ex(label, m) with others.
     """
 
     def __init__(self, walk_class, n, max_entries=DEFAULT_MAX_ENTRIES):
@@ -158,7 +161,8 @@ class ExtTable:
             for col in rest:
                 acc = list(map(add, acc, map(get, islice(col, k))))
             vals.pop()
-            vals = values[m] = acc
+            canon = {}
+            vals = values[m] = list(map(canon.setdefault, acc, acc))
         self.slabs[1:] = [_Slab(labels, index, vals) for vals in values[1:]]
 
     def ex(self, label, m):

@@ -135,7 +135,7 @@ def reference_distribution(walk_class, n):
 
 @pytest.mark.parametrize("walk_class", list(WalkClass), ids=lambda wc: wc.value)
 def test_slabs_match_reference_recursion(walk_class):
-    for n in range(13):
+    for n in (*range(13), 20, 40):
         assert ExtTable(walk_class, n).slabs == reference_slabs(walk_class, n)
 
 
@@ -148,6 +148,13 @@ def test_slabs_share_key_tuples():
     table = ExtTable(WalkClass.TWO_SIDED, 20)
     keys = {id(label) for slab in table.slabs[1:] for label in slab}
     assert len(keys) == len(table.slabs[1])
+
+
+@pytest.mark.parametrize("walk_class", list(WalkClass), ids=lambda wc: wc.value)
+def test_slabs_share_equal_values(walk_class):
+    table = ExtTable(walk_class, 40)
+    for vals in table.values[1:]:
+        assert len(set(map(id, vals))) == len(set(vals))
 
 
 @pytest.mark.parametrize("walk_class", list(WalkClass), ids=lambda wc: wc.value)
@@ -170,6 +177,18 @@ def test_huge_sample_refused_fast(capsys, walk_class):
     err = capsys.readouterr().err
     assert code == 3
     assert "entries" in err
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("extra", [("--length", "120"), ("--length", "1000000", "--kinetic")])
+def test_svg_without_out_refused_fast(capsys, extra):
+    start = time.perf_counter()
+    code = main(["sample", "--class", "4-sided", *extra, "--count", "2", "--format", "svg"])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--out" in err and "Traceback" not in err
     assert elapsed < 1.0
 
 
