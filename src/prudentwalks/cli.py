@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -324,6 +325,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # --out (a file, or the prefix of sample's svg files) is opened only
+        # after the work, so a missing directory is refused before it
+        folder = os.path.dirname(args.out or "") or "."
+        if not os.path.isdir(folder):
+            raise CliError("--out: no such directory: %s" % folder)
         args.func(args)
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)

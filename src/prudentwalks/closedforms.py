@@ -4,17 +4,20 @@
 Each kernel root and algebraic series is the power-series root of a
 quadratic, taken by `_quadratic_root` from the quadratic formula over TSeries
 or CPoly alike: the kernel root U(t;W) at each argument W it is needed at (a
-series, or u q^i and z themselves), Y and X(t;u).  Each kernel-root series is
-checked against its defining algebraic equation; infinite sums and products
-are truncated automatically by measuring when the next summand or factor
-stops contributing below the truncation order (their valuations increase
-strictly, so the loops terminate), and each summand is carried only to the
-orders it reaches.
+series, or u q^i and z themselves), Y and X(t;u).  Each power of q = U(t;1)
+past the first (the u-rows pref q^m of the 2-sided P(t;u), the q^i of the
+3-sided sums) follows from the two before it by q's quadratic, in O(N).  Each
+kernel-root series is checked against its defining algebraic equation;
+infinite sums and products are truncated automatically by measuring when the
+next summand or factor stops contributing below the truncation order (their
+valuations increase strictly, so the loops terminate), and each summand is
+carried only to the orders it reaches.
 """
 
 from __future__ import annotations
 
 from math import factorial
+from operator import mul
 
 from prudentwalks.series import CPoly, TSeries, _half
 from prudentwalks.walks import WalkClass
@@ -105,6 +108,18 @@ def x_of_u(order):
 # 2-sided closed form (kernel method, one catalytic variable)
 # --------------------------------------------------------------------------
 
+def _times_q(prev, cur, q):
+    """cur q to cur's order L, for cur = prev q and q = U(t;1), in O(L).
+
+    q solves t q^2 - b q + t with b = 1 - t + t^2 + t^3, so
+    t cur q = b cur - t prev: below t^L, (cur q)_n = cur_(n+1) - cur_n +
+    cur_(n-1) + cur_(n-2) - prev_n.  The t^L coefficient would need cur to
+    t^(L+1) and is one dot product with q instead."""
+    L, c = cur.order, [0, 0, *cur.coeffs]
+    low = [a - b + d + e - p for a, b, d, e, p in zip(c[3:], c[2:], c[1:], c, prev.coeffs)]
+    return TSeries([*low, sum(map(mul, cur.coeffs, q.coeffs[L::-1]))], L)
+
+
 def two_sided_closed(order):
     """U, P(t;u) and P(t;1) for 2-sided walks.
 
@@ -117,16 +132,15 @@ def two_sided_closed(order):
     # U/(2t - U) = V/(2 - V); 2 - V has constant term 1
     body = V / (2 - V)
     pref = _ts(order, {0: 2, 2: -2}) * _ts(order, {0: 1, 1: -1}) * body / (1 - U.shift(1))
-    # 1/(1 - uU) = sum_m u^m U^m; coeff runs through pref * U^m
+    # 1/(1 - uU) = sum_m u^m U^m; coeff runs through pref * U^m, the powers
+    # past the first by the kernel recurrence
     P = CPoly(("u",), order)
-    coeff = pref
-    m = 0
-    while m == 0 or not coeff.is_zero():
-        for n, c in enumerate(coeff.coeffs):
+    row, nxt = pref, pref * U
+    for m in range(order + 1):  # pref U^m has valuation m
+        for n, c in enumerate(row.coeffs):
             if c:
                 P.slices[n][(m,)] = c
-        coeff = coeff * U
-        m += 1
+        row, nxt = nxt, _times_q(row, nxt, U)
     P = P - 1
     P1 = P.specialize_ones()
     return U, P, P1
@@ -165,7 +179,8 @@ def _kernel_setup(order):
 
     q = U(t;1), A = t/(1-tq) and B = tq/(q-t) = (1-tq)/(1-t^2) are kept to
     the internal order order + 1, since phi consumes one.  q_power(m, L) is
-    q^m to t^L; each new power is built at the order L its caller asks for,
+    q^m to t^L; each new power is built from the two before it by `_times_q`
+    at the order L its caller asks for,
     and the callers' L never rises, so a power asked for above the order it
     was built at raises SeriesError (from `truncate`) instead of coming back
     short.
@@ -176,7 +191,7 @@ def _kernel_setup(order):
 
     def q_power(m, L):
         while len(qpow) <= m:
-            qpow.append(qpow[-1].truncate(L) * q)
+            qpow.append(_times_q(qpow[-2], qpow[-1].truncate(L), q))
         return qpow[m].truncate(L)
 
     A = TSeries.t(M) / (1 - q.shift(1))

@@ -14,11 +14,13 @@ each monomial to one monomial and a power of t, so they share one loop,
 `CPoly._remap`.  A series in t is substituted for the variable of a
 one-variable CPoly by `ts_compose`.
 
-Divided differences are computed monomial-wise through the finite geometric
-sum (x^i - r^i)/(x - r) = sum_k x^(i-1-k) r^k.  No rational-function
-arithmetic appears anywhere in this module.  A CPoly product, quotient and
-square root pack each exponent tuple into one mixed-radix int, so their
-inner loops add ints, and unpack the keys once per output slice.
+Divided differences expand (x^i - r^i)/(x - r) = sum_k x^(i-1-k) r^k as a
+running sum over slices: slice n of the result is the input's slice n over x
+plus r/x times the result's slice n - 1, so every output monomial is built
+once.  No rational-function arithmetic appears anywhere in this module.  A
+CPoly product, quotient and square root pack each exponent tuple into one
+mixed-radix int, so their inner loops add ints, and unpack the keys once per
+output slice.
 """
 
 from __future__ import annotations
@@ -652,29 +654,32 @@ class CPoly:
         return out._drop_zeros()
 
     def divided_difference(self, var, replacement):
-        """(f - f[var:=r]) / (var - r), computed monomial-wise.
+        """(f - f[var:=r]) / (var - r) as a running sum over slices.
 
         replacement is "t" (r = t) or ("t", name) (r = t*name), as in
-        `substitute`.  Exact: the returned g satisfies g*(var - r) = f - f[var:=r].
+        `substitute`, name another variable.  x^e goes to
+        sum_{m<e} x^(e-1-m) r^m, so slice g_n of the result is
+        f_n/x + (r/t) g_(n-1)/x over the terms with a positive x-exponent.
+        Exact: the returned g satisfies g*(var - r) = f - f[var:=r].
         """
         k = self._vi(var)
         j = self._t_image(replacement)
+        if j == k:
+            raise SeriesError("divided difference by %s - t*%s is not supported" % (var, var))
+        down = [-(i == k) for i in range(len(self.vars))]
+        carry = [d + (i == j) for i, d in enumerate(down)]
         out = CPoly._accumulator(self.vars, self.order)
-        for n, slc in enumerate(self.slices):
+        g = {}
+        for slc, acc in zip(self.slices, out.slices):
+            for key, c in g.items():
+                if key[k]:
+                    acc[tuple(map(add, key, carry))] += c
             for key, c in slc.items():
-                e = key[k]
-                if e < 0:
+                if key[k] < 0:
                     raise SeriesError("divided difference needs non-negative exponents")
-                # x^e -> sum_{m=0}^{e-1} x^(e-1-m) r^m
-                for m in range(e):
-                    tn = n + m
-                    if tn > self.order:
-                        break
-                    nk = list(key)
-                    nk[k] = e - 1 - m
-                    if j is not None:
-                        nk[j] += m
-                    out.slices[tn][tuple(nk)] += c
+                if key[k]:
+                    acc[tuple(map(add, key, down))] += c
+            g = acc
         return out._drop_zeros()
 
     def rename(self, mapping):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -225,6 +226,29 @@ def test_file_errors_exit_2_without_traceback(capsys, tmp_path, argv):
     assert out == ""
     assert err.startswith("error: ") and str(missing) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sample", "--class", "4-sided", "--length", "120", "--format", "svg",
+         "--out", "{missing}/w.svg"),
+        ("sample", "--class", "4-sided", "--length", "120", "--count", "2",
+         "--format", "svg", "--out", "{missing}/w"),
+        ("verify", "--out", "{missing}/r.json"),
+    ],
+    ids=["sample", "sample-prefix", "verify"],
+)
+def test_out_in_missing_directory_refused_before_the_work(capsys, tmp_path, argv):
+    missing = tmp_path / "missing"
+    start = time.perf_counter()
+    code, out, err = run(capsys, *(a.format(missing=missing) for a in argv))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(missing) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_small(capsys):

@@ -210,6 +210,70 @@ def test_two_sided_closed_matches_everything():
     assert U == ts_compose(_kernel_root_u_of_w(14), TSeries.one(14))
 
 
+def _two_sided_p_by_products(order):
+    """P(t;u) of two_sided_closed with each u-row pref U^m taken from the one
+    before it by one series product."""
+    U, P, _ = two_sided_closed(order)
+    pref = P.terms().get((0,), TSeries.zero(order)) + 1
+    want = CPoly(("u",), order)
+    coeff, m = pref, 0
+    while not coeff.is_zero():
+        for n, c in enumerate(coeff.coeffs):
+            if c:
+                want.slices[n][(m,)] = c
+        coeff, m = coeff * U, m + 1
+    return P, want - 1
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 24, 120])
+def test_two_sided_u_rows_match_one_product_per_power(order):
+    got, want = _two_sided_p_by_products(order)
+    assert got == want
+    assert all(type(c) is int and c for slc in got.slices for c in slc.values())
+
+
+def test_two_sided_u_rows_follow_the_kernel_recurrence():
+    # t c_(m+2) = b c_(m+1) - t c_m, b = 1 - t + t^2 + t^3, for the u-rows
+    # c_m = pref U^m (row 0 of P is pref - 1)
+    N = 60
+    P = two_sided_closed(N)[1]
+    rows = P.terms()
+    b = _ts(N, {0: 1, 1: -1, 2: 1, 3: 1})
+    c = [rows[(0,)] + 1] + [rows.get((m,), TSeries.zero(N)) for m in range(1, N + 3)]
+    assert all(not c[m].is_zero() for m in range(N + 1))
+    for m in range(N + 1):
+        assert c[m + 2].shift(1) == b * c[m + 1] - c[m].shift(1), m
+
+
+def test_two_sided_closed_makes_a_fixed_number_of_series_products(monkeypatch):
+    calls = Counter()
+    product = TSeries.__mul__
+
+    def counted(self, other):
+        calls["mul"] += 1
+        return product(self, other)
+
+    monkeypatch.setattr(TSeries, "__mul__", counted)
+    monkeypatch.setattr(TSeries, "__rmul__", counted)
+    counts = []
+    for order in (60, 200):
+        calls.clear()
+        two_sided_closed(order)
+        counts.append(calls["mul"])
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("order", [3, 17, 40])
+def test_q_power_matches_repeated_products(order):
+    q = q_series(order + 1)
+    for L in (order + 1, order, order // 2):  # each power built at L
+        q_power = closedforms._kernel_setup(order)[0]
+        for m in range(26):
+            got = q_power(m, L)
+            assert got == _power(q, m).truncate(L), (L, m)
+            assert all(type(c) is int for c in got.coeffs)
+
+
 def test_two_sided_kernel_residual():
     assert two_sided_kernel_residual(40).is_zero()
 

@@ -385,6 +385,67 @@ def test_dd_matches_monomial_sum():
         assert got == _normalized(want)
 
 
+def _dd_reference(p, var, replacement):
+    """(p - p[var:=r]) / (var - r) summed monomial by monomial: each u^e goes
+    to sum_{m<e} u^(e-1-m) r^m with r = t or t*name."""
+    k = p.vars.index(var)
+    j = None if replacement == "t" else p.vars.index(replacement[1])
+    out = CPoly(p.vars, p.order)
+    for n, slc in enumerate(p.slices):
+        for key, c in slc.items():
+            for m in range(key[k]):
+                if n + m <= p.order:
+                    nk = list(key)
+                    nk[k] -= 1 + m
+                    if j is not None:
+                        nk[j] += m
+                    tgt = out.slices[n + m]
+                    tgt[tuple(nk)] = tgt.get(tuple(nk), 0) + c
+    return _normalized(out)
+
+
+def _with_cancelling_terms(p, k, j):
+    """p plus, for each of its terms c x^e y^f t^n with e >= 1, the term
+    -c x^(e-1) y^(f+1) t^(n+1): with r = t y, their divided differences cancel
+    past the first summand."""
+    out = CPoly(p.vars, p.order, [dict(s) for s in p.slices])
+    for n, slc in enumerate(p.slices[:-1]):
+        for key, c in slc.items():
+            if key[k]:
+                nk = list(key)
+                nk[k] -= 1
+                nk[j] += 1
+                tgt = out.slices[n + 1]
+                tgt[tuple(nk)] = tgt.get(tuple(nk), 0) - c
+    return _normalized(out)
+
+
+def test_dd_two_variables_matches_monomial_sum():
+    rng = random.Random(2005)
+    cases = ((("u", "v"), "u", ("t", "v")), (("u", "v"), "v", ("t", "u")),
+             (("u", "v"), "v", "t"), (("u", "v", "w"), "u", ("t", "w")))
+    for _ in range(20):
+        for vars, var, image in cases:
+            k = vars.index(var)
+            j = vars.index(image[1]) if image != "t" else (k + 1) % len(vars)
+            f = _with_cancelling_terms(_random_cpoly(rng, vars, rng.randint(0, 10), nterms=10, max_exp=5), k, j)
+            got = f.divided_difference(var, image)
+            assert got == _dd_reference(f, var, image)
+            assert all(type(c) is int and c for slc in got.slices for c in slc.values())
+
+
+def test_dd_refuses_negative_exponents_and_a_self_image():
+    f = CPoly.monomial(("u", "z"), 6, (2, -1), tpow=1) + CPoly.monomial(("u", "z"), 6, (-1, 0), tpow=2)
+    with pytest.raises(SeriesError):
+        f.divided_difference("u", ("t", "z"))
+    # (f - f(t u)) / (u - t u) is not one of the divided differences the
+    # equations use; it is refused rather than expanded
+    g = CPoly.monomial(("u", "v"), 6, (3, 1))
+    for var in ("u", "v"):
+        with pytest.raises(SeriesError):
+            g.divided_difference(var, ("t", var))
+
+
 # -- CPoly plumbing ---------------------------------------------------------
 
 def test_cpoly_mul_matches_tseries():
