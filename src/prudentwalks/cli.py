@@ -326,10 +326,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         # --out (a file, or the prefix of sample's svg files) is opened only
-        # after the work, so a missing directory is refused before it
+        # after the work, so a missing directory, or a file name that is a
+        # directory, is refused before it
         folder = os.path.dirname(args.out or "") or "."
         if not os.path.isdir(folder):
             raise CliError("--out: no such directory: %s" % folder)
+        prefix = args.command == "sample" and args.format == "svg" and args.count > 1
+        if args.out and not prefix and os.path.isdir(args.out):
+            raise CliError("--out: is a directory: %s" % args.out)
         args.func(args)
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -1,13 +1,13 @@
 """Walk geometry on the square and triangular lattices, class membership
 (`in_class`), and the brute-force enumeration oracle.
 
-The oracle is a plain depth-first search with incremental box and
-row/column-extreme updates and no memoization; every other counting route in
-the package is validated against it.  Each walk state gives the legal steps
-from its endpoint in one call (`legal_steps`), and, for each of them, the
-steps legal after it (`lookahead`), without pushing; the k-sided edge rule is
-checked at the step's midpoint only, because a step whose midpoint lies on an
-allowed box edge ends on that edge too (see `SquareState`).
+The oracle is a plain depth-first search with no memoization; every other
+counting route in the package is validated against it.  Each walk state keeps
+its box and the least and greatest visited position per row and column
+(square) or box edge (triangular), which give `legal_steps` and `lookahead`
+(for each legal step, the steps legal after it, without pushing) in O(1) per
+step.  The k-sided edge rule is checked at the step's midpoint only, which
+implies it at the endpoint (see `SquareState`).
 Each class's symmetries are stated once, as generator matrices
 (`SYMMETRY_GENERATORS`); the first-step orbits and each orbit member's action
 on a walk's endpoint and box are derived from them at import.
@@ -69,6 +69,8 @@ class _Walk:
     """Walk from the origin, stored as a tuple of step codes; each subclass
     gives its lattice's step codes (_codes; in text, _text_codes) and its
     text and JSON forms."""
+
+    __slots__ = ("steps",)
 
     def __init__(self, steps):
         self.steps = self._parse(steps, self._codes)
@@ -136,6 +138,7 @@ class _Walk:
 class SquareWalk(_Walk):
     """Square-lattice walk from the origin, steps over {N, E, S, W}."""
 
+    __slots__ = ()
     lattice = "square"
     _vectors = SQ_STEP_VECTORS
     _codes = {k: d for d, name in enumerate(SQ_STEP_NAMES) for k in (name, d)}
@@ -156,6 +159,7 @@ class TriWalk(_Walk):
     SE=(1,-1); step codes 0..5 clockwise with NW = 0.
     """
 
+    __slots__ = ()
     lattice = "tri"
     _vectors = TRI_STEP_VECTORS
     _codes = {k: d for d, name in enumerate(TRI_STEP_NAMES) for k in (name, d, str(d))}
@@ -369,108 +373,104 @@ def _edge_steps(k, x, y, x_min, x_max, y_max):
     return mask
 
 
-# the step codes of each mask of square steps (bit d for step d), in code order
-_MASK_STEPS = tuple(tuple(d for d in range(4) if mask >> d & 1) for mask in range(16))
+# the step codes of each mask of steps (bit d for step d), in code order
+_MASK_STEPS = tuple(tuple(d for d in range(6) if mask >> d & 1) for mask in range(64))
 
 
-# per triangular step: its code, its vector, the box edge (0 left x = x_min,
-# 1 bottom y = y_min, 2 right x+y = s_max) it inflates the box past when it
-# leaves from it, and the edge it runs along otherwise, the one whose
-# coordinate it keeps
-_TRI_MOVES = tuple(
-    (d, dx, dy, 0 if dx < 0 else 1 if dy < 0 else 2, 0 if dx == 0 else 1 if dy == 0 else 2)
-    for d, (dx, dy) in enumerate(TRI_STEP_VECTORS)
+# triangular box edges: 0 left (x = x_min; a vertex's position on it is y),
+# 1 bottom (y = y_min; x), 2 right (x + y = s_max; x).  Per step: the edge it
+# inflates the box past, leaving from it, else the one it runs along.  Per set
+# of edges a vertex is on (bit e for edge e): the steps that inflate the box,
+# and the other steps along an edge
+_TRI_INFLATES = tuple(0 if dx < 0 else 1 if dy < 0 else 2 for dx, dy in TRI_STEP_VECTORS)
+_TRI_RUNS_ALONG = tuple(0 if dx == 0 else 1 if dy == 0 else 2 for dx, dy in TRI_STEP_VECTORS)
+_TRI_INFLATE = tuple(sum(1 << d for d in range(6) if on >> _TRI_INFLATES[d] & 1) for on in range(8))
+_TRI_ALONG = tuple(
+    sum(1 << d for d in range(6) if on >> _TRI_RUNS_ALONG[d] & 1) & ~_TRI_INFLATE[on] for on in range(8)
 )
 
 
 class TriState:
     """Triangular prudent walk state: each step either strictly inflates the
     box, or keeps it fixed while the step lies along one box edge and points
-    at no visited vertex.  legal(d), legal_steps() and lookahead() run one
-    scan of that rule (_steps_from), over the step d or over every step at
-    the current vertex or at each vertex a legal step reaches."""
+    at no visited vertex.
+
+    left / bottom / right hold the (least, greatest) position of the visited
+    vertices on each box edge; each came after the box reached the edge.  So
+    a step along an edge points at no visited vertex iff the walker is the
+    edge's extreme in the step's direction.  push(d) needs legal(d), and
+    lookahead() changes nothing."""
 
     lattice = "tri"
-    # steps that would inflate the box past this size are refused (only
-    # enumerate_tri_by_box sets it)
+    # inflating the box past this size is refused (enumerate_tri_by_box sets it)
     _max_size = float("inf")
 
     def __init__(self):
-        self.x = self.y = 0
-        self.visited = {(0, 0)}
-        self.x_min = self.y_min = self.s_max = 0
+        self.x = self.y = self.x_min = self.y_min = self.s_max = 0
+        self.left = self.bottom = self.right = (0, 0)
         self.trail = []
 
     def legal(self, d):
-        return bool(self._steps_from(self.x, self.y, self.x_min, self.y_min, self.s_max, (_TRI_MOVES[d],)))
+        return d in self.legal_steps()
 
     def legal_steps(self):  # in code order
-        return self._steps_from(self.x, self.y, self.x_min, self.y_min, self.s_max)
+        x, y, x_min, y_min, s_max = self.x, self.y, self.x_min, self.y_min, self.s_max
+        (l_lo, l_hi), (b_lo, b_hi), (r_lo, r_hi) = self.left, self.bottom, self.right
+        on = (x == x_min) | (y == y_min) << 1 | (x + y == s_max) << 2
+        # NW, NE, E, SE, SW, W, each free iff the walker is its edge's extreme
+        free = (r_lo == x) | (l_hi == y) << 1 | (b_hi == x) << 2 | (r_hi == x) << 3
+        mask = _TRI_ALONG[on] & (free | (l_lo == y) << 4 | (b_lo == x) << 5)
+        if s_max - x_min - y_min < self._max_size:
+            mask |= _TRI_INFLATE[on]
+        return _MASK_STEPS[mask]
 
     def lookahead(self):
-        """(d, the steps that would be legal after push(d), as a tuple) for
-        each legal step d, in code order: the legal_steps scan from the vertex
-        d reaches, in the box grown to it, without pushing."""
-        x, y = self.x, self.y
-        x_min, y_min, s_max = self.x_min, self.y_min, self.s_max
-        steps_from = self._steps_from
+        """(d, the steps that would be legal after push(d)) for each legal
+        step d, in code order, read off the state without pushing.
+
+        The new vertex is on each edge whose line it reaches.  After a step
+        along an edge it is that edge's new extreme, so only d is free along
+        it; after a step that inflates the box it is alone on the edge passed,
+        so both steps along that are free.  Where it is a corner, the step
+        along the other edge into the box points at a visited vertex, since
+        every box edge holds one."""
+        x, y, x_min, y_min, s_max = self.x, self.y, self.x_min, self.y_min, self.s_max
+        size, cap = s_max - x_min - y_min, self._max_size
+        inflating = _TRI_INFLATE[(x == x_min) | (y == y_min) << 1 | (x + y == s_max) << 2]
         out = []
         for d in self.legal_steps():
             dx, dy = TRI_STEP_VECTORS[d]
             px, py = x + dx, y + dy
-            out.append((d, tuple(steps_from(
-                px,
-                py,
-                px if px < x_min else x_min,
-                py if py < y_min else y_min,
-                px + py if px + py > s_max else s_max,
-            ))))
-        return out
-
-    def _steps_from(self, x, y, x_min, y_min, s_max, moves=_TRI_MOVES):
-        """The steps among moves (entries of _TRI_MOVES) legal from (x, y) in
-        the box with these bounds, given the visited vertices."""
-        on = (x == x_min, y == y_min, x + y == s_max)
-        may_inflate = s_max - x_min - y_min < self._max_size
-        visited = self.visited
-        out = []
-        for d, dx, dy, inflates, along in moves:
-            if on[inflates]:
-                if may_inflate:
-                    out.append(d)
-            elif on[along]:
-                px, py = x + dx, y + dy
-                while x_min <= px and y_min <= py and px + py <= s_max:
-                    if (px, py) in visited:
-                        break
-                    px += dx
-                    py += dy
-                else:
-                    out.append(d)
+            on = (px <= x_min) | (py <= y_min) << 1 | (px + py >= s_max) << 2
+            grows = inflating >> d & 1
+            mask = _TRI_ALONG[on] & (_TRI_ALONG[1 << _TRI_INFLATES[d]] if grows else 1 << d)
+            if size + grows < cap:
+                mask |= _TRI_INFLATE[on]
+            out.append((d, _MASK_STEPS[mask]))
         return out
 
     def push(self, d):
         dx, dy = TRI_STEP_VECTORS[d]
-        x, y = self.x, self.y
-        self.trail.append((x, y, self.x_min, self.y_min, self.s_max))
-        x += dx
-        y += dy
-        self.x, self.y = x, y
-        self.visited.add((x, y))
-        # each step can move one bound only: NW and W x_min, SE and SW y_min,
-        # NE and E s_max
-        if dx < 0:
-            if x < self.x_min:
-                self.x_min = x
-        elif dy < 0:
-            if y < self.y_min:
-                self.y_min = y
-        elif x + y > self.s_max:
-            self.s_max = x + y
+        x, y, x_min, y_min, s_max = self.x, self.y, self.x_min, self.y_min, self.s_max
+        left, bottom, right = self.left, self.bottom, self.right
+        self.trail.append((x, y, x_min, y_min, s_max, left, bottom, right))
+        self.x = x = x + dx
+        self.y = y = y + dy
+        # the new vertex is alone on an edge the box grows past, and past one
+        # end of any other it lands on: it left that edge's extreme, or is a corner
+        if x <= x_min:
+            lo, hi = left if x == x_min else (y, y)
+            self.x_min, self.left = x, ((y, hi) if y < lo else (lo, y))
+        if y <= y_min:
+            lo, hi = bottom if y == y_min else (x, x)
+            self.y_min, self.bottom = y, ((x, hi) if x < lo else (lo, x))
+        if x + y >= s_max:
+            lo, hi = right if x + y == s_max else (x, x)
+            self.s_max, self.right = x + y, ((x, hi) if x < lo else (lo, x))
 
     def pop(self):
-        self.visited.discard((self.x, self.y))
-        (self.x, self.y, self.x_min, self.y_min, self.s_max) = self.trail.pop()
+        (self.x, self.y, self.x_min, self.y_min, self.s_max,
+         self.left, self.bottom, self.right) = self.trail.pop()
 
 
 def _make_state(walk_class):

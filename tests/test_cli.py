@@ -251,6 +251,38 @@ def test_out_in_missing_directory_refused_before_the_work(capsys, tmp_path, argv
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify",),
+        ("verify", "--max-n", "10"),
+        ("sample", "--class", "4-sided", "--length", "120", "--format", "svg"),
+    ],
+    ids=["verify", "verify-10", "sample"],
+)
+def test_out_that_is_a_directory_refused_before_the_work(capsys, tmp_path, argv):
+    # the default verify takes seconds, so only a refusal up front ends in 1 s
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == "error: --out: is a directory: %s\n" % tmp_path
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_prefix_may_name_a_directory(capsys, tmp_path):
+    # sample's svg files are <prefix>-NNNN.svg, beside a directory so named
+    (tmp_path / "w").mkdir()
+    code, out, err = run(
+        capsys, "sample", "--class", "2-sided", "--length", "5", "--count", "2",
+        "--format", "svg", "--out", str(tmp_path / "w"),
+    )
+    assert (code, out, err) == (0, "", "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w", "w-0000.svg", "w-0001.svg"]
+
+
 def test_verify_small(capsys):
     code, out, _ = run(
         capsys, "verify", "--max-n", "6", "--order", "10", "--box-k", "2",

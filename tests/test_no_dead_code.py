@@ -129,7 +129,7 @@ def test_private_scan_finds_the_private_definitions():
     # the gate covers module-level functions, classes and assigned names and
     # methods, and leaves public, dunder and mangled names to others
     definitions, _ = _definitions_and_references(_private)
-    assert {"_dfs", "_TRI_MOVES", "_Walk", "TriState._steps_from", "_Walk._parse"} <= set(definitions)
+    assert {"_dfs", "_TRI_INFLATE", "_Walk", "_Walk._trusted", "_Walk._parse"} <= set(definitions)
     assert not any(name.startswith("__") or _public(name) for name, _ in definitions.values())
 
 

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from prudentwalks.sampler import kinetic_sample
+from prudentwalks.sampler import UniformSampler, kinetic_sample
 from prudentwalks.walks import (
     FIRST_STEP_ORBITS,
     GEOMETRY_MAPS,
@@ -159,6 +159,21 @@ def test_walk_text_and_json():
     assert TriWalk.from_text(t.to_text()) == t
     assert walk_from_json(t.to_json()) == t
     assert SquareWalk((0, 1)) != TriWalk((0, 1))  # same codes, different lattices
+
+
+@pytest.mark.parametrize("make", [SquareWalk, TriWalk])
+def test_walks_have_slots_and_value_equality(make):
+    # a sampler holds many walks at once: they carry no per-instance dict
+    w = make((0, 1, 1))
+    assert not hasattr(w, "__dict__")
+    with pytest.raises(AttributeError):
+        w.extra = 1
+    text = "011" if make is TriWalk else "NEE"
+    for twin in (make(text), make.from_text(text), make._trusted((0, 1, 1))):
+        assert twin == w
+        assert hash(twin) == hash(w) == hash((make.lattice, (0, 1, 1)))
+    assert w != make((0, 1))
+    assert len({w, make((0, 1, 1)), make((1, 1, 0))}) == 2
 
 
 @pytest.mark.parametrize("make", [SquareWalk, TriWalk])
@@ -489,7 +504,10 @@ def test_prudent_steps_match_reference_on_kinetic_walks():
 
 
 def _tri_state_snapshot(state):
-    return (state.x, state.y, state.x_min, state.y_min, state.s_max, set(state.visited), list(state.trail))
+    return (
+        state.x, state.y, state.x_min, state.y_min, state.s_max,
+        state.left, state.bottom, state.right, list(state.trail),
+    )
 
 
 @pytest.mark.parametrize("cap", [None, 3, 4])
@@ -506,7 +524,7 @@ def test_tri_state_legal_steps_match_legal(cap):
         nonlocal nodes
         nodes += 1
         steps = [d for d in range(6) if state.legal(d)]
-        assert state.legal_steps() == steps
+        assert state.legal_steps() == tuple(steps)
         before = _tri_state_snapshot(state)
         ahead = state.lookahead()
         assert _tri_state_snapshot(state) == before
@@ -524,7 +542,8 @@ def test_tri_state_legal_steps_match_legal(cap):
     else:
         boxes = [enumerate_tri_by_box(k)[0] for k in range(cap + 1)]
         assert nodes == sum(boxes)
-    assert state.visited == {(0, 0)} and state.trail == []
+    assert (state.left, state.bottom, state.right) == ((0, 0), (0, 0), (0, 0))
+    assert state.trail == []
 
 
 class ReferenceTriState:
@@ -570,21 +589,34 @@ class ReferenceTriState:
         self.path.pop()
 
 
+def _reference_edge_extremes(path):
+    # the (least, greatest) position of the visited vertices on the left
+    # (position y), bottom (x) and right (x) edge of the box
+    x_min, y_min, s_max = ReferenceTriState.box(path)
+    edges = (
+        [y for x, y in path if x == x_min],
+        [x for x, y in path if y == y_min],
+        [x for x, y in path if x + y == s_max],
+    )
+    return tuple((min(positions), max(positions)) for positions in edges)
+
+
 def _check_tri_state_against_reference(state, ref):
     answers = [ref.legal(d) for d in range(6)]
     steps = [d for d in range(6) if answers[d]]
     assert [state.legal(d) for d in range(6)] == answers
-    assert state.legal_steps() == steps
+    assert state.legal_steps() == tuple(steps)
     assert (state.x, state.y) == ref.path[-1]
     assert (state.x_min, state.y_min, state.s_max) == ref.box(ref.path)
+    assert (state.left, state.bottom, state.right) == _reference_edge_extremes(ref.path)
     return steps
 
 
-@pytest.mark.parametrize("cap", [None, 3])
+@pytest.mark.parametrize("cap", [None, 3, 4])
 def test_tri_state_matches_reference_dfs(cap):
-    # every legal and legal_steps answer and the membership of every walk,
-    # at every node of the full search to n = 7 (cap None) or of the whole
-    # search in boxes of size <= 3
+    # every legal and legal_steps answer, the box edges' extremes and the
+    # membership of every walk, at every node of the full search to n = 7
+    # (cap None) or of the whole search in boxes of size <= cap
     state, ref = walks.TriState(), ReferenceTriState()
     if cap is not None:
         state._max_size = ref.max_size = cap
@@ -635,6 +667,21 @@ def test_tri_state_matches_reference_on_random_walks():
         assert in_class(TriWalk(tuple(walk)), WalkClass.TRIANGULAR) == prudent
         verdicts[prudent] += 1
     assert verdicts[True] > 50 and verdicts[False] > 50
+
+
+def test_tri_state_matches_reference_on_long_uniform_walks():
+    # long walks, whose steps along a box edge pass many visited vertices
+    sampler = UniformSampler(WalkClass.TRIANGULAR, 80)
+    rng = Random(80)
+    for _ in range(5):
+        state, ref = walks.TriState(), ReferenceTriState()
+        for d in sampler.sample(rng).steps:
+            steps = _check_tri_state_against_reference(state, ref)
+            assert state.lookahead() == _reference_lookahead(ref, steps, 6)
+            state.push(d)
+            ref.push(d)
+        assert _check_tri_state_against_reference(state, ref)
+        assert state.s_max - state.x_min - state.y_min >= 20
 
 
 @pytest.mark.parametrize("wc", SQUARE_CLASSES[:3])
