@@ -10,11 +10,20 @@ Square steps are 0..3 = N,E,S,W (arithmetic mod 4); triangular steps are
 0..5 clockwise from NW (arithmetic mod 6).  C- and F-type refinements store
 a rotation direction d = +-1 instead of the step, which the last-step
 function then resolves.
+
+Each class's rules are one `RuleSet`: its root P-labels, and four callables
+(any callable will do) giving a P-label's children, an L-label's children,
+the L-projection of a P-label and its last step.  The children rules return
+one tuple literal per branch, in a fixed child order that the sampler's
+draws depend on.  Where a projection is a plain field selection (the
+2-sided and triangular L-projections, and the 2-sided, 4-sided and
+triangular last steps) it is an `operator.itemgetter`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import itemgetter
 
 from prudentwalks.walks import WalkClass
 
@@ -24,11 +33,6 @@ I2, C2, F2 = 0, 1, 2             # 2-sided
 IV3, IH3, A3, C3, F3 = 0, 1, 2, 3, 4  # 3-sided
 I4, A4 = 0, 1                    # 4-sided
 IT, AT = 0, 1                    # triangular
-
-
-def _sel(a, d, b):
-    """a if d == +1 else b (the i/j selector used by the printed rules)."""
-    return a if d == 1 else b
 
 
 # --------------------------------------------------------------------------
@@ -67,19 +71,10 @@ _ROOT_1 = ((V,), (H, 1), (H, -1))
 def _p_children_2(p):
     ty, i, s = p
     if ty == I2:
-        out = [(I2, i, s), (F2, i + 1, (3 - s) % 4)]
-        if i > 0:
-            out.append((C2, i - 1, (1 - s) % 4))
-        else:
-            out.append((I2, 0, (1 - s) % 4))
-        return tuple(out)
+        return (p, (F2, i + 1, (3 - s) % 4),
+                (C2, i - 1, (1 - s) % 4) if i > 0 else (I2, 0, (1 - s) % 4))
     if ty == C2:
-        out = [(I2, i, (1 - s) % 4)]
-        if i > 0:
-            out.append((C2, i - 1, s))
-        else:
-            out.append((I2, 0, s))
-        return tuple(out)
+        return ((I2, i, (1 - s) % 4), (C2, i - 1, s) if i > 0 else (I2, 0, s))
     return ((I2, i, (3 - s) % 4), (F2, i + 1, s))
 
 
@@ -90,14 +85,6 @@ def _l_children_2(l):
     if ty == C2:
         return ((I2, i), (C2, i - 1) if i > 0 else (I2, 0))
     return ((I2, i), (F2, i + 1))
-
-
-def _l_of_p_2(p):
-    return (p[0], p[1])
-
-
-def _step_2(p):
-    return p[2]
 
 
 _ROOT_2 = ((I2, 0, 0), (I2, 0, 1), (F2, 1, 2), (F2, 1, 3))
@@ -111,65 +98,44 @@ _ROOT_2 = ((I2, 0, 0), (I2, 0, 1), (F2, 1, 2), (F2, 1, 3))
 
 def _p_children_3(p):
     ty = p[0]
-    if ty == IV3:
+    if ty == IV3:  # a side at distance 0 turns its A-child into an I_h-child, listed last
         _, i, j = p
-        out = [(IV3, i, j)]
         if i > 0:
-            out.append((A3, i - 1, j + 1, 1))
+            if j > 0:
+                return (p, (A3, i - 1, j + 1, 1), (A3, j - 1, i + 1, 3))
+            return (p, (A3, i - 1, 1, 1), (IH3, 0, i + 1, 3))
         if j > 0:
-            out.append((A3, j - 1, i + 1, 3))
-        if i == 0:
-            out.append((IH3, 0, j + 1, 1))
-        if j == 0:
-            out.append((IH3, 0, i + 1, 3))
-        return tuple(out)
-    if ty == IH3:
+            return (p, (A3, j - 1, 1, 3), (IH3, 0, j + 1, 1))
+        return (p, (IH3, 0, 1, 1), (IH3, 0, 1, 3))
+    if ty == IH3:  # s = 2 + d, d = +-1
         _, i, j, s = p
-        d = s - 2  # +-1
-        out = [(IH3, i, j + 1, s), (F3, i + 1, j, 2 - s)]
-        if i > 0:
-            out.append((C3, i - 1, j, d))
-        else:
-            out.append((IV3, _sel(j, d, 0), _sel(0, d, j)))
-        return tuple(out)
+        return ((IH3, i, j + 1, s), (F3, i + 1, j, 2 - s),
+                (C3, i - 1, j, s - 2) if i > 0 else ((IV3, j, 0) if s == 3 else (IV3, 0, j)))
     if ty == A3:
         _, i, j, s = p
-        d = s - 2
-        out = [(IV3, _sel(j, d, i), _sel(i, d, j))]
-        if i > 0:
-            out.append((A3, i - 1, j + 1, s))
-        else:
-            out.append((IH3, 0, j + 1, s))
-        return tuple(out)
+        return ((IV3, j, i) if s == 3 else (IV3, i, j),
+                (A3, i - 1, j + 1, s) if i > 0 else (IH3, 0, j + 1, s))
     if ty == C3:
         _, i, j, d = p
-        out = [(IH3, i, j + 1, 2 + d)]
-        if i > 0:
-            out.append((C3, i - 1, j, d))
-        else:
-            out.append((IV3, _sel(j, d, 0), _sel(0, d, j)))
-        return tuple(out)
+        return ((IH3, i, j + 1, 2 + d),
+                (C3, i - 1, j, d) if i > 0 else ((IV3, j, 0) if d == 1 else (IV3, 0, j)))
     _, i, j, d = p  # F3
-    out = [(F3, i + 1, j, d), (IH3, i, j + 1, 2 - d)]
     if j == 0:
-        out.append((IH3, i, 1, 3))
-    return tuple(out)
+        return ((F3, i + 1, 0, d), (IH3, i, 1, 2 - d), (IH3, i, 1, 3))
+    return ((F3, i + 1, j, d), (IH3, i, j + 1, 2 - d))
 
 
 def _l_children_3(l):
     ty = l[0]
-    if ty == IV3:
-        _, a, b = l  # unordered, a <= b
-        out = [(IV3, a, b)]
+    if ty == IV3:  # unordered, a <= b
+        _, a, b = l
         if a > 0:
-            out.append((A3, a - 1, b + 1))
+            if b > 0:
+                return (l, (A3, a - 1, b + 1), (A3, b - 1, a + 1))
+            return (l, (A3, a - 1, 1), (IH3, 0, a + 1))
         if b > 0:
-            out.append((A3, b - 1, a + 1))
-        if a == 0:
-            out.append((IH3, 0, b + 1))
-        if b == 0:
-            out.append((IH3, 0, a + 1))
-        return tuple(out)
+            return (l, (A3, b - 1, 1), (IH3, 0, b + 1))
+        return (l, (IH3, 0, 1), (IH3, 0, 1))
     if ty == IH3:
         _, i, j = l
         return ((IH3, i, j + 1), (F3, i + 1, j),
@@ -184,10 +150,9 @@ def _l_children_3(l):
         return ((IH3, i, j + 1),
                 (C3, i - 1, j) if i > 0 else (IV3, 0, j))
     _, i, j = l  # F3
-    out = [(F3, i + 1, j), (IH3, i, j + 1)]
     if j == 0:
-        out.append((IH3, i, 1))
-    return tuple(out)
+        return ((F3, i + 1, 0), (IH3, i, 1), (IH3, i, 1))
+    return ((F3, i + 1, j), (IH3, i, j + 1))
 
 
 def _l_of_p_3(p):
@@ -216,41 +181,37 @@ _ROOT_3 = ((IV3, 0, 0), (IH3, 0, 1, 1), (IH3, 0, 1, 3), (F3, 1, 0, 1))
 
 def _p_children_4(p):
     ty = p[0]
-    if ty == I4:
+    if ty == I4:  # a side at distance 0 turns its A-child into an I-child, listed last
         _, i, j, h, s = p
-        out = [(I4, i, j, h + 1, s)]
         if i > 0:
-            out.append((A4, i - 1, j + 1, h, (s + 1) % 4, 1))
+            if j > 0:
+                return ((I4, i, j, h + 1, s), (A4, i - 1, j + 1, h, (s + 1) % 4, 1),
+                        (A4, j - 1, i + 1, h, (s - 1) % 4, -1))
+            return ((I4, i, 0, h + 1, s), (A4, i - 1, 1, h, (s + 1) % 4, 1),
+                    (I4, 0, h, i + 1, (s - 1) % 4))
         if j > 0:
-            out.append((A4, j - 1, i + 1, h, (s - 1) % 4, -1))
-        if i == 0:
-            out.append((I4, h, 0, j + 1, (s + 1) % 4))
-        if j == 0:
-            out.append((I4, 0, h, i + 1, (s - 1) % 4))
-        return tuple(out)
+            return ((I4, 0, j, h + 1, s), (A4, j - 1, 1, h, (s - 1) % 4, -1),
+                    (I4, h, 0, j + 1, (s + 1) % 4))
+        return ((I4, 0, 0, h + 1, s), (I4, h, 0, 1, (s + 1) % 4), (I4, 0, h, 1, (s - 1) % 4))
     _, i, j, h, s, d = p
-    out = [(I4, _sel(i, d, j), _sel(j, d, i), h + 1, (s - d) % 4)]
-    if i > 0:
-        out.append((A4, i - 1, j + 1, h, s, d))
-    else:
-        out.append((I4, _sel(h, d, 0), _sel(0, d, h), j + 1, s))
-    return tuple(out)
+    if d == 1:
+        return ((I4, i, j, h + 1, (s - 1) % 4),
+                (A4, i - 1, j + 1, h, s, 1) if i > 0 else (I4, h, 0, j + 1, s))
+    return ((I4, j, i, h + 1, (s + 1) % 4),
+            (A4, i - 1, j + 1, h, s, -1) if i > 0 else (I4, 0, h, j + 1, s))
 
 
 def _l_children_4(l):
     ty = l[0]
-    if ty == I4:
-        _, a, b, h = l  # unordered, a <= b
-        out = [(I4, a, b, h + 1)]
+    if ty == I4:  # unordered, a <= b
+        _, a, b, h = l
         if a > 0:
-            out.append((A4, a - 1, b + 1, h))
+            if b > 0:
+                return ((I4, a, b, h + 1), (A4, a - 1, b + 1, h), (A4, b - 1, a + 1, h))
+            return ((I4, a, 0, h + 1), (A4, a - 1, 1, h), (I4, 0, h, a + 1))
         if b > 0:
-            out.append((A4, b - 1, a + 1, h))
-        if a == 0:
-            out.append((I4, 0, h, b + 1))
-        if b == 0:
-            out.append((I4, 0, h, a + 1))
-        return tuple(out)
+            return ((I4, 0, b, h + 1), (A4, b - 1, 1, h), (I4, 0, h, b + 1))
+        return ((I4, 0, 0, h + 1), (I4, 0, h, 1), (I4, 0, h, 1))
     _, i, j, h = l
     lo, hi = (i, j) if i <= j else (j, i)
     return ((I4, lo, hi, h + 1),
@@ -264,10 +225,6 @@ def _l_of_p_4(p):
     return (A4, p[1], p[2], p[3])
 
 
-def _step_4(p):
-    return p[4]
-
-
 _ROOT_4 = tuple((I4, 0, 0, 1, s) for s in range(4))
 
 
@@ -278,48 +235,28 @@ _ROOT_4 = tuple((I4, 0, 0, 1, s) for s in range(4))
 def _p_children_t(p):
     ty, i, j, s, d = p
     if ty == IT:
-        out = [
-            (IT, i, j + 1, s, d),
-            (IT, j, i + 1, (s - d) % 6, -d),
-            (AT, j - 1, i + 1, (s - 2 * d) % 6, -d),
-        ]
         if i > 0:
-            out.append((AT, i - 1, j + 1, (s + d) % 6, d))
-        else:
-            out.append((IT, 0, j + 1, (s + d) % 6, -d))
-            out.append((IT, j, 1, (s + 2 * d) % 6, d))
-        return tuple(out)
-    out = [
-        (IT, i, j + 1, (s - d) % 6, d),
-        (IT, j, i + 1, (s - 2 * d) % 6, -d),
-    ]
+            return ((IT, i, j + 1, s, d), (IT, j, i + 1, (s - d) % 6, -d),
+                    (AT, j - 1, i + 1, (s - 2 * d) % 6, -d), (AT, i - 1, j + 1, (s + d) % 6, d))
+        return ((IT, 0, j + 1, s, d), (IT, j, 1, (s - d) % 6, -d),
+                (AT, j - 1, 1, (s - 2 * d) % 6, -d), (IT, 0, j + 1, (s + d) % 6, -d),
+                (IT, j, 1, (s + 2 * d) % 6, d))
     if i > 0:
-        out.append((AT, i - 1, j + 1, s, d))
-    else:
-        out.append((IT, 0, j + 1, s, -d))
-        out.append((IT, j, 1, (s + d) % 6, d))
-    return tuple(out)
+        return ((IT, i, j + 1, (s - d) % 6, d), (IT, j, i + 1, (s - 2 * d) % 6, -d),
+                (AT, i - 1, j + 1, s, d))
+    return ((IT, 0, j + 1, (s - d) % 6, d), (IT, j, 1, (s - 2 * d) % 6, -d),
+            (IT, 0, j + 1, s, -d), (IT, j, 1, (s + d) % 6, d))
 
 
 def _l_children_t(l):
     ty, i, j = l
-    out = [(IT, i, j + 1), (IT, j, i + 1)]
     if ty == IT:
-        out.append((AT, j - 1, i + 1))
+        if i > 0:
+            return ((IT, i, j + 1), (IT, j, i + 1), (AT, j - 1, i + 1), (AT, i - 1, j + 1))
+        return ((IT, 0, j + 1), (IT, j, 1), (AT, j - 1, 1), (IT, 0, j + 1), (IT, j, 1))
     if i > 0:
-        out.append((AT, i - 1, j + 1))
-    else:
-        out.append((IT, 0, j + 1))
-        out.append((IT, j, 1))
-    return tuple(out)
-
-
-def _l_of_p_t(p):
-    return (p[0], p[1], p[2])
-
-
-def _step_t(p):
-    return p[3]
+        return ((IT, i, j + 1), (IT, j, i + 1), (AT, i - 1, j + 1))
+    return ((IT, 0, j + 1), (IT, j, 1), (IT, 0, j + 1), (IT, j, 1))
 
 
 # The printed root rotations are (0,-1),(1,1),(2,-1),(3,1),(4,-1),(5,1); in
@@ -341,8 +278,8 @@ RuleSet = namedtuple("RuleSet", "root p_children l_children l_of_p step_of")
 
 RULES = {
     WalkClass.ONE_SIDED: RuleSet(_ROOT_1, _p_children_1, _l_children_1, _l_of_p_1, _step_1),
-    WalkClass.TWO_SIDED: RuleSet(_ROOT_2, _p_children_2, _l_children_2, _l_of_p_2, _step_2),
+    WalkClass.TWO_SIDED: RuleSet(_ROOT_2, _p_children_2, _l_children_2, itemgetter(0, 1), itemgetter(2)),
     WalkClass.THREE_SIDED: RuleSet(_ROOT_3, _p_children_3, _l_children_3, _l_of_p_3, _step_3),
-    WalkClass.PRUDENT4: RuleSet(_ROOT_4, _p_children_4, _l_children_4, _l_of_p_4, _step_4),
-    WalkClass.TRIANGULAR: RuleSet(_ROOT_T, _p_children_t, _l_children_t, _l_of_p_t, _step_t),
+    WalkClass.PRUDENT4: RuleSet(_ROOT_4, _p_children_4, _l_children_4, _l_of_p_4, itemgetter(4)),
+    WalkClass.TRIANGULAR: RuleSet(_ROOT_T, _p_children_t, _l_children_t, itemgetter(0, 1, 2), itemgetter(3)),
 }

@@ -10,10 +10,11 @@ stored once per slab; each slab is summed from the previous one through
 child-index columns, and the breadth-first pass that finds the labels
 produces their children, so l_children runs once per label.  The refined
 P-labels live in the sampling walk state: each P-label's children, their
-steps and the table indices of their L-labels are cached as one record.
-Each step is drawn by bisecting the cumulative child weights Ex(child, m-1),
-read by index, at one integer in [0, Ex(l, m)), so every length-n walk has
-probability exactly 1/p_n.  That integer is drawn by the getrandbits
+steps and one itemgetter over the table indices of their L-labels are
+cached as one record.  Each step is drawn by bisecting the cumulative child
+weights Ex(child, m-1), read from the slab by that getter in one call, at
+one integer in [0, Ex(l, m)), so every length-n walk has probability
+exactly 1/p_n.  That integer is drawn by the getrandbits
 rejection rule of `_below`, which consumes the generator exactly as
 CPython's Random.randrange does.
 """
@@ -26,7 +27,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from itertools import accumulate, chain, islice, zip_longest
 from math import comb
-from operator import add
+from operator import add, itemgetter
 
 from prudentwalks.labels import RULES
 from prudentwalks.walks import SquareState, SquareWalk, TriWalk, WalkClass
@@ -116,10 +117,10 @@ class ExtTable:
 
     l_children runs once per label, in the pass that finds the labels: the
     children become index columns (one per child position, padded with -1),
-    and each slab is summed column by column with C-level maps over the
-    previous slab's values.  The pad reads a 0 appended to the previous list
-    only while the next slab is summed, so `values[m]` holds exactly its
-    prefix and an index past it raises.  Equal values within a slab are
+    and each slab is summed as one chain of C-level maps, one per column,
+    over the previous slab's values, made a list once.  The pad reads a 0
+    appended to the previous list only while the next slab is summed, so
+    `values[m]` holds exactly its prefix and an index past it raises.  Equal values within a slab are
     stored once, as one shared int object: with m steps left a distance
     above m acts as m, so most labels share their Ex(label, m) with others.
     """
@@ -157,9 +158,10 @@ class ExtTable:
             k = ends[n - m + 1]
             vals.append(0)  # what the pad index -1 reads, only while slab m is summed
             get = vals.__getitem__
-            acc = list(map(get, islice(first, k)))
+            acc = map(get, islice(first, k))
             for col in rest:
-                acc = list(map(add, acc, map(get, islice(col, k))))
+                acc = map(add, acc, map(get, islice(col, k)))
+            acc = list(acc)
             vals.pop()
             canon = {}
             vals = values[m] = list(map(canon.setdefault, acc, acc))
@@ -207,10 +209,12 @@ class UniformSampler:
         self._make = TriWalk._trusted if walk_class is WalkClass.TRIANGULAR else SquareWalk._trusted
 
     def _record(self, plabel):
-        """(P-children, their steps, the table indices of their L-labels) of a
-        P-label; None is the root.
+        """(P-children, their steps, an itemgetter of the table indices of
+        their L-labels) of a P-label; None is the root.  Applied to a slab's
+        values, the getter returns the children's weights as one tuple, so a
+        record needs at least two children: ValueError otherwise.
 
-        The indices are None when the P-label's L-label sits at table position
+        The getter is None when the P-label's L-label sits at table position
         ends[n-1] or later (first reached in >= n-1 steps): its children may
         first be reached in n steps, outside the table, and it is only ever
         the parent of the last step, which is drawn without weights.
@@ -224,10 +228,14 @@ class UniformSampler:
             else:
                 kids = rules.p_children(plabel)
                 inside = table.index[rules.l_of_p(plabel)] < table.ends[self.n - 1]
-            idx = None
+            weights = None
             if inside:
-                idx = tuple(map(table.index.__getitem__, map(rules.l_of_p, kids)))
-            cached = (kids, tuple(map(rules.step_of, kids)), idx)
+                if len(kids) < 2:  # an itemgetter of one index returns no tuple
+                    raise ValueError(
+                        "P-label %r has %d children; a weighted step needs two or more" % (plabel, len(kids))
+                    )
+                weights = itemgetter(*map(table.index.__getitem__, map(rules.l_of_p, kids)))
+            cached = (kids, tuple(map(rules.step_of, kids)), weights)
             if len(self._child_cache) < (1 << 20):
                 self._child_cache[plabel] = cached
         return cached
@@ -246,8 +254,8 @@ class UniformSampler:
         steps = []
         pick = None
         for m in range(n, 1, -1):
-            kids, kid_steps, idx = cached(pick) or record(pick)
-            cum = list(accumulate(map(values[m - 1].__getitem__, idx)))
+            kids, kid_steps, weights = cached(pick) or record(pick)
+            cum = list(accumulate(weights(values[m - 1])))
             i = bisect_right(cum, _below(getrandbits, cum[-1]))
             steps.append(kid_steps[i])
             pick = kids[i]
@@ -270,7 +278,7 @@ def exact_distribution(walk_class, n):
     out = {}
 
     def rec(plabel, m, steps, num, den):
-        kids, kid_steps, idx = sampler._record(plabel)
+        kids, kid_steps, weights_of = sampler._record(plabel)
         if m == 1:
             total = len(kids)
             for s in kid_steps:
@@ -279,7 +287,7 @@ def exact_distribution(walk_class, n):
                     raise RuntimeError("refined tree revisits a walk")
                 out[walk] = Fraction(num, den * total)
             return
-        weights = list(map(values[m - 1].__getitem__, idx))
+        weights = weights_of(values[m - 1])
         den *= sum(weights)
         for p, w, s in zip(kids, weights, kid_steps):
             if w:

@@ -384,6 +384,9 @@ _MASK_STEPS = tuple(tuple(d for d in range(6) if mask >> d & 1) for mask in rang
 # and the other steps along an edge
 _TRI_INFLATES = tuple(0 if dx < 0 else 1 if dy < 0 else 2 for dx, dy in TRI_STEP_VECTORS)
 _TRI_RUNS_ALONG = tuple(0 if dx == 0 else 1 if dy == 0 else 2 for dx, dy in TRI_STEP_VECTORS)
+# per step, its vector and the edge it moves away from, so never lands on:
+# bottom for dy > 0, left for dx > 0, right for dx + dy < 0
+_TRI_PUSH = tuple((dx, dy, 1 if dy > 0 else 0 if dx > 0 else 2) for dx, dy in TRI_STEP_VECTORS)
 _TRI_INFLATE = tuple(sum(1 << d for d in range(6) if on >> _TRI_INFLATES[d] & 1) for on in range(8))
 _TRI_ALONG = tuple(
     sum(1 << d for d in range(6) if on >> _TRI_RUNS_ALONG[d] & 1) & ~_TRI_INFLATE[on] for on in range(8)
@@ -450,18 +453,25 @@ class TriState:
         return out
 
     def push(self, d):
-        dx, dy = TRI_STEP_VECTORS[d]
+        dx, dy, away = _TRI_PUSH[d]
         x, y, x_min, y_min, s_max = self.x, self.y, self.x_min, self.y_min, self.s_max
         left, bottom, right = self.left, self.bottom, self.right
         self.trail.append((x, y, x_min, y_min, s_max, left, bottom, right))
         self.x = x = x + dx
         self.y = y = y + dy
         # the new vertex is alone on an edge the box grows past, and past one
-        # end of any other it lands on: it left that edge's extreme, or is a corner
-        if x <= x_min:
-            lo, hi = left if x == x_min else (y, y)
-            self.x_min, self.left = x, ((y, hi) if y < lo else (lo, y))
-        if y <= y_min:
+        # end of any other it lands on: it left that edge's extreme, or is a
+        # corner.  Only the two edges the step does not move away from are tested
+        if away:
+            if x <= x_min:
+                lo, hi = left if x == x_min else (y, y)
+                self.x_min, self.left = x, ((y, hi) if y < lo else (lo, y))
+            if away == 2:
+                if y <= y_min:
+                    lo, hi = bottom if y == y_min else (x, x)
+                    self.y_min, self.bottom = y, ((x, hi) if x < lo else (lo, x))
+                return
+        elif y <= y_min:
             lo, hi = bottom if y == y_min else (x, x)
             self.y_min, self.bottom = y, ((x, hi) if x < lo else (lo, x))
         if x + y >= s_max:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from test_sampler_reference import p_tree_depths, reference_slabs
@@ -257,20 +258,34 @@ def test_non_final_records_index_inside_the_next_slab(wc):
 
         def walk(plabel, m):
             nonlocal seen
-            kids, kid_steps, idx = sampler._record(plabel)
+            kids, kid_steps, weights = sampler._record(plabel)
             assert kid_steps == tuple(map(rules.step_of, kids))
             if m == 1:
                 return
             seen += 1
-            assert idx is not None and len(idx) == len(kids)
+            assert type(weights) is itemgetter
+            cls, idx = weights.__reduce__()  # the getter's indices, in order
+            assert cls is itemgetter and len(idx) == len(kids)
             assert all(0 <= i < len(values[m - 1]) for i in idx)
             assert [labels[i] for i in idx] == [rules.l_of_p(p) for p in kids]
+            assert weights(values[m - 1]) == tuple(values[m - 1][i] for i in idx)
             for p, i in zip(kids, idx):
                 if values[m - 1][i]:
                     walk(p, m - 1)
 
         walk(None, n)
         assert (seen > 0) == (n > 1)
+
+
+def test_record_with_one_child_raises_when_built():
+    # one child would make the weights getter return a bare value, not a tuple
+    wc = WalkClass.TWO_SIDED
+    sampler = UniformSampler(wc, 6)
+    rules = sampler.rules
+    sampler.rules = rules._replace(p_children=lambda p: rules.p_children(p)[:1])
+    with pytest.raises(ValueError, match="1 children"):
+        sampler._record(rules.root[0])
+    assert rules.root[0] not in sampler._child_cache
 
 
 def test_sampler_with_a_short_table_raises():

@@ -206,18 +206,19 @@ SYMMETRIES = {
 
 
 def _unreduced_dfs(state, visit):
-    # every first step, legal(d) tried for every d, every walk pushed and
-    # visited: shares neither the orbits, the step sets nor the lookahead
-    # with the oracle's searches
-    dirs = range(6 if state.lattice == "tri" else 4)
+    # every first step, every walk pushed and visited: shares neither the
+    # orbits nor the lookahead with the oracle's searches.  Square states try
+    # legal(d) for every d, so they share no step sets either; a TriState's
+    # legal(d) is `d in legal_steps()`, so its steps are read once per node
+    # from legal_steps(), which refuses the same steps
+    tri = state.lattice == "tri"
 
     def rec(depth):
         if visit(state, depth):
-            for d in dirs:
-                if state.legal(d):
-                    state.push(d)
-                    rec(depth + 1)
-                    state.pop()
+            for d in state.legal_steps() if tri else [d for d in range(4) if state.legal(d)]:
+                state.push(d)
+                rec(depth + 1)
+                state.pop()
 
     rec(0)
 
