@@ -31,10 +31,13 @@ u <-> v mirror is reversed(line), and adding running sums is map(add, ...),
 so a u <-> v-symmetric line is built whole as DU + reversed(DU), and the
 element work runs in C.  Solving to order N makes O(N^3) list operations for
 4-sided walks, O(N^2) for the other two-variable systems and O(N) for 2-sided
-walks; converting each slice once into the CPoly dict (tuple keys, zeros
-dropped) costs time linear in its monomials.  Every stored monomial
-u^i v^j w^h at t^n has i+j+h <= n, since the box dimensions are bounded by
-the length (checked by test_pruning_soundness), so slice N is exact.
+walks.  Every stored monomial u^i v^j w^h at t^n has i+j+h <= n, since the
+box dimensions are bounded by the length (checked by test_pruning_soundness),
+so slice N is exact.
+
+Streams.  The line solvers are generators that yield each order's lines and
+never change a line after yielding it.  solve_* convert every slice once into
+a CPoly dict and keep them all; length_series keeps only the P(t;u) lines.
 """
 
 from __future__ import annotations
@@ -69,11 +72,14 @@ def length_series(walk_class, order):
         return iterate_1sided(order)
     if walk_class is WalkClass.TWO_SIDED:
         return solve_2sided(order)[1]
-    if walk_class is WalkClass.THREE_SIDED:
-        return solve_3sided(order)[2]
-    if walk_class is WalkClass.PRUDENT4:
-        return solve_4sided(order)[1]
-    return solve_triangular(order)[1]
+    lines = {WalkClass.THREE_SIDED: _3sided_lines, WalkClass.PRUDENT4: _4sided_lines}
+    return _p_poly(order, (ls[-1] for ls in lines.get(walk_class, _triangular_lines)(order)))
+
+
+def _p_poly(order, lines):
+    """P(t;u) as a CPoly in u from its lines, one per order."""
+    keys = [(e,) for e in range(order + 1)]
+    return CPoly(("u",), order, [_slice([(keys, P)]) for P in lines])
 
 
 # --------------------------------------------------------------------------
@@ -82,16 +88,15 @@ def length_series(walk_class, order):
 
 def iterate_1sided(order):
     """Length series of 1-sided walks from the horizontal/vertical split."""
-    n = order
-    const = [1] + [2] * n          # (1+t)/(1-t)
-    pref = [0, 1] + [2] * (n - 1)  # t(1+t)/(1-t)
-    p = [0] * (n + 1)
-    for m in range(n + 1):
+    const = [1] + [2] * order          # (1+t)/(1-t)
+    pref = [0, 1] + [2] * (order - 1)  # t(1+t)/(1-t)
+    p = [0] * (order + 1)
+    for m in range(order + 1):
         s = const[m]
         for a in range(1, m + 1):
             s += pref[a] * p[m - a]
         p[m] = s
-    return TSeries(p, n)
+    return TSeries(p, order)
 
 
 # --------------------------------------------------------------------------
@@ -159,8 +164,8 @@ def rhs_2sided(T):
 # 3-sided walks: T(u,v) top-enders, R(u,w) right-enders
 # --------------------------------------------------------------------------
 
-def solve_3sided(order):
-    """Fixed point of the coupled Lemma system; returns (T, R, P).
+def _3sided_lines(N):
+    """(T, R, P) lines of the coupled Lemma system, order by order.
 
     T lies on anti-diagonal lines s = i + j and R on lines b, its w-exponent.
     DU carries t dd_u(uT, u->tv), DR carries t w dd_u(uR, u->t) and GR carries
@@ -168,11 +173,6 @@ def solve_3sided(order):
     R_n(0, s), and tu R(t,u) + tv R(t,v) add DR_n(0, s) to T_n(s, 0) and
     T_n(0, s).
     """
-    N = order
-    tkeys = [[(i, s - i) for i in range(s + 1)] for s in range(N + 1)]
-    rkeys = [[(a, b) for a in range(N + 1)] for b in range(N + 1)]
-    pkeys = [(e,) for e in range(N + 1)]
-    Ts, Rs, Ps = [], [], []
     T, DU = [], []
     R = prevR = DR = GR = {}
     for n in range(N + 1):
@@ -192,10 +192,19 @@ def solve_3sided(order):
             P[b] += 2 * sum(r)
         if n:
             P[0] -= 1
+        yield T, R, P
+
+
+def solve_3sided(order):
+    """Fixed point of the coupled Lemma system; returns (T, R, P)."""
+    tkeys = [[(i, s - i) for i in range(s + 1)] for s in range(order + 1)]
+    rkeys = [[(a, b) for a in range(order + 1)] for b in range(order + 1)]
+    Ts, Rs, Ps = [], [], []
+    for T, R, P in _3sided_lines(order):
         Ts.append(_slice(zip(tkeys, T)))
         Rs.append(_slice((rkeys[b], r) for b, r in R.items()))
-        Ps.append(_slice([(pkeys, P)]))
-    return CPoly(("u", "v"), N, Ts), CPoly(("u", "w"), N, Rs), CPoly(("u",), N, Ps)
+        Ps.append(P)
+    return CPoly(("u", "v"), order, Ts), CPoly(("u", "w"), order, Rs), _p_poly(order, Ps)
 
 
 def rhs_3sided(T, R):
@@ -224,9 +233,9 @@ def rhs_3sided(T, R):
 # 4-sided (general prudent) walks: T(u,v,w) top-enders
 # --------------------------------------------------------------------------
 
-def solve_4sided(order):
-    """Fixed point of T = 1 + G(w,u) + G(w,v) + tw dd_u(uT,tv) + tw dd_v(vT,tu)
-    - tw T with G(x,y) = t y T(x, tx, y); returns (T, P).
+def _4sided_lines(N):
+    """(T, P) lines of T = 1 + G(w,u) + G(w,v) + tw dd_u(uT,tv) + tw dd_v(vT,tu)
+    - tw T with G(x,y) = t y T(x, tx, y), order by order.
 
     T[s][h] is the line of the keys (i, s-i, h).  E[s][h] is line (s, h+1) of
     DU, which carries tw dd_u(uT, u->tv): DU_(n+1)(i, j, h+1) = T_n(i, j, h) +
@@ -234,10 +243,6 @@ def solve_4sided(order):
     jumps that add DU_n(0, h, s), last two exponents swapped, to T_n(0, s, h)
     and T_n(s, 0, h).
     """
-    N = order
-    keys = [[[(i, s - i, h) for i in range(s + 1)] for h in range(N + 1 - s)] for s in range(N + 1)]
-    pkeys = [(e,) for e in range(N + 1)]
-    Ts, Ps = [], []
     T, E = [], []
     for n in range(N + 1):
         if n:
@@ -255,11 +260,17 @@ def solve_4sided(order):
         for s, ts in enumerate(T):
             for e, t in enumerate(ts, s):
                 P[e] += 4 * (sum(t) - t[0])
-        if not n:
-            P[0] = 1
+        yield T, (P if n else [1])
+
+
+def solve_4sided(order):
+    """Fixed point of the 4-sided system (see _4sided_lines); returns (T, P)."""
+    keys = [[[(i, s - i, h) for i in range(s + 1)] for h in range(order + 1 - s)] for s in range(order + 1)]
+    Ts, Ps = [], []
+    for T, P in _4sided_lines(order):
         Ts.append(_slice((k, t) for ks, ts in zip(keys, T) for k, t in zip(ks, ts)))
-        Ps.append(_slice([(pkeys, P)]))
-    return CPoly(("u", "v", "w"), N, Ts), CPoly(("u",), N, Ps)
+        Ps.append(P)
+    return CPoly(("u", "v", "w"), order, Ts), _p_poly(order, Ps)
 
 
 def rhs_4sided(T):
@@ -279,9 +290,9 @@ def rhs_4sided(T):
 # Triangular prudent walks: R(u,v) right-edge enders
 # --------------------------------------------------------------------------
 
-def solve_triangular(order):
-    """Fixed point of R = 1 + tu(1+t) R(u,tu) + tv(1+t) R(tv,v)
-    + tv(1+t) dd_u(uR, tv) + tu(1+t) dd_v(vR, tu); returns (R, P).
+def _triangular_lines(N):
+    """(R, P) lines of R = 1 + tu(1+t) R(u,tu) + tv(1+t) R(tv,v)
+    + tv(1+t) dd_u(uR, tv) + tu(1+t) dd_v(vR, tu), order by order.
 
     R = 1 + (1+t) Y on anti-diagonal lines.  E carries tv dd_u(uR, u->tv):
     E_(n+1)(i, j+1) = R_n(i, j) + E_n(i+1, j), kept as F[s], line s+1 of E
@@ -289,10 +300,6 @@ def solve_triangular(order):
     add E_n(0, s) to Y_n(0, s) and Y_n(s, 0); with that jump put past F's end,
     a = F + [F[0]], Y's line s+1 is a + reversed(a).
     """
-    N = order
-    keys = [[(i, s - i) for i in range(s + 1)] for s in range(N + 1)]
-    pkeys = [(e,) for e in range(N + 1)]
-    Rs, Ps = [], []
     R, Y, F = [], [], []
     for n in range(N + 1):
         if n:
@@ -300,11 +307,17 @@ def solve_triangular(order):
         prevY, Y = Y, [[0], *(list(map(add, a, reversed(a))) for a in ([*f, f[0]] for f in F))]
         R = [list(map(add, p, y)) for p, y in zip(prevY, Y)] + Y[n:] if n else [[1]]
         P = [3 * (sum(r) - r[s]) for s, r in enumerate(R)]  # P(t;u) = 1 + 3 R(u,u) - 3 R(u,0)
-        if not n:
-            P[0] = 1
+        yield R, (P if n else [1])
+
+
+def solve_triangular(order):
+    """Fixed point of the triangular system (see _triangular_lines); returns (R, P)."""
+    keys = [[(i, s - i) for i in range(s + 1)] for s in range(order + 1)]
+    Rs, Ps = [], []
+    for R, P in _triangular_lines(order):
         Rs.append(_slice(zip(keys, R)))
-        Ps.append(_slice([(pkeys, P)]))
-    return CPoly(("u", "v"), N, Rs), CPoly(("u",), N, Ps)
+        Ps.append(P)
+    return CPoly(("u", "v"), order, Rs), _p_poly(order, Ps)
 
 
 def rhs_triangular(R):

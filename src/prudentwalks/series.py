@@ -516,18 +516,15 @@ class CPoly:
     __rmul__ = __mul__
 
     def mul_mono(self, exps=None, tpow=0):
-        """Multiply by t^tpow * mono(exps) (fast path)."""
+        """Multiply by t^tpow * mono(exps) (fast path); with exps None or all
+        zero, a shift by t^tpow that copies each slice as it is."""
         out = CPoly(self.vars, self.order)
-        if exps is None:
-            exps = (0,) * len(self.vars)
-        exps = tuple(exps)
-        for n, slc in enumerate(self.slices):
-            m = n + tpow
-            if m > self.order:
-                break
-            tgt = out.slices[m]
-            for key, coeff in slc.items():
-                tgt[tuple(map(add, key, exps))] = coeff
+        exps = tuple(exps or ())
+        for m, slc in zip(range(tpow, self.order + 1), self.slices):
+            if any(exps):
+                out.slices[m] = {tuple(map(add, key, exps)): coeff for key, coeff in slc.items()}
+            else:
+                out.slices[m] = dict(slc)
         return out
 
     def shift(self, k):

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import prudentwalks
 import prudentwalks.verify as verify_mod
 from prudentwalks.cli import main
 from prudentwalks.verify import first_divergence, run_verify
@@ -37,6 +42,34 @@ def test_series_full_export(capsys):
     )
     obj = json.loads(out)
     assert "series" in obj and obj["series"]["order"] == 5
+
+
+_SERIES_RSS_CHILD = """
+import json, sys
+from prudentwalks.cli import main
+code = main(["series", "--class", "triangular", "--order", "200"])
+with open("/proc/self/status") as status:
+    peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+sys.stderr.write(json.dumps([code, peak_kb]))
+"""
+
+
+def test_series_keeps_only_p_in_memory():
+    # the functional-equation route of `series` holds P(t;u), not every
+    # slice of R: a fresh interpreter peaks under 60 MB at triangular order
+    # 200, where keeping every slice of R took about 160 MB.  The child reads
+    # its own peak (VmHWM); its ru_maxrss would also carry the peak of the
+    # forked test process from before the exec
+    if not sys.platform.startswith("linux"):
+        pytest.skip("reads the peak resident set size from /proc/self/status")
+    src = str(Path(prudentwalks.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _SERIES_RSS_CHILD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, peak_kb = json.loads(proc.stderr)
+    assert code == 0
+    assert len(json.loads(proc.stdout)["counts"]) == 201
+    assert peak_kb < 60 * 1024
 
 
 def test_closedform_counts(capsys):

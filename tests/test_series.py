@@ -325,6 +325,29 @@ def test_substitute_and_reorder_match_monomial_references():
             p.reorder(("u", "v"))
 
 
+def test_mul_mono_pure_shift_copies_each_slice():
+    # with exps None or all zero, mul_mono is a shift by t^tpow: it equals
+    # the monomial-by-monomial product, and its slices are fresh dicts
+    rng = random.Random(30)
+    for _ in range(20):
+        order = rng.randint(0, 8)
+        p = _random_cpoly(rng, ("u", "v"), order, nterms=10)
+        before = [dict(slc) for slc in p.slices]
+        for exps, tpow in ((None, 0), (None, 1), ((0, 0), 2), ([0, 0], 0), (None, order + 2)):
+            got = p.mul_mono(exps, tpow) if exps is not None else p.mul_mono(tpow=tpow)
+            want = CPoly(p.vars, order)
+            for n, slc in enumerate(p.slices):
+                for key, c in slc.items():
+                    want = want + CPoly.monomial(p.vars, order, key, n + tpow) * c
+            assert (got.vars, got.order) == (p.vars, p.order)
+            assert got.slices == want.slices
+            assert all(a is not b for a in got.slices for b in p.slices)
+            for slc in got.slices:
+                slc[(9, 9)] = 1
+            assert p.slices == before
+        assert p.shift(1) == p.mul_mono((0, 0), 1)
+
+
 def test_substitution_composes():
     # u -> tv then v -> 0: only the u^0 v^0 terms survive (u^i v^j maps to
     # t^i v^(i+j)); checked against direct extraction on random inputs
