@@ -274,9 +274,12 @@ def _aitken(seq):
     return out if out else list(seq)
 
 
+GROWTH_MIN_COEFFS = 20  # the fewest coefficients growth_estimate reads: the series to order 19
+
+
 def growth_estimate(coeffs):
     """Estimate lim c_(n+1)/c_n by successive ratios with three stages of
-    Aitken extrapolation.  Needs at least 20 coefficients.
+    Aitken extrapolation.  Needs at least GROWTH_MIN_COEFFS coefficients.
 
     Returns (mu_hat, diagnostics); diagnostics holds the raw-ratio tail and
     the last value of each extrapolation stage, all computed exactly.  Stage s
@@ -284,8 +287,8 @@ def growth_estimate(coeffs):
     on the last 7 ratios, and only those are formed.
     """
     coeffs = list(coeffs)
-    if len(coeffs) < 20:
-        raise ValueError("growth_estimate needs at least 20 coefficients")
+    if len(coeffs) < GROWTH_MIN_COEFFS:
+        raise ValueError("growth_estimate needs at least %d coefficients" % GROWTH_MIN_COEFFS)
     tail = coeffs[-8:]
     ratios = [Fraction(tail[i + 1], tail[i]) for i in range(len(tail) - 1)]
     diag = {"n_coeffs": len(coeffs), "raw_ratio_last": float(ratios[-1])}

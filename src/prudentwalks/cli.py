@@ -16,7 +16,7 @@ import os
 import random
 import sys
 
-from prudentwalks import asymptotics, closedforms, funceq, render, verify
+from prudentwalks import asymptotics, funceq, render, verify
 from prudentwalks.sampler import (
     DEFAULT_MAX_ENTRIES,
     ResourceBudgetError,
@@ -55,12 +55,11 @@ def _walk_class(name):
 
 
 def _check_order(flag, order, classes):
-    """Refuse a series order outside 0..400, or above 80 for 4-sided walks,
-    whose solver stores a number of terms growing as the order to the fourth."""
-    if not 0 <= order <= 400:
-        raise CliError("%s must be in 0..400" % flag)
-    if order > 80 and WalkClass.PRUDENT4 in classes:
-        raise CliError("%s must be in 0..80 for 4-sided walks" % flag)
+    """Refuse a series order outside 0..the lowest order cap of the classes."""
+    wc = min(classes, key=lambda c: verify.ROUTES[c].order_max)
+    cap = verify.ROUTES[wc].order_max
+    if not 0 <= order <= cap:
+        raise CliError("%s must be in 0..%d for %s walks" % (flag, cap, wc.value))
 
 
 def _emit(args, text):
@@ -77,7 +76,7 @@ def _emit_json(args, obj):
 
 def cmd_count(args):
     wc = _walk_class(args.walk_class)
-    cap = verify.SLOW_ORACLE_N_MAX if wc is WalkClass.TRIANGULAR else 20
+    cap = verify.ROUTES[wc].count_n_max
     if not 0 <= args.n_max <= cap:
         raise CliError("--n-max must be in 0..%d for %s walks (exhaustive search)" % (cap, wc.value))
     counts = enumerate_counts(wc, args.n_max)
@@ -95,7 +94,7 @@ def cmd_series(args):
         else:
             p = funceq.solve_2sided_diagonal(args.order)[1]
     else:
-        p = funceq.length_series(wc, args.order)
+        p = verify.ROUTES[wc].iteration(args.order)
     out = {
         "class": wc.value,
         "route": "iteration",
@@ -111,11 +110,10 @@ def cmd_series(args):
 def cmd_closedform(args):
     wc = _walk_class(args.walk_class)
     _check_order("--order", args.order, [wc])
-    series = closedforms.length_series(wc, args.order)
-    if series is None:
-        raise CliError(
-            "no closed form exists for general prudent walks (open problem)"
-        )
+    closed_form = verify.ROUTES[wc].closed_form
+    if closed_form is None:
+        raise CliError("no closed form exists for general prudent walks (open problem)")
+    series = closed_form(args.order)
     out = {
         "class": wc.value,
         "route": "closed-form",
@@ -129,14 +127,14 @@ def cmd_closedform(args):
 def cmd_asym(args):
     wc = _walk_class(args.walk_class)
     _check_order("--growth-order", args.growth_order, [wc])
-    if 0 < args.growth_order < 19:  # growth_estimate reads 20 coefficients
-        raise CliError("--growth-order must be 0 or in 19..400")
+    row, least = verify.ROUTES[wc], asymptotics.GROWTH_MIN_COEFFS - 1
+    if 0 < args.growth_order < least:
+        raise CliError("--growth-order must be 0 or in %d..%d" % (least, row.order_max))
     coeffs = None
     if args.growth_order:
-        series = closedforms.length_series(wc, args.growth_order)
-        if series is None:
+        if row.closed_form is None:
             raise CliError("no growth series target for general prudent walks")
-        coeffs = series.integer_coeffs()
+        coeffs = row.closed_form(args.growth_order).integer_coeffs()
     consts = asymptotics.constants(wc, coeffs=coeffs)
     out = {
         "class": wc.value,
@@ -222,11 +220,12 @@ def cmd_render(args):
 
 
 def cmd_verify(args):
-    if args.max_n < 0 or args.max_n > 20:
-        raise CliError("--max-n must be in 0..20 (exhaustive search)")
-    if args.box_k < 0 or args.box_k > 6:
-        raise CliError("--box-k must be in 0..6 (exhaustive box-spanning search)")
-    classes = list(WalkClass)
+    cap = max(row.oracle_n_max for row in verify.ROUTES.values())
+    if not 0 <= args.max_n <= cap:
+        raise CliError("--max-n must be in 0..%d (exhaustive search)" % cap)
+    if not 0 <= args.box_k <= verify.TRI_BOX_K_MAX:
+        raise CliError("--box-k must be in 0..%d (exhaustive box-spanning search)" % verify.TRI_BOX_K_MAX)
+    classes = list(verify.ROUTES)
     if args.classes:
         classes = [_walk_class(name) for name in args.classes.split(",")]
     _check_order("--order", args.order, classes)
@@ -277,8 +276,8 @@ def build_parser():
         "--growth-order",
         type=int,
         default=0,
-        help="also estimate mu from the closed-form series to this order "
-        "(0: no estimate; else 19..400)",
+        help="also estimate mu from the closed-form series to this order (0: no estimate; else %d..%d)"
+        % (asymptotics.GROWTH_MIN_COEFFS - 1, max(row.order_max for row in verify.ROUTES.values())),
     )
     p.add_argument("--out")
     p.set_defaults(func=cmd_asym)
@@ -314,7 +313,7 @@ def build_parser():
     p.add_argument("--max-n", type=int, default=12, help="exhaustive-search length cap")
     p.add_argument("--order", type=int, default=60, help="series truncation order")
     p.add_argument("--classes", help="comma-separated subset of classes")
-    p.add_argument("--box-k", type=int, default=4, help="box-spanning size cap, 0..6")
+    p.add_argument("--box-k", type=int, default=4, help="box-spanning size cap, 0..%d" % verify.TRI_BOX_K_MAX)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 

@@ -20,7 +20,6 @@ from math import factorial
 from operator import mul
 
 from prudentwalks.series import CPoly, TSeries, _half
-from prudentwalks.walks import WalkClass
 
 
 def _ts(order, terms):
@@ -102,6 +101,11 @@ def x_of_u(order):
         uvar, _ts(N, {1: 1, 2: 1}), (1,)
     )
     return _quadratic_root(b, CPoly.monomial(uvar, N, (1,)), 3, (1,))
+
+
+def one_sided_closed(order):
+    """P(t;1) = (1+t)/(1-2t-t^2) for 1-sided (partially directed) walks."""
+    return _ts(order, {0: 1, 1: 1}) / _ts(order, {0: 1, 1: -2, 2: -1})
 
 
 # --------------------------------------------------------------------------
@@ -330,20 +334,6 @@ def triangular_closed(order):
     R1t = (one + Y) * (one + Y.shift(1)) * total
     P1 = 1 + _ts(N, {1: 6, 2: 6}) * (one + _ts(N, {1: 1, 2: 2}) * R1t) / _ts(N, {0: 1, 1: -3, 2: -2})
     return Y, R1t, P1
-
-
-def length_series(walk_class, order):
-    """P(t;1) for one class from its closed form, or None for general
-    prudent walks, which have none."""
-    if walk_class is WalkClass.ONE_SIDED:
-        return _ts(order, {0: 1, 1: 1}) / _ts(order, {0: 1, 1: -2, 2: -1})
-    if walk_class is WalkClass.TWO_SIDED:
-        return two_sided_closed(order)[2]
-    if walk_class is WalkClass.THREE_SIDED:
-        return three_sided_length_series(order)[1]
-    if walk_class is WalkClass.TRIANGULAR:
-        return triangular_closed(order)[2]
-    return None
 
 
 def triangular_box_total(k):

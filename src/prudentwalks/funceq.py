@@ -35,9 +35,9 @@ walks.  Every stored monomial u^i v^j w^h at t^n has i+j+h <= n, since the
 box dimensions are bounded by the length (checked by test_pruning_soundness),
 so slice N is exact.
 
-Streams.  The line solvers are generators that yield each order's lines and
+Streams.  The line solvers lines_* yield each order's lines, P(t;u) last, and
 never change a line after yielding it.  solve_* convert every slice once into
-a CPoly dict and keep them all; length_series keeps only the P(t;u) lines.
+a CPoly dict and keep them all; verify.ROUTES keeps only the P(t;u) lines.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from itertools import compress, zip_longest
 from operator import add, sub
 
 from prudentwalks.series import CPoly, TSeries
-from prudentwalks.walks import WalkClass
 
 
 def _plus(a, b):
@@ -65,18 +64,7 @@ def _slice(pairs):
     return out
 
 
-def length_series(walk_class, order):
-    """The series `prudent series` prints for one class: P(t;u) as a CPoly
-    in u, or the length series of 1-sided walks as a TSeries."""
-    if walk_class is WalkClass.ONE_SIDED:
-        return iterate_1sided(order)
-    if walk_class is WalkClass.TWO_SIDED:
-        return solve_2sided(order)[1]
-    lines = {WalkClass.THREE_SIDED: _3sided_lines, WalkClass.PRUDENT4: _4sided_lines}
-    return _p_poly(order, (ls[-1] for ls in lines.get(walk_class, _triangular_lines)(order)))
-
-
-def _p_poly(order, lines):
+def p_poly(order, lines):
     """P(t;u) as a CPoly in u from its lines, one per order."""
     keys = [(e,) for e in range(order + 1)]
     return CPoly(("u",), order, [_slice([(keys, P)]) for P in lines])
@@ -164,7 +152,7 @@ def rhs_2sided(T):
 # 3-sided walks: T(u,v) top-enders, R(u,w) right-enders
 # --------------------------------------------------------------------------
 
-def _3sided_lines(N):
+def lines_3sided(N):
     """(T, R, P) lines of the coupled Lemma system, order by order.
 
     T lies on anti-diagonal lines s = i + j and R on lines b, its w-exponent.
@@ -200,11 +188,11 @@ def solve_3sided(order):
     tkeys = [[(i, s - i) for i in range(s + 1)] for s in range(order + 1)]
     rkeys = [[(a, b) for a in range(order + 1)] for b in range(order + 1)]
     Ts, Rs, Ps = [], [], []
-    for T, R, P in _3sided_lines(order):
+    for T, R, P in lines_3sided(order):
         Ts.append(_slice(zip(tkeys, T)))
         Rs.append(_slice((rkeys[b], r) for b, r in R.items()))
         Ps.append(P)
-    return CPoly(("u", "v"), order, Ts), CPoly(("u", "w"), order, Rs), _p_poly(order, Ps)
+    return CPoly(("u", "v"), order, Ts), CPoly(("u", "w"), order, Rs), p_poly(order, Ps)
 
 
 def rhs_3sided(T, R):
@@ -233,7 +221,7 @@ def rhs_3sided(T, R):
 # 4-sided (general prudent) walks: T(u,v,w) top-enders
 # --------------------------------------------------------------------------
 
-def _4sided_lines(N):
+def lines_4sided(N):
     """(T, P) lines of T = 1 + G(w,u) + G(w,v) + tw dd_u(uT,tv) + tw dd_v(vT,tu)
     - tw T with G(x,y) = t y T(x, tx, y), order by order.
 
@@ -264,13 +252,13 @@ def _4sided_lines(N):
 
 
 def solve_4sided(order):
-    """Fixed point of the 4-sided system (see _4sided_lines); returns (T, P)."""
+    """Fixed point of the 4-sided system (see lines_4sided); returns (T, P)."""
     keys = [[[(i, s - i, h) for i in range(s + 1)] for h in range(order + 1 - s)] for s in range(order + 1)]
     Ts, Ps = [], []
-    for T, P in _4sided_lines(order):
+    for T, P in lines_4sided(order):
         Ts.append(_slice((k, t) for ks, ts in zip(keys, T) for k, t in zip(ks, ts)))
         Ps.append(P)
-    return CPoly(("u", "v", "w"), order, Ts), _p_poly(order, Ps)
+    return CPoly(("u", "v", "w"), order, Ts), p_poly(order, Ps)
 
 
 def rhs_4sided(T):
@@ -290,7 +278,7 @@ def rhs_4sided(T):
 # Triangular prudent walks: R(u,v) right-edge enders
 # --------------------------------------------------------------------------
 
-def _triangular_lines(N):
+def lines_triangular(N):
     """(R, P) lines of R = 1 + tu(1+t) R(u,tu) + tv(1+t) R(tv,v)
     + tv(1+t) dd_u(uR, tv) + tu(1+t) dd_v(vR, tu), order by order.
 
@@ -311,13 +299,13 @@ def _triangular_lines(N):
 
 
 def solve_triangular(order):
-    """Fixed point of the triangular system (see _triangular_lines); returns (R, P)."""
+    """Fixed point of the triangular system (see lines_triangular); returns (R, P)."""
     keys = [[(i, s - i) for i in range(s + 1)] for s in range(order + 1)]
     Rs, Ps = [], []
-    for R, P in _triangular_lines(order):
+    for R, P in lines_triangular(order):
         Rs.append(_slice(zip(keys, R)))
         Ps.append(P)
-    return CPoly(("u", "v"), order, Rs), _p_poly(order, Ps)
+    return CPoly(("u", "v"), order, Rs), p_poly(order, Ps)
 
 
 def rhs_triangular(R):

@@ -518,6 +518,8 @@ class CPoly:
     def mul_mono(self, exps=None, tpow=0):
         """Multiply by t^tpow * mono(exps) (fast path); with exps None or all
         zero, a shift by t^tpow that copies each slice as it is."""
+        if tpow < 0:
+            raise SeriesError("negative shift")
         out = CPoly(self.vars, self.order)
         exps = tuple(exps or ())
         for m, slc in zip(range(tpow, self.order + 1), self.slices):

@@ -1,15 +1,35 @@
-"""Cross-check driver: runs the independent counting routes against each
-other and reports the first divergence, if any."""
+"""Cross-check driver: runs each walk class's counting routes, its ROUTES row,
+against each other and reports the first divergence, if any."""
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 from prudentwalks import closedforms, funceq
 from prudentwalks.sampler import ExtTable
 from prudentwalks.walks import WalkClass, enumerate_counts, enumerate_tri_by_box
 
-# the longest walks searched exhaustively: 4-sided and triangular ones in
-# run_verify, triangular ones (search time about 4-fold per step) in `count`
-SLOW_ORACLE_N_MAX = 12
+# count_n_max, oracle_n_max: the longest walks `count` and `verify` search
+# (triangular search time grows about 4-fold per step); order_max: the highest
+# series order (the 4-sided solver stores about order^4 terms); iteration:
+# P(t;u), from the P lines alone where the solver streams them; closed_form: P(t;1)
+Route = namedtuple("Route", "count_n_max oracle_n_max order_max iteration closed_form", defaults=(None,))
+
+ROUTES = {
+    WalkClass.ONE_SIDED: Route(20, 20, 400, funceq.iterate_1sided, closedforms.one_sided_closed),
+    WalkClass.TWO_SIDED: Route(
+        20, 20, 400, lambda n: funceq.solve_2sided(n)[1], lambda n: closedforms.two_sided_closed(n)[2]
+    ),
+    WalkClass.THREE_SIDED: Route(
+        20, 20, 400, lambda n: funceq.p_poly(n, (ls[-1] for ls in funceq.lines_3sided(n))),
+        lambda n: closedforms.three_sided_length_series(n)[1],
+    ),
+    WalkClass.PRUDENT4: Route(20, 12, 80, lambda n: funceq.p_poly(n, (ls[-1] for ls in funceq.lines_4sided(n)))),
+    WalkClass.TRIANGULAR: Route(
+        12, 12, 400, lambda n: funceq.p_poly(n, (ls[-1] for ls in funceq.lines_triangular(n))),
+        lambda n: closedforms.triangular_closed(n)[2],
+    ),
+}
 
 
 def first_divergence(routes):
@@ -34,25 +54,7 @@ def first_divergence(routes):
     return worst
 
 
-def verify_class(walk_class, max_n_oracle, series_order):
-    """Compute the four counting routes for one class and compare them."""
-    closed = closedforms.length_series(walk_class, series_order)
-    routes = {
-        "oracle": enumerate_counts(walk_class, max_n_oracle),
-        "iteration": funceq.length_series(walk_class, series_order).specialize_ones().integer_coeffs(),
-        "ext_table": ExtTable(walk_class, series_order).counts(),
-        "closed_form": None if closed is None else closed.integer_coeffs(),
-    }
-    routes = {name: counts for name, counts in routes.items() if counts is not None}
-    divergence = first_divergence(routes)
-    return {
-        "class": walk_class.value,
-        "routes": {k: [str(c) for c in v] for k, v in routes.items()},
-        "max_n_oracle": max_n_oracle,
-        "series_order": series_order,
-        "agree": divergence is None,
-        "first_divergence": divergence,
-    }
+TRI_BOX_K_MAX = 6  # the largest triangular box whose spanning walks `verify` searches
 
 
 def verify_tri_box(k_max):
@@ -77,18 +79,33 @@ def verify_tri_box(k_max):
 
 
 def run_verify(max_n_oracle, series_order, tri_box_k, classes=None):
-    """The full cross-check matrix.  Returns a JSON-able report; the overall
-    'agree' flag is False iff any route pair diverges anywhere."""
+    """The full cross-check matrix over the classes' ROUTES rows, all by
+    default; each oracle searches to max_n_oracle or its row's cap, whichever
+    is lower.  Returns a JSON-able report; the overall 'agree' flag is False
+    iff any route pair diverges anywhere."""
     if classes is None:
-        classes = list(WalkClass)
+        classes = list(ROUTES)
     report = {"classes": [], "agree": True}
     for wc in classes:
-        cap = max_n_oracle
-        if wc in (WalkClass.PRUDENT4, WalkClass.TRIANGULAR):
-            cap = min(cap, SLOW_ORACLE_N_MAX)
-        entry = verify_class(wc, cap, series_order)
-        report["classes"].append(entry)
-        report["agree"] = report["agree"] and entry["agree"]
+        row = ROUTES[wc]
+        n_max = min(max_n_oracle, row.oracle_n_max)
+        routes = {
+            "oracle": enumerate_counts(wc, n_max),
+            "iteration": row.iteration(series_order).specialize_ones().integer_coeffs(),
+            "ext_table": ExtTable(wc, series_order).counts(),
+        }
+        if row.closed_form is not None:
+            routes["closed_form"] = row.closed_form(series_order).integer_coeffs()
+        divergence = first_divergence(routes)
+        report["classes"].append({
+            "class": wc.value,
+            "routes": {k: [str(c) for c in v] for k, v in routes.items()},
+            "max_n_oracle": n_max,
+            "series_order": series_order,
+            "agree": divergence is None,
+            "first_divergence": divergence,
+        })
+        report["agree"] = report["agree"] and divergence is None
     if WalkClass.TRIANGULAR in classes:
         box = verify_tri_box(tri_box_k)
         report["tri_box"] = box

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from prudentwalks import closedforms, funceq
+from prudentwalks import closedforms, verify
 from prudentwalks.asymptotics import (
     POLY_RHO_2SIDED,
     POLY_RHO_TRI,
@@ -59,16 +59,16 @@ def oracle_counts():
 @pytest.fixture(scope="session")
 def iteration_counts():
     return {
-        wc: funceq.length_series(wc, ITER_ORDER).specialize_ones().integer_coeffs()
-        for wc in WalkClass
+        wc: row.iteration(ITER_ORDER).specialize_ones().integer_coeffs()
+        for wc, row in verify.ROUTES.items()
     }
 
 
 @pytest.fixture(scope="session")
 def closed_counts():
     return {
-        wc: closedforms.length_series(wc, ITER_ORDER).integer_coeffs()
-        for wc in WalkClass
+        wc: row.closed_form(ITER_ORDER).integer_coeffs()
+        for wc, row in verify.ROUTES.items()
         if wc is not WalkClass.PRUDENT4  # general prudent walks have no closed form
     }
 

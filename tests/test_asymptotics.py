@@ -165,11 +165,11 @@ def _amplitude_full(coeffs, rho):
 
 
 def _closed_form_counts(order):
-    from prudentwalks.closedforms import length_series
+    from prudentwalks.verify import ROUTES
 
     classes = (WalkClass.ONE_SIDED, WalkClass.TWO_SIDED, WalkClass.THREE_SIDED,
                WalkClass.TRIANGULAR)
-    return {wc: length_series(wc, order).integer_coeffs() for wc in classes}
+    return {wc: ROUTES[wc].closed_form(order).integer_coeffs() for wc in classes}
 
 
 def test_growth_estimate_equals_full_aitken():

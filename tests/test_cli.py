@@ -12,6 +12,7 @@ import prudentwalks
 import prudentwalks.verify as verify_mod
 from prudentwalks.cli import main
 from prudentwalks.verify import first_divergence, run_verify
+from prudentwalks.walks import WalkClass
 
 
 def run(capsys, *argv):
@@ -152,7 +153,7 @@ def test_sample_negative_budget_exits_2_without_traceback(capsys):
 
 def test_count_triangular_above_oracle_cap_exits_2_without_traceback(capsys):
     # each triangular length beyond the cap multiplies the search time by about 4
-    cap = verify_mod.SLOW_ORACLE_N_MAX
+    cap = verify_mod.ROUTES[WalkClass.TRIANGULAR].count_n_max
     code, out, err = run(capsys, "count", "--class", "triangular", "--n-max", str(cap + 1))
     assert code == 2
     assert out == ""
@@ -167,7 +168,7 @@ def test_count_oracle_cap_applies_to_triangular_only(capsys, monkeypatch):
 
     seen = []
     monkeypatch.setattr(cli, "enumerate_counts", lambda wc, n: seen.append((wc.value, n)) or [1])
-    cap = verify_mod.SLOW_ORACLE_N_MAX
+    cap = verify_mod.ROUTES[WalkClass.TRIANGULAR].count_n_max
     for name, n in (("triangular", cap), ("4-sided", 20), ("1-sided", cap + 1)):
         code, _, _ = run(capsys, "count", "--class", name, "--n-max", str(n))
         assert code == 0
@@ -329,18 +330,16 @@ def test_verify_small(capsys):
 
 
 def test_verify_detects_corruption(capsys, monkeypatch):
-    # fault injection: corrupt the 1-sided iteration and expect the report to
-    # pin the smallest affected order and a nonzero exit
-    import prudentwalks.funceq as funceq
-
-    real = funceq.iterate_1sided
+    # fault injection: corrupt the 1-sided iteration route that verify runs
+    # and expect the report to pin the smallest affected order and a nonzero exit
+    row = verify_mod.ROUTES[WalkClass.ONE_SIDED]
 
     def corrupted(order):
-        series = real(order)
+        series = row.iteration(order)
         series.coeffs[4] += 1
         return series
 
-    monkeypatch.setattr(verify_mod.funceq, "iterate_1sided", corrupted)
+    monkeypatch.setitem(verify_mod.ROUTES, WalkClass.ONE_SIDED, row._replace(iteration=corrupted))
     code, out, err = run(
         capsys, "verify", "--max-n", "6", "--order", "10",
         "--classes", "1-sided", "--box-k", "0",
@@ -428,6 +427,57 @@ def test_verify_box_k_range_ends(capsys, monkeypatch):
         )
         assert code == 0
     assert seen == [0, 6]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("asym", "--class", "4-sided", "--growth-order", "19"),
+        *(("series", "--class", name, "--order", "4", "--refined", kind)
+          for name in ("1-sided", "3-sided", "4-sided", "triangular") for kind in ("sum", "diagonal")),
+        *(("sample", "--class", name, "--length", "4", "--kinetic")
+          for name in ("1-sided", "2-sided", "3-sided", "triangular")),
+    ],
+    ids=" ".join,
+)
+def test_class_dependent_refusals_exit_2_without_traceback(capsys, argv):
+    # a route the class lacks: no closed form for 4-sided walks, refinements
+    # for 2-sided walks only, the kinetic sampler for 4-sided walks only
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_cli_reads_the_route_table(capsys, monkeypatch):
+    # one row per walk class; only general prudent walks lack a closed form
+    assert list(verify_mod.ROUTES) == list(WalkClass)
+    assert [wc for wc, row in verify_mod.ROUTES.items() if row.closed_form is None] == [WalkClass.PRUDENT4]
+    # count, series, closedform and verify take a lowered row's caps and
+    # refuse one past them; verify's oracle stops at the row's search cap
+    row = verify_mod.ROUTES[WalkClass.ONE_SIDED]
+    monkeypatch.setitem(
+        verify_mod.ROUTES, WalkClass.ONE_SIDED, row._replace(count_n_max=3, oracle_n_max=2, order_max=5)
+    )
+    for argv, flag, cap in (
+        (("count", "--class", "1-sided", "--n-max"), "--n-max", 3),
+        (("series", "--class", "1-sided", "--order"), "--order", 5),
+        (("closedform", "--class", "1-sided", "--order"), "--order", 5),
+        (("verify", "--classes", "1-sided", "--box-k", "0", "--order"), "--order", 5),
+    ):
+        code, out, err = run(capsys, *argv, str(cap + 1))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and flag in err and "0..%d" % cap in err
+        code, out, _ = run(capsys, *argv, str(cap))
+        assert code == 0
+        report = json.loads(out)
+        if argv[0] == "verify":
+            (entry,) = report["classes"]
+            assert report["agree"] and entry["max_n_oracle"] == 2 and len(entry["routes"]["oracle"]) == 3
+            assert sorted(entry["routes"]) == ["closed_form", "ext_table", "iteration", "oracle"]
+        else:
+            assert len(report["counts"]) == cap + 1
 
 
 def test_first_divergence_reports_smallest():

@@ -20,7 +20,7 @@ from prudentwalks.closedforms import (
     y_alg_residual_of,
     y_series,
 )
-from prudentwalks import closedforms
+from prudentwalks import closedforms, verify
 from prudentwalks.funceq import (
     solve_2sided,
     solve_2sided_refined_sum,
@@ -28,7 +28,7 @@ from prudentwalks.funceq import (
     solve_triangular,
 )
 from prudentwalks.series import CPoly, SeriesError, TSeries, ts_compose
-from prudentwalks.walks import WalkClass, enumerate_tri_by_box
+from prudentwalks.walks import enumerate_tri_by_box
 from test_series import _normalized
 
 
@@ -155,8 +155,9 @@ def test_length_series_never_build_the_bivariate_root(monkeypatch):
 
     monkeypatch.setattr(CPoly, "sqrt", refuse)
     assert three_sided_length_series(30)[1].integer_coeffs()[:4] == [1, 4, 12, 34]
-    for wc in WalkClass:
-        closedforms.length_series(wc, 30)
+    for row in verify.ROUTES.values():
+        if row.closed_form is not None:  # general prudent walks have no closed form
+            row.closed_form(30)
     assert q_series(30).coeffs[:6] == [0, 1, 1, 1, 1, 2]
 
 
@@ -169,10 +170,9 @@ def test_closed_forms_are_integral_without_stored_zeros():
             *three_sided_length_series(order), *three_sided_closed(order),
             *triangular_closed(order), y_series(order), x_of_u(order), q_series(order),
         ]
-        for wc in WalkClass:
-            P1 = closedforms.length_series(wc, order)
-            if P1 is not None:  # general prudent walks have no closed form
-                outputs.append(P1)
+        for row in verify.ROUTES.values():
+            if row.closed_form is not None:  # general prudent walks have no closed form
+                outputs.append(row.closed_form(order))
         for out in outputs:
             if isinstance(out, TSeries):
                 assert all(type(c) is int for c in out.coeffs), order

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from prudentwalks import funceq
+from prudentwalks import funceq, verify
 from prudentwalks.funceq import (
     iterate_1sided,
     rhs_2sided,
@@ -538,14 +538,15 @@ def test_solvers_refuse_a_negative_order(solve):
 
 # -- the streamed length series ------------------------------------------------
 # The 3-sided, 4-sided and triangular solvers are generators of each order's
-# lines.  solve_* convert every slice into a CPoly; length_series keeps only
-# the P(t;u) lines.  Both must give the same P, and no line may change after
-# it is yielded, or a consumer that holds the lines would see other slices.
+# lines.  solve_* convert every slice into a CPoly; the iteration route of
+# verify.ROUTES keeps only the P(t;u) lines.  Both must give the same P, and
+# no line may change after it is yielded, or a consumer that holds the lines
+# would see other slices.
 
 _STREAMED = [
-    (WalkClass.THREE_SIDED, solve_3sided, 2, "_3sided_lines", (0, 1, 2, 17, 40)),
-    (WalkClass.TRIANGULAR, solve_triangular, 1, "_triangular_lines", (0, 1, 2, 17, 40)),
-    (WalkClass.PRUDENT4, solve_4sided, 1, "_4sided_lines", (0, 1, 2, 17, 24)),
+    (WalkClass.THREE_SIDED, solve_3sided, 2, "lines_3sided", (0, 1, 2, 17, 40)),
+    (WalkClass.TRIANGULAR, solve_triangular, 1, "lines_triangular", (0, 1, 2, 17, 40)),
+    (WalkClass.PRUDENT4, solve_4sided, 1, "lines_4sided", (0, 1, 2, 17, 24)),
 ]
 _STREAMED_CASES = [(wc, s, pick, g, n) for wc, s, pick, g, orders in _STREAMED for n in orders]
 _STREAMED_IDS = ["%s-%d" % (wc.value, n) for wc, _, _, _, n in _STREAMED_CASES]
@@ -553,7 +554,7 @@ _STREAMED_IDS = ["%s-%d" % (wc.value, n) for wc, _, _, _, n in _STREAMED_CASES]
 
 @pytest.mark.parametrize("walk_class,solve,pick,lines,order", _STREAMED_CASES, ids=_STREAMED_IDS)
 def test_length_series_equals_solver_p(walk_class, solve, pick, lines, order):
-    got, want = funceq.length_series(walk_class, order), solve(order)[pick]
+    got, want = verify.ROUTES[walk_class].iteration(order), solve(order)[pick]
     assert got == want
     assert (got.vars, got.order) == (want.vars, want.order) == (("u",), order)
     _assert_same_slices(got.slices, want.slices)
@@ -572,7 +573,7 @@ def test_solvers_equal_their_buffered_lines(monkeypatch, walk_class, solve, pick
         assert a == b
         assert (a.vars, a.order) == (b.vars, b.order)
         _assert_same_slices(a.slices, b.slices)
-    assert funceq.length_series(walk_class, order) == streamed[pick]
+    assert verify.ROUTES[walk_class].iteration(order) == streamed[pick]
 
 
 def _traced_peak(f, *args):
@@ -589,4 +590,4 @@ def _traced_peak(f, *args):
     (WalkClass.TRIANGULAR, solve_triangular, 80),
 ])
 def test_length_series_keeps_a_fraction_of_the_solver_memory(walk_class, solve, order):
-    assert _traced_peak(funceq.length_series, walk_class, order) * 3 < _traced_peak(solve, order)
+    assert _traced_peak(verify.ROUTES[walk_class].iteration, order) * 3 < _traced_peak(solve, order)

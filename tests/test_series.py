@@ -220,6 +220,16 @@ def test_negative_order_is_refused():
             CPoly(("u",), 2).shift_down(k)
 
 
+def test_negative_shift_is_refused():
+    # division by t^k is shift_down's: a negative power of t wrote slices at
+    # negative list indices, t^-1 * 1 landing at t^3 of an order-3 series
+    p = CPoly.constant(("u",), 3)
+    for shifted in (lambda: p.mul_mono(tpow=-1), lambda: p.mul_mono((1,), -2), lambda: p.shift(-1)):
+        with pytest.raises(SeriesError, match="negative shift"):
+            shifted()
+    assert p.shift(0) == p and p.mul_mono(tpow=3).slices == [{}, {}, {}, {(0,): 1}]
+
+
 def test_compose_rejects_unit_without_dominance():
     # sum_j w^j at t^0 violates valuation dominance: w := 1 must be refused
     f = CPoly(("w",), 4)

@@ -25,7 +25,7 @@ from prudentwalks.walks import (
     _square_bounds,
     _tri_bounds,
 )
-from prudentwalks import funceq, walks
+from prudentwalks import verify, walks
 
 # exhaustive reference counts, themselves frozen from this oracle and
 # cross-checked against the series routes in test_acceptance
@@ -689,7 +689,7 @@ def test_tri_state_matches_reference_on_long_uniform_walks():
 def test_k_sided_oracle_matches_funceq_at_14(wc):
     # the midpoint-only edge rule against the functional equations, whose
     # derivation follows the continuous-time definition
-    expected = funceq.length_series(wc, 14).specialize_ones().integer_coeffs()
+    expected = verify.ROUTES[wc].iteration(14).specialize_ones().integer_coeffs()
     assert enumerate_counts(wc, 14) == expected
 
 
