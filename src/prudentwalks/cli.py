@@ -16,14 +16,14 @@ import os
 import random
 import sys
 
-from prudentwalks import asymptotics, funceq, render, verify
+from prudentwalks import asymptotics, render, verify
 from prudentwalks.sampler import (
     DEFAULT_MAX_ENTRIES,
     ResourceBudgetError,
     UniformSampler,
     kinetic_sample,
 )
-from prudentwalks.series import CPoly, SeriesError
+from prudentwalks.series import SeriesError
 from prudentwalks.walks import (
     SquareWalk,
     TriWalk,
@@ -86,24 +86,14 @@ def cmd_count(args):
 def cmd_series(args):
     wc = _walk_class(args.walk_class)
     _check_order("--order", args.order, [wc])
-    if args.refined:
-        if wc is not WalkClass.TWO_SIDED:
-            raise CliError("--refined applies to the 2-sided class only")
-        if args.refined == "sum":
-            p = funceq.solve_2sided_refined_sum(args.order)[1]
-        else:
-            p = funceq.solve_2sided_diagonal(args.order)[1]
-    else:
-        p = verify.ROUTES[wc].iteration(args.order)
-    out = {
-        "class": wc.value,
-        "route": "iteration",
-        "counts": p.specialize_ones().integer_coeffs(),
-    }
+    if args.refined not in verify.ROUTES[wc].iteration:
+        raise CliError("--refined %s does not apply to %s walks" % (args.refined, wc.value))
+    counts, series = verify.run_iteration(wc, args.order, args.refined, args.full)
+    out = {"class": wc.value, "route": "iteration", "counts": counts}
     if args.refined:
         out["refined"] = args.refined
-    if args.full and isinstance(p, CPoly):  # the 1-sided TSeries is not exported
-        out["series"] = p.to_json()
+    if series is not None:
+        out["series"] = series.to_json()
     _emit_json(args, out)
 
 
@@ -220,14 +210,14 @@ def cmd_render(args):
 
 
 def cmd_verify(args):
-    cap = max(row.oracle_n_max for row in verify.ROUTES.values())
+    classes = list(verify.ROUTES)
+    if args.classes:
+        classes = [_walk_class(name) for name in args.classes.split(",")]
+    cap = max(verify.ROUTES[wc].oracle_n_max for wc in classes)
     if not 0 <= args.max_n <= cap:
         raise CliError("--max-n must be in 0..%d (exhaustive search)" % cap)
     if not 0 <= args.box_k <= verify.TRI_BOX_K_MAX:
         raise CliError("--box-k must be in 0..%d (exhaustive box-spanning search)" % verify.TRI_BOX_K_MAX)
-    classes = list(verify.ROUTES)
-    if args.classes:
-        classes = [_walk_class(name) for name in args.classes.split(",")]
     _check_order("--order", args.order, classes)
     report = verify.run_verify(
         max_n_oracle=args.max_n,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import factorial
 from operator import mul
 
-from prudentwalks.series import CPoly, TSeries, _half
+from prudentwalks.series import CPoly, TSeries, half
 
 
 def _ts(order, terms):
@@ -45,10 +45,10 @@ def _quadratic_root(b, c, s, mono=None):
     ac = c.shift(s) if mono is None else c.mul_mono(mono, s)
     num = (b - (b * b - ac * 4).sqrt()).shift_down(s)
     if isinstance(num, TSeries):
-        return TSeries(map(_half, num.coeffs), num.order)
+        return TSeries(map(half, num.coeffs), num.order)
     if mono is not None:
         num = num.mul_mono([-e for e in mono])
-    halved = [{key: _half(x) for key, x in slc.items()} for slc in num.slices]
+    halved = [{key: half(x) for key, x in slc.items()} for slc in num.slices]
     return CPoly(num.vars, num.order, halved)
 
 

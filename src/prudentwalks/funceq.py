@@ -35,14 +35,14 @@ walks.  Every stored monomial u^i v^j w^h at t^n has i+j+h <= n, since the
 box dimensions are bounded by the length (checked by test_pruning_soundness),
 so slice N is exact.
 
-Streams.  The line solvers lines_* yield each order's lines, P(t;u) last, and
-never change a line after yielding it.  solve_* convert every slice once into
-a CPoly dict and keep them all; verify.ROUTES keeps only the P(t;u) lines.
+Streams.  lines_* and slices_2sided yield each order's lines or slices, the
+CPoly slice of P last, and never change one after yielding it.  solve_* keep
+every slice as a CPoly; the iteration routes of verify.ROUTES read only P's.
 """
 
 from __future__ import annotations
 
-from itertools import compress, zip_longest
+from itertools import compress, count, zip_longest
 from operator import add, sub
 
 from prudentwalks.series import CPoly, TSeries
@@ -64,10 +64,9 @@ def _slice(pairs):
     return out
 
 
-def p_poly(order, lines):
-    """P(t;u) as a CPoly in u from its lines, one per order."""
-    keys = [(e,) for e in range(order + 1)]
-    return CPoly(("u",), order, [_slice([(keys, P)]) for P in lines])
+def _u_slice(line):
+    """The CPoly slice in u of a line indexed by the exponent of u."""
+    return dict(compress(zip(zip(count()), line), line))
 
 
 # --------------------------------------------------------------------------
@@ -115,28 +114,50 @@ def _next_runs(cur, prev, D, G, k):
     return D, G
 
 
-def _two_sided_lines(N, k, s):
-    """Slices 0..N of the 2-sided T (k = 0, s = 1) or of a refinement (k = 1)
-    as {e: line}; the jump back to the NE corner is T_n[e][0] += D_n[s e][0]."""
+def slices_2sided(N, refined=None):
+    """(T, P) of the 2-sided system (refined None; keys (i,) for u^i) or of
+    its refinement by X+Y ("sum") or X-Y ("diagonal"; keys (i, f) for u^i z^f,
+    Laurent in z), order by order: T as (keys, line) pairs, P as its CPoly
+    slice.  P = T(z;u) - T(z;0) + T(z^s;u), with s = -1 for the diagonal and
+    1 otherwise; P(t;1,1) counts 2-sided walks.
+
+    The plain T has the one line along u, D carries t dd_u(uT, u->t), G
+    carries t^2 u/(1-tu) T, and t T(t) is the jump T_n(0) += D_n(0).  In a
+    refinement East is t z and West t u / z, North is t z^s, and the jump back
+    to the NE corner is t z T(z^s; t z^s).  Line e holds the keys (i, f) with
+    s (i + f) = e: the West run u^n z^-n lies on line 0, a North step moves a
+    term one line up into D (then a bounded East run) or G (then West steps),
+    and the jump back is T_n(0, g) += D_n(0, s g).
+    """
+    k, s = (0, 1) if refined is None else (1, -1 if refined == "diagonal" else 1)
+    # keys[sign][e]: the keys (i, sign f) of line e, tuples of shared ints
+    us, zs = list(range(N + 1)), list(range(-2 * N, 2 * N + 1))
+    keys = {sign: {e: list(zip(us, zs[sign * s * e + 2 * N::-sign]) if k else zip(us))
+                   for e in (range(-N, N + 1) if k else [0])} for sign in {1, s}}
     T = prev = D = G = {}
     for n in range(N + 1):
         if n:
             D, G = _next_runs(T, prev, D, G, k)
         prev, T = T, _runs_slice(D, G, n, [(s * e, d[0]) for e, d in D.items() if d])
-        yield T
+        P = {}
+        for e, line in T.items():  # T(z;u) - T(z;0)
+            P.update(compress(zip(keys[1][e], line), [0, *line[1:]]))
+        for e, line in T.items():  # + T(z^s;u)
+            for key, c in compress(zip(keys[s][e], line), line):
+                P[key] = P.get(key, 0) + c
+        yield [(keys[1][e], line) for e, line in T.items()], P
+
+
+def _solved(vars, order, slices):
+    """(T, P) as CPolys in vars from the (T, P) slices of each order."""
+    pairs = [(_slice(T), P) for T, P in slices]
+    return CPoly(vars, order, [T for T, _ in pairs]), CPoly(vars, order, [P for _, P in pairs])
 
 
 def solve_2sided(order):
-    """Fixed point of T = 1/(1-tu) + t T(t) + t^2 u/(1-tu) T + t dd_u(uT, t).
-
-    Returns (T, P) with P = 2T - T(0); P(t;1) counts 2-sided walks.  T has the
-    one line along u, D carries t dd_u(uT, u->t), G carries t^2 u/(1-tu) T,
-    and t T(t) is the jump T_n(0) += D_n(0).
-    """
-    keys = [(i,) for i in range(order + 1)]
-    Ts = [_slice([(keys, T[0])]) for T in _two_sided_lines(order, 0, 1)]
-    P = CPoly(("u",), order, [{k: 2 * c if k[0] else c for k, c in slc.items()} for slc in Ts])
-    return CPoly(("u",), order, Ts), P
+    """Fixed point of T = 1/(1-tu) + t T(t) + t^2 u/(1-tu) T + t dd_u(uT, t);
+    returns (T, P) with P = 2T - T(0) (see slices_2sided)."""
+    return _solved(("u",), order, slices_2sided(order))
 
 
 def rhs_2sided(T):
@@ -180,7 +201,7 @@ def lines_3sided(N):
             P[b] += 2 * sum(r)
         if n:
             P[0] -= 1
-        yield T, R, P
+        yield T, R, _u_slice(P)
 
 
 def solve_3sided(order):
@@ -192,7 +213,7 @@ def solve_3sided(order):
         Ts.append(_slice(zip(tkeys, T)))
         Rs.append(_slice((rkeys[b], r) for b, r in R.items()))
         Ps.append(P)
-    return CPoly(("u", "v"), order, Ts), CPoly(("u", "w"), order, Rs), p_poly(order, Ps)
+    return CPoly(("u", "v"), order, Ts), CPoly(("u", "w"), order, Rs), CPoly(("u",), order, Ps)
 
 
 def rhs_3sided(T, R):
@@ -248,7 +269,7 @@ def lines_4sided(N):
         for s, ts in enumerate(T):
             for e, t in enumerate(ts, s):
                 P[e] += 4 * (sum(t) - t[0])
-        yield T, (P if n else [1])
+        yield T, _u_slice(P if n else [1])
 
 
 def solve_4sided(order):
@@ -258,7 +279,7 @@ def solve_4sided(order):
     for T, P in lines_4sided(order):
         Ts.append(_slice((k, t) for ks, ts in zip(keys, T) for k, t in zip(ks, ts)))
         Ps.append(P)
-    return CPoly(("u", "v", "w"), order, Ts), p_poly(order, Ps)
+    return CPoly(("u", "v", "w"), order, Ts), CPoly(("u",), order, Ps)
 
 
 def rhs_4sided(T):
@@ -295,7 +316,7 @@ def lines_triangular(N):
         prevY, Y = Y, [[0], *(list(map(add, a, reversed(a))) for a in ([*f, f[0]] for f in F))]
         R = [list(map(add, p, y)) for p, y in zip(prevY, Y)] + Y[n:] if n else [[1]]
         P = [3 * (sum(r) - r[s]) for s, r in enumerate(R)]  # P(t;u) = 1 + 3 R(u,u) - 3 R(u,0)
-        yield R, (P if n else [1])
+        yield R, _u_slice(P if n else [1])
 
 
 def solve_triangular(order):
@@ -305,7 +326,7 @@ def solve_triangular(order):
     for R, P in lines_triangular(order):
         Rs.append(_slice(zip(keys, R)))
         Ps.append(P)
-    return CPoly(("u", "v"), order, Rs), p_poly(order, Ps)
+    return CPoly(("u", "v"), order, Rs), CPoly(("u",), order, Ps)
 
 
 def rhs_triangular(R):
@@ -323,41 +344,15 @@ def rhs_triangular(R):
 # diagonal distance (z marks X-Y, Laurent in z)
 # --------------------------------------------------------------------------
 
-def _solve_2sided_z(N, s):
-    """Slices of the refined 2-sided T(t,z;u), keys (u-exponent, z-exponent).
-
-    s = 1: z marks X+Y; s = -1: z marks X-Y.  Either way East is t z and
-    West is t u / z, North is t z^s, and the jump back to the NE corner is
-    t z T(z^s; t z^s) with the z-exponents of T raised to the power s.  Line e
-    holds the keys (i, f) with s (i + f) = e: the West run u^n z^-n lies on
-    line 0, a North step moves a term one line up into D (then a bounded East
-    run) or G (then West steps), and the jump back is T_n(0, g) += D_n(0, s g).
-    """
-    keys = {e: [(i, s * e - i) for i in range(N + 1)] for e in range(-N, N + 1)}
-    return [_slice((keys[e], line) for e, line in T.items()) for T in _two_sided_lines(N, 1, s)]
-
-
 def solve_2sided_refined_sum(order):
     """T(t,z;u) for top-enders with z marking X+Y; returns (T, P).
 
     P = 2T - T(u:=0); coefficient of t^n z^s u^i counts 2-sided walks of
     length n with X+Y = s at NE-distance i.
     """
-    slices = _solve_2sided_z(order, 1)
-    T = CPoly(("u", "z"), order, slices)
-    P = CPoly(("u", "z"), order, [
-        {(i, f): c if i == 0 else 2 * c for (i, f), c in slc.items()} for slc in slices
-    ])
-    return T, P
+    return _solved(("u", "z"), order, slices_2sided(order, "sum"))
 
 
 def solve_2sided_diagonal(order):
-    """P(t,z;u) with Laurent z marking X-Y; P = T(z;u) + T(zbar;u) - T(z;0)."""
-    slices = _solve_2sided_z(order, -1)
-    Ps = []  # T(z;u) - T(z;0) keeps the solver's keys; T(zbar;u) adds their mirrors
-    for slc in slices:
-        tgt = {key: c for key, c in slc.items() if key[0]}
-        for (i, f), c in slc.items():
-            tgt[(i, -f)] = tgt.get((i, -f), 0) + c
-        Ps.append(tgt)
-    return CPoly(("u", "z"), order, slices), CPoly(("u", "z"), order, Ps)
+    """(T, P) with Laurent z marking X-Y; P = T(z;u) + T(zbar;u) - T(z;0)."""
+    return _solved(("u", "z"), order, slices_2sided(order, "diagonal"))

@@ -8,7 +8,7 @@ lattice only; a triangular character grid would be lossy.
 
 from __future__ import annotations
 
-from prudentwalks.walks import SquareWalk, TriWalk, _square_bounds, _tri_bounds
+from prudentwalks.walks import SquareWalk, TriWalk, square_bounds, tri_bounds
 
 SCALE = 20
 MARGIN = 30
@@ -33,7 +33,7 @@ def _svg_document(width, height, body):
 
 def render_square_svg(walk, box):
     vs = walk.vertices()
-    x0, x1, y0, y1 = _square_bounds(vs)
+    x0, x1, y0, y1 = square_bounds(vs)
     # lattice (x, y) sits at pixel (ox + x*SCALE, oy - y*SCALE), North up
     ox = MARGIN - x0 * SCALE
     oy = MARGIN + y1 * SCALE
@@ -68,7 +68,7 @@ def render_tri_svg(walk, box):
     def embed(x, y):
         return (x + y / 2.0, y * SQRT3_2)
 
-    x_min, y_min, s_max = _tri_bounds(vs)
+    x_min, y_min, s_max = tri_bounds(vs)
     pts = [embed(x, y) for x, y in vs]
     # the box's North, SW and SE corners
     corner_pts = [embed(x_min, s_max - x_min), embed(x_min, y_min), embed(s_max - y_min, y_min)]
@@ -121,7 +121,7 @@ def render_ascii(walk):
     if not isinstance(walk, SquareWalk):
         raise ValueError("ASCII rendering covers the square lattice only")
     vs = walk.vertices()
-    x0, x1, y0, y1 = _square_bounds(vs)
+    x0, x1, y0, y1 = square_bounds(vs)
     w = 2 * (x1 - x0) + 1
     h = 2 * (y1 - y0) + 1
     grid = [[" "] * w for _ in range(h)]

@@ -206,7 +206,7 @@ class UniformSampler:
         self.rules = RULES[walk_class]
         self.table = table if table is not None else ExtTable(walk_class, n, max_entries)
         self._child_cache = {}
-        self._make = TriWalk._trusted if walk_class is WalkClass.TRIANGULAR else SquareWalk._trusted
+        self._make = TriWalk.from_codes if walk_class is WalkClass.TRIANGULAR else SquareWalk.from_codes
 
     def _record(self, plabel):
         """(P-children, their steps, an itemgetter of the table indices of
@@ -319,4 +319,4 @@ def kinetic_sample(n, seed):
         d = avail[_below(getrandbits, len(avail))]
         state.push(d)
         steps.append(d)
-    return SquareWalk._trusted(tuple(steps))
+    return SquareWalk.from_codes(tuple(steps))

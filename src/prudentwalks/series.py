@@ -3,7 +3,7 @@
 All coefficients are exact: Python ints, or fractions.Fraction where a
 denominator is forced.  That happens only for a Fraction input, a square root
 past its first odd numerator, or a divisor whose constant term is not +-1:
-`_half` returns an int whenever the half is integral and `_unit_inverse`
+`half` returns an int whenever the half is integral and `_unit_inverse`
 gives the int +-1, so integer data stay in ints without a later pass.
 Every series carries an explicit truncation order N and is exact modulo
 t^(N+1); binary operations on mismatched orders truncate to the smaller one.
@@ -35,7 +35,7 @@ class SeriesError(ValueError):
     """Invalid input to a series operation."""
 
 
-def _half(c):
+def half(c):
     """Exact c/2, an int whenever it is integral."""
     if isinstance(c, int):
         return c // 2 if c % 2 == 0 else Fraction(c, 2)
@@ -149,11 +149,6 @@ class TSeries:
             out.append(f.numerator)
         return out
 
-    def specialize_ones(self):
-        """The series itself, which has no catalytic variables to set to 1;
-        lets a TSeries stand wherever a CPoly is specialized to counts."""
-        return self
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
@@ -221,7 +216,7 @@ class TSeries:
     def sqrt(self):
         """Square root with constant term 1; r*r == self mod t^(order+1).
 
-        As with `_half`, each coefficient is an int when it is integral and a
+        As with `half`, each coefficient is an int when it is integral and a
         Fraction otherwise.  An integer series gets the tail from its first
         odd numerator 2 r_m on from ints: a(4t) = 1 + 4x(t) with x integral,
         so each s_m = 4^m r_m is an int."""
@@ -240,7 +235,7 @@ class TSeries:
                     s -= rk * out[m - k]
             if integral and s & 1:
                 break
-            out[m] = _half(s)
+            out[m] = half(s)
         else:
             return TSeries(out, n)
         scaled = [r << 2 * k for k, r in enumerate(out[:m])]
@@ -581,7 +576,7 @@ class CPoly:
             get = acc.get
             for key, c in _packed_products((po[k], po[m - k]) for k in range(1, m)).items():
                 acc[key] = get(key, 0) - c
-            po.append([(key, _half(c)) for key, c in acc.items() if c])
+            po.append([(key, half(c)) for key, c in acc.items() if c])
         return CPoly(self.vars, self.order, list(map(unpack, po)))
 
     def _power_box(self):

@@ -7,29 +7,49 @@ from collections import namedtuple
 
 from prudentwalks import closedforms, funceq
 from prudentwalks.sampler import ExtTable
+from prudentwalks.series import CPoly
 from prudentwalks.walks import WalkClass, enumerate_counts, enumerate_tri_by_box
 
 # count_n_max, oracle_n_max: the longest walks `count` and `verify` search
 # (triangular search time grows about 4-fold per step); order_max: the highest
-# series order (the 4-sided solver stores about order^4 terms); iteration:
-# P(t;u), from the P lines alone where the solver streams them; closed_form: P(t;1)
+# series order (the 4-sided solver stores about order^4 terms); iteration: per
+# refinement (None: unrefined), P's variables and the stream of its slices to
+# an order; closed_form: P(t;1)
 Route = namedtuple("Route", "count_n_max oracle_n_max order_max iteration closed_form", defaults=(None,))
 
+
+def _p_stream(generate, *args):
+    """The stream of P slices, the last item of each order, of a funceq generator."""
+    return lambda n: (items[-1] for items in generate(n, *args))
+
+
 ROUTES = {
-    WalkClass.ONE_SIDED: Route(20, 20, 400, funceq.iterate_1sided, closedforms.one_sided_closed),
-    WalkClass.TWO_SIDED: Route(
-        20, 20, 400, lambda n: funceq.solve_2sided(n)[1], lambda n: closedforms.two_sided_closed(n)[2]
-    ),
-    WalkClass.THREE_SIDED: Route(
-        20, 20, 400, lambda n: funceq.p_poly(n, (ls[-1] for ls in funceq.lines_3sided(n))),
-        lambda n: closedforms.three_sided_length_series(n)[1],
-    ),
-    WalkClass.PRUDENT4: Route(20, 12, 80, lambda n: funceq.p_poly(n, (ls[-1] for ls in funceq.lines_4sided(n)))),
-    WalkClass.TRIANGULAR: Route(
-        12, 12, 400, lambda n: funceq.p_poly(n, (ls[-1] for ls in funceq.lines_triangular(n))),
-        lambda n: closedforms.triangular_closed(n)[2],
-    ),
+    WalkClass.ONE_SIDED: Route(
+        20, 20, 400, {None: ((), lambda n: ({(): c} for c in funceq.iterate_1sided(n).coeffs))},
+        closedforms.one_sided_closed),
+    WalkClass.TWO_SIDED: Route(20, 20, 400, {
+        None: (("u",), _p_stream(funceq.slices_2sided)),
+        "sum": (("u", "z"), _p_stream(funceq.slices_2sided, "sum")),
+        "diagonal": (("u", "z"), _p_stream(funceq.slices_2sided, "diagonal")),
+    }, lambda n: closedforms.two_sided_closed(n)[2]),
+    WalkClass.THREE_SIDED: Route(20, 20, 400, {None: (("u",), _p_stream(funceq.lines_3sided))},
+                                 lambda n: closedforms.three_sided_length_series(n)[1]),
+    WalkClass.PRUDENT4: Route(20, 12, 80, {None: (("u",), _p_stream(funceq.lines_4sided))}),
+    WalkClass.TRIANGULAR: Route(12, 12, 400, {None: (("u",), _p_stream(funceq.lines_triangular))},
+                                lambda n: closedforms.triangular_closed(n)[2]),
 }
+
+
+def run_iteration(wc, order, refined=None, full=False):
+    """The counts of wc's iteration route, refined by `refined`, each the sum
+    of a P slice, and with full P as a CPoly, or None (also when P has no
+    catalytic variable, as its counts are then the whole series).  Without
+    full each slice is summed as the stream yields it and then dropped."""
+    vars, stream = ROUTES[wc].iteration[refined]
+    if not (full and vars):
+        return [sum(slc.values()) for slc in stream(order)], None
+    series = CPoly(vars, order, list(stream(order)))
+    return [sum(slc.values()) for slc in series.slices], series
 
 
 def first_divergence(routes):
@@ -91,7 +111,7 @@ def run_verify(max_n_oracle, series_order, tri_box_k, classes=None):
         n_max = min(max_n_oracle, row.oracle_n_max)
         routes = {
             "oracle": enumerate_counts(wc, n_max),
-            "iteration": row.iteration(series_order).specialize_ones().integer_coeffs(),
+            "iteration": run_iteration(wc, series_order)[0],
             "ext_table": ExtTable(wc, series_order).counts(),
         }
         if row.closed_form is not None:

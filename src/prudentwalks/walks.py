@@ -49,14 +49,14 @@ SQUARE_CLASSES = (
 )
 
 
-def _square_bounds(points):
+def square_bounds(points):
     """(x_min, x_max, y_min, y_max) of the points."""
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     return min(xs), max(xs), min(ys), max(ys)
 
 
-def _tri_bounds(points):
+def tri_bounds(points):
     """(x_min, y_min, s_max) of the points."""
     return (
         min(p[0] for p in points),
@@ -92,7 +92,7 @@ class _Walk:
         return tuple(out)
 
     @classmethod
-    def _trusted(cls, steps):
+    def from_codes(cls, steps):
         """Walk from a tuple of step codes known to be valid, without parsing."""
         walk = cls.__new__(cls)
         walk.steps = steps
@@ -100,7 +100,7 @@ class _Walk:
 
     @classmethod
     def from_text(cls, text):
-        return cls._trusted(cls._parse(text.strip(), cls._text_codes))
+        return cls.from_codes(cls._parse(text.strip(), cls._text_codes))
 
     @classmethod
     def from_json(cls, obj):

@@ -29,8 +29,8 @@ from prudentwalks.walks import (
     enumerate_tri_by_box,
     in_class,
     is_prudent,
-    _square_bounds,
-    _tri_bounds,
+    square_bounds,
+    tri_bounds,
 )
 
 ITER_ORDER = 40
@@ -58,10 +58,7 @@ def oracle_counts():
 
 @pytest.fixture(scope="session")
 def iteration_counts():
-    return {
-        wc: row.iteration(ITER_ORDER).specialize_ones().integer_coeffs()
-        for wc, row in verify.ROUTES.items()
-    }
+    return {wc: verify.run_iteration(wc, ITER_ORDER)[0] for wc in verify.ROUTES}
 
 
 @pytest.fixture(scope="session")
@@ -208,7 +205,7 @@ def test_c7_monte_carlo_constants():
     sums, nes, diffs = [], [], []
     for w in walks:
         vs = w.vertices()
-        (x, y), (_, x_max, _, y_max) = vs[-1], _square_bounds(vs)
+        (x, y), (_, x_max, _, y_max) = vs[-1], square_bounds(vs)
         sums.append(x + y)
         nes.append((x_max - x) + (y_max - y))
         diffs.append(x - y)
@@ -224,13 +221,13 @@ def test_c7_monte_carlo_constants():
     details.append("Var(X-Y)/n=%.3f" % var_diff)
 
     walks = _mc_walks(WalkClass.THREE_SIDED, 200, count, seed=20080903)
-    bounds = [_square_bounds(w.vertices()) for w in walks]
+    bounds = [square_bounds(w.vertices()) for w in walks]
     width = sum(x_max - x_min for x_min, x_max, _, _ in bounds) / count / 200
     ok &= abs(width - 0.31) <= 0.03
     details.append("3-sided width/n=%.4f" % width)
 
     walks = _mc_walks(WalkClass.TRIANGULAR, 200, count, seed=20080904)
-    bounds = [_tri_bounds(w.vertices()) for w in walks]
+    bounds = [tri_bounds(w.vertices()) for w in walks]
     size = sum(s_max - x_min - y_min for x_min, y_min, s_max in bounds) / count / 200
     ok &= abs(size - 0.6213) <= 0.03
     details.append("tri box/n=%.4f" % size)

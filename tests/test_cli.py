@@ -48,7 +48,7 @@ def test_series_full_export(capsys):
 _SERIES_RSS_CHILD = """
 import json, sys
 from prudentwalks.cli import main
-code = main(["series", "--class", "triangular", "--order", "200"])
+code = main(sys.argv[1:])
 with open("/proc/self/status") as status:
     peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 sys.stderr.write(json.dumps([code, peak_kb]))
@@ -58,19 +58,22 @@ sys.stderr.write(json.dumps([code, peak_kb]))
 def test_series_keeps_only_p_in_memory():
     # the functional-equation route of `series` holds P(t;u), not every
     # slice of R: a fresh interpreter peaks under 60 MB at triangular order
-    # 200, where keeping every slice of R took about 160 MB.  The child reads
-    # its own peak (VmHWM); its ru_maxrss would also carry the peak of the
-    # forked test process from before the exec
+    # 200, where keeping every slice of R took about 160 MB; the diagonal
+    # refinement sums each P slice as it comes and drops it, where keeping
+    # every slice of T and P took about 336 MB.  The child reads its own
+    # peak (VmHWM); its ru_maxrss would also carry the peak of the forked
+    # test process from before the exec
     if not sys.platform.startswith("linux"):
         pytest.skip("reads the peak resident set size from /proc/self/status")
     src = str(Path(prudentwalks.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", _SERIES_RSS_CHILD], env=env,
-                          capture_output=True, text=True, timeout=120)
-    code, peak_kb = json.loads(proc.stderr)
-    assert code == 0
-    assert len(json.loads(proc.stdout)["counts"]) == 201
-    assert peak_kb < 60 * 1024
+    for argv in ("series --class triangular --order 200", "series --class 2-sided --order 200 --refined diagonal"):
+        proc = subprocess.run([sys.executable, "-c", _SERIES_RSS_CHILD, *argv.split()], env=env,
+                              capture_output=True, text=True, timeout=120)
+        code, peak_kb = json.loads(proc.stderr)
+        assert code == 0
+        assert len(json.loads(proc.stdout)["counts"]) == 201
+        assert peak_kb < 60 * 1024, argv
 
 
 def test_closedform_counts(capsys):
@@ -333,13 +336,13 @@ def test_verify_detects_corruption(capsys, monkeypatch):
     # fault injection: corrupt the 1-sided iteration route that verify runs
     # and expect the report to pin the smallest affected order and a nonzero exit
     row = verify_mod.ROUTES[WalkClass.ONE_SIDED]
+    vars, stream = row.iteration[None]
 
     def corrupted(order):
-        series = row.iteration(order)
-        series.coeffs[4] += 1
-        return series
+        for n, slc in enumerate(stream(order)):
+            yield {key: c + (n == 4) for key, c in slc.items()}
 
-    monkeypatch.setitem(verify_mod.ROUTES, WalkClass.ONE_SIDED, row._replace(iteration=corrupted))
+    monkeypatch.setitem(verify_mod.ROUTES, WalkClass.ONE_SIDED, row._replace(iteration={None: (vars, corrupted)}))
     code, out, err = run(
         capsys, "verify", "--max-n", "6", "--order", "10",
         "--classes", "1-sided", "--box-k", "0",
@@ -356,6 +359,7 @@ def test_verify_detects_corruption(capsys, monkeypatch):
     [
         ("--max-n", "-1"),
         ("--max-n", "21"),
+        ("--max-n", "20"),
         ("--box-k", "-1"),
         ("--box-k", "7"),
         ("--order", "-1"),
@@ -364,12 +368,13 @@ def test_verify_detects_corruption(capsys, monkeypatch):
     ],
 )
 def test_verify_out_of_range_exits_2_without_traceback(capsys, flag, value):
-    # order 81 is out of range for 4-sided walks only
-    classes = "1-sided,4-sided" if value == "81" else "1-sided"
+    # order 81 is out of range for 4-sided walks only, and --max-n 20 for
+    # classes whose oracle searches stop at 12
+    classes = {"81": "1-sided,4-sided", "20": "4-sided,triangular"}.get(value, "1-sided")
     code, out, err = run(capsys, "verify", "--classes", classes, "--order", "4", flag, value)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and flag in err
+    assert err.startswith("error: ") and flag in err and err.count("\n") == 1
     assert "Traceback" not in err
 
 
@@ -455,7 +460,8 @@ def test_cli_reads_the_route_table(capsys, monkeypatch):
     assert list(verify_mod.ROUTES) == list(WalkClass)
     assert [wc for wc, row in verify_mod.ROUTES.items() if row.closed_form is None] == [WalkClass.PRUDENT4]
     # count, series, closedform and verify take a lowered row's caps and
-    # refuse one past them; verify's oracle stops at the row's search cap
+    # refuse one past them; verify's --max-n takes the chosen rows' largest
+    # search cap, and each oracle stops at its own row's cap
     row = verify_mod.ROUTES[WalkClass.ONE_SIDED]
     monkeypatch.setitem(
         verify_mod.ROUTES, WalkClass.ONE_SIDED, row._replace(count_n_max=3, oracle_n_max=2, order_max=5)
@@ -464,7 +470,8 @@ def test_cli_reads_the_route_table(capsys, monkeypatch):
         (("count", "--class", "1-sided", "--n-max"), "--n-max", 3),
         (("series", "--class", "1-sided", "--order"), "--order", 5),
         (("closedform", "--class", "1-sided", "--order"), "--order", 5),
-        (("verify", "--classes", "1-sided", "--box-k", "0", "--order"), "--order", 5),
+        (("verify", "--classes", "1-sided", "--box-k", "0", "--max-n", "2", "--order"), "--order", 5),
+        (("verify", "--classes", "1-sided", "--box-k", "0", "--order", "5", "--max-n"), "--max-n", 2),
     ):
         code, out, err = run(capsys, *argv, str(cap + 1))
         assert code == 2 and out == ""
@@ -478,6 +485,10 @@ def test_cli_reads_the_route_table(capsys, monkeypatch):
             assert sorted(entry["routes"]) == ["closed_form", "ext_table", "iteration", "oracle"]
         else:
             assert len(report["counts"]) == cap + 1
+    code, out, _ = run(capsys, "verify", "--classes", "1-sided,2-sided", "--box-k", "0", "--order", "5",
+                       "--max-n", "3")
+    assert code == 0
+    assert [entry["max_n_oracle"] for entry in json.loads(out)["classes"]] == [2, 3]
 
 
 def test_first_divergence_reports_smallest():

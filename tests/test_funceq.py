@@ -24,7 +24,7 @@ from prudentwalks.walks import (
     endpoint_stats,
     enumerate_counts,
     enumerate_walks,
-    _square_bounds,
+    square_bounds,
 )
 
 N = 14
@@ -67,7 +67,7 @@ def test_2sided_corner_enders():
         hits = 0
         for w in walks:
             vs = w.vertices()
-            _, x_max, _, y_max = _square_bounds(vs)
+            _, x_max, _, y_max = square_bounds(vs)
             # diagonal symmetry: count top-enders at the NE corner
             if vs[-1] == (x_max, y_max):
                 hits += 1
@@ -537,43 +537,65 @@ def test_solvers_refuse_a_negative_order(solve):
 
 
 # -- the streamed length series ------------------------------------------------
-# The 3-sided, 4-sided and triangular solvers are generators of each order's
-# lines.  solve_* convert every slice into a CPoly; the iteration route of
-# verify.ROUTES keeps only the P(t;u) lines.  Both must give the same P, and
-# no line may change after it is yielded, or a consumer that holds the lines
-# would see other slices.
+# Each iteration route of verify.ROUTES is a stream of P slices, one per order:
+# the last item of each order that lines_3sided, lines_4sided,
+# lines_triangular and slices_2sided yield, or the 1-sided coefficients.
+# solve_* keep every slice as a CPoly.  Both must give the same P, and no
+# slice may change after it is yielded, or a consumer that holds the slices
+# would see other ones.
 
 _STREAMED = [
-    (WalkClass.THREE_SIDED, solve_3sided, 2, "lines_3sided", (0, 1, 2, 17, 40)),
-    (WalkClass.TRIANGULAR, solve_triangular, 1, "lines_triangular", (0, 1, 2, 17, 40)),
-    (WalkClass.PRUDENT4, solve_4sided, 1, "lines_4sided", (0, 1, 2, 17, 24)),
+    (WalkClass.ONE_SIDED, None, lambda n: (CPoly.from_tseries((), iterate_1sided(n)),), 0, None,
+     (0, 1, 2, 17, 40)),
+    (WalkClass.TWO_SIDED, None, solve_2sided, 1, "slices_2sided", (0, 1, 2, 17, 40)),
+    (WalkClass.TWO_SIDED, "sum", solve_2sided_refined_sum, 1, "slices_2sided", (0, 1, 2, 17, 40)),
+    (WalkClass.TWO_SIDED, "diagonal", solve_2sided_diagonal, 1, "slices_2sided", (0, 1, 2, 17, 40)),
+    (WalkClass.THREE_SIDED, None, solve_3sided, 2, "lines_3sided", (0, 1, 2, 17, 40)),
+    (WalkClass.TRIANGULAR, None, solve_triangular, 1, "lines_triangular", (0, 1, 2, 17, 40)),
+    (WalkClass.PRUDENT4, None, solve_4sided, 1, "lines_4sided", (0, 1, 2, 17, 24)),
 ]
-_STREAMED_CASES = [(wc, s, pick, g, n) for wc, s, pick, g, orders in _STREAMED for n in orders]
-_STREAMED_IDS = ["%s-%d" % (wc.value, n) for wc, _, _, _, n in _STREAMED_CASES]
+_STREAMED_CASES = [(wc, r, s, pick, g, n) for wc, r, s, pick, g, orders in _STREAMED for n in orders]
+_STREAMED_IDS = ["-".join(filter(None, [wc.value, r, str(n)])) for wc, r, _, _, _, n in _STREAMED_CASES]
 
 
-@pytest.mark.parametrize("walk_class,solve,pick,lines,order", _STREAMED_CASES, ids=_STREAMED_IDS)
-def test_length_series_equals_solver_p(walk_class, solve, pick, lines, order):
-    got, want = verify.ROUTES[walk_class].iteration(order), solve(order)[pick]
+def _streamed_p(walk_class, refined, order):
+    """The route's P slices, collected into a CPoly."""
+    vars, stream = verify.ROUTES[walk_class].iteration[refined]
+    return CPoly(vars, order, list(stream(order)))
+
+
+@pytest.mark.parametrize("walk_class,refined,solve,pick,lines,order", _STREAMED_CASES, ids=_STREAMED_IDS)
+def test_length_series_equals_solver_p(walk_class, refined, solve, pick, lines, order):
+    got, want = _streamed_p(walk_class, refined, order), solve(order)[pick]
     assert got == want
-    assert (got.vars, got.order) == (want.vars, want.order) == (("u",), order)
+    vars = () if walk_class is WalkClass.ONE_SIDED else ("u", "z") if refined else ("u",)
+    assert (got.vars, got.order) == (want.vars, want.order) == (vars, order)
     _assert_same_slices(got.slices, want.slices)
+    counts, series = verify.run_iteration(walk_class, order, refined, full=True)
+    assert counts == want.specialize_ones().integer_coeffs()
+    assert (series is None) == (walk_class is WalkClass.ONE_SIDED)
+    assert series is None or series == want
+    assert verify.run_iteration(walk_class, order, refined) == (counts, None)
 
 
-@pytest.mark.parametrize("walk_class,solve,pick,lines,order", _STREAMED_CASES, ids=_STREAMED_IDS)
-def test_solvers_equal_their_buffered_lines(monkeypatch, walk_class, solve, pick, lines, order):
-    # every line collected before any is converted gives the same CPolys as
-    # converting each order's lines as it is yielded
+@pytest.mark.parametrize("walk_class,refined,solve,pick,lines,order", _STREAMED_CASES, ids=_STREAMED_IDS)
+def test_solvers_equal_their_buffered_lines(monkeypatch, walk_class, refined, solve, pick, lines, order):
+    # every slice collected before any is read gives the same P as reading
+    # each as it is yielded, and, for the solvers, the same CPolys
+    vars, stream = verify.ROUTES[walk_class].iteration[refined]
+    assert list(stream(order)) == [dict(slc) for slc in stream(order)]
+    if lines is None:
+        return
     streamed = solve(order)
     generate = getattr(funceq, lines)
-    monkeypatch.setattr(funceq, lines, lambda N: list(generate(N)))
+    monkeypatch.setattr(funceq, lines, lambda *args: list(generate(*args)))
     buffered = solve(order)
     assert len(buffered) == len(streamed)
     for a, b in zip(buffered, streamed):
         assert a == b
         assert (a.vars, a.order) == (b.vars, b.order)
         _assert_same_slices(a.slices, b.slices)
-    assert verify.ROUTES[walk_class].iteration(order) == streamed[pick]
+    assert _streamed_p(walk_class, refined, order) == streamed[pick]
 
 
 def _traced_peak(f, *args):
@@ -590,4 +612,4 @@ def _traced_peak(f, *args):
     (WalkClass.TRIANGULAR, solve_triangular, 80),
 ])
 def test_length_series_keeps_a_fraction_of_the_solver_memory(walk_class, solve, order):
-    assert _traced_peak(verify.ROUTES[walk_class].iteration, order) * 3 < _traced_peak(solve, order)
+    assert _traced_peak(_streamed_p, walk_class, None, order) * 3 < _traced_peak(solve, order)

@@ -129,7 +129,7 @@ def test_private_scan_finds_the_private_definitions():
     # the gate covers module-level functions, classes and assigned names and
     # methods, and leaves public, dunder and mangled names to others
     definitions, _ = _definitions_and_references(_private)
-    assert {"_dfs", "_TRI_INFLATE", "_Walk", "_Walk._trusted", "_Walk._parse"} <= set(definitions)
+    assert {"_dfs", "_TRI_INFLATE", "_Walk", "_Walk._parse", "CPoly._remap"} <= set(definitions)
     assert not any(name.startswith("__") or _public(name) for name, _ in definitions.values())
 
 
@@ -329,3 +329,41 @@ def test_no_default_is_passed_by_every_call():
 
 def test_every_kept_always_passed_parameter_is_still_passed_by_every_call():
     assert set(KEPT_ALWAYS_PASSED) <= _always_passed_parameters()
+
+
+def _owned_private_names(tree):
+    """Private names a package module defines: at module level, in a class
+    body, or as an attribute it assigns (self._x = ...)."""
+    owned = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owned.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            owned.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            owned.add(node.attr)
+    return {name for name in owned if _private(name)}
+
+
+def _foreign_private_uses():
+    """(module, name) for each private name that a package module imports
+    from another package module, or reads as an attribute while only other
+    package modules define it."""
+    trees = {path.stem: _tree(path) for path in sorted(PACKAGE.glob("*.py"))}
+    owned = {module: _owned_private_names(tree) for module, tree in trees.items()}
+    out = []
+    for module, tree in trees.items():
+        elsewhere = set().union(*(names for other, names in owned.items() if other != module))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("prudentwalks"):
+                out += [(module, alias.name) for alias in node.names if _private(alias.name)]
+            elif isinstance(node, ast.Attribute) and node.attr in elsewhere - owned[module]:
+                out.append((module, node.attr))
+    return out
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a private helper that another module needs is shared API: it gets a
+    # public name, so the scans above see its users for what they are
+    foreign = sorted(set(_foreign_private_uses()))
+    assert not foreign, "private names read from another package module: %s" % foreign

@@ -217,5 +217,5 @@ def test_public_constructors_still_validate():
     for bad in ((6,), "X"):
         with pytest.raises(ValueError):
             TriWalk(bad)
-    assert SquareWalk._trusted((0, 1, 3)) == SquareWalk("NEW")
-    assert TriWalk._trusted((5, 0, 2)) == TriWalk("502")
+    assert SquareWalk.from_codes((0, 1, 3)) == SquareWalk("NEW")
+    assert TriWalk.from_codes((5, 0, 2)) == TriWalk("502")

@@ -116,7 +116,7 @@ def test_sqrt_scaled_tail_equals_halving_recurrence():
 
 def test_tseries_and_cpoly_sqrt_agree_in_value_and_type():
     # TSeries.sqrt takes an integer series' tail through 4^m r_m, CPoly.sqrt
-    # halves through _half: both give an int wherever a coefficient is integral
+    # halves through half: both give an int wherever a coefficient is integral
     rng = random.Random(8)
     for _ in range(200):
         order = rng.randrange(0, 30)
