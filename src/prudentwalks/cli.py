@@ -17,12 +17,7 @@ import random
 import sys
 
 from prudentwalks import asymptotics, render, verify
-from prudentwalks.sampler import (
-    DEFAULT_MAX_ENTRIES,
-    ResourceBudgetError,
-    UniformSampler,
-    kinetic_sample,
-)
+from prudentwalks.sampler import DEFAULT_MAX_ENTRIES, ResourceBudgetError, UniformSampler
 from prudentwalks.series import SeriesError
 from prudentwalks.walks import (
     SquareWalk,
@@ -153,9 +148,10 @@ def cmd_sample(args):
         raise CliError("--format svg with --count > 1 needs --out PREFIX")
     rng = random.Random(args.seed)
     if args.kinetic:
-        if wc is not WalkClass.PRUDENT4:
+        kinetic = verify.ROUTES[wc].kinetic
+        if kinetic is None:
             raise CliError("the kinetic sampler generates 4-sided prudent walks")
-        walks = [kinetic_sample(args.length, rng) for _ in range(args.count)]
+        walks = [kinetic(args.length, rng) for _ in range(args.count)]
     else:
         sampler = UniformSampler(wc, args.length, max_entries=args.max_entries)
         walks = [sampler.sample(rng) for _ in range(args.count)]
@@ -212,7 +208,7 @@ def cmd_render(args):
 def cmd_verify(args):
     classes = list(verify.ROUTES)
     if args.classes:
-        classes = [_walk_class(name) for name in args.classes.split(",")]
+        classes = list(dict.fromkeys(_walk_class(name) for name in args.classes.split(",")))
     cap = max(verify.ROUTES[wc].oracle_n_max for wc in classes)
     if not 0 <= args.max_n <= cap:
         raise CliError("--max-n must be in 0..%d (exhaustive search)" % cap)

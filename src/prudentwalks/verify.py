@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from prudentwalks import closedforms, funceq
-from prudentwalks.sampler import ExtTable
+from prudentwalks.sampler import ExtTable, kinetic_sample
 from prudentwalks.series import CPoly
 from prudentwalks.walks import WalkClass, enumerate_counts, enumerate_tri_by_box
 
@@ -14,8 +14,10 @@ from prudentwalks.walks import WalkClass, enumerate_counts, enumerate_tri_by_box
 # (triangular search time grows about 4-fold per step); order_max: the highest
 # series order (the 4-sided solver stores about order^4 terms); iteration: per
 # refinement (None: unrefined), P's variables and the stream of its slices to
-# an order; closed_form: P(t;1)
-Route = namedtuple("Route", "count_n_max oracle_n_max order_max iteration closed_form", defaults=(None,))
+# an order; closed_form: P(t;1); kinetic: kinetic_sample(n, rng), for the
+# class whose walks it grows
+Route = namedtuple("Route", "count_n_max oracle_n_max order_max iteration closed_form kinetic",
+                   defaults=(None, None))
 
 
 def _p_stream(generate, *args):
@@ -34,7 +36,8 @@ ROUTES = {
     }, lambda n: closedforms.two_sided_closed(n)[2]),
     WalkClass.THREE_SIDED: Route(20, 20, 400, {None: (("u",), _p_stream(funceq.lines_3sided))},
                                  lambda n: closedforms.three_sided_length_series(n)[1]),
-    WalkClass.PRUDENT4: Route(20, 12, 80, {None: (("u",), _p_stream(funceq.lines_4sided))}),
+    WalkClass.PRUDENT4: Route(20, 12, 80, {None: (("u",), _p_stream(funceq.lines_4sided))},
+                              kinetic=kinetic_sample),
     WalkClass.TRIANGULAR: Route(12, 12, 400, {None: (("u",), _p_stream(funceq.lines_triangular))},
                                 lambda n: closedforms.triangular_closed(n)[2]),
 }
@@ -53,25 +56,17 @@ def run_iteration(wc, order, refined=None, full=False):
 
 
 def first_divergence(routes):
-    """routes: mapping name -> coefficient list.  Compares all pairs on the
-    overlap; returns None or a dict describing the smallest divergent n."""
+    """routes: mapping name -> coefficient list.  Returns None, or a dict
+    describing the smallest n at which two routes that reach it differ, for
+    the first such pair in sorted-name order."""
     names = sorted(routes)
-    worst = None
-    for a in range(len(names)):
-        for b in range(a + 1, len(names)):
-            xa, xb = routes[names[a]], routes[names[b]]
-            for n in range(min(len(xa), len(xb))):
-                if xa[n] != xb[n]:
-                    if worst is None or n < worst["n"]:
-                        worst = {
-                            "n": n,
-                            "route_a": names[a],
-                            "route_b": names[b],
-                            "value_a": str(xa[n]),
-                            "value_b": str(xb[n]),
-                        }
-                    break
-    return worst
+    for n in range(max(map(len, routes.values()), default=0)):
+        reached = [(name, routes[name][n]) for name in names if n < len(routes[name])]
+        for i, (a, xa) in enumerate(reached):
+            for b, xb in reached[i + 1:]:
+                if xa != xb:
+                    return {"n": n, "route_a": a, "route_b": b, "value_a": str(xa), "value_b": str(xb)}
+    return None
 
 
 TRI_BOX_K_MAX = 6  # the largest triangular box whose spanning walks `verify` searches

@@ -209,8 +209,8 @@ class SquareState:
     in row y / column x.  They all lie in the box, so a step points at one
     inside the box iff the current vertex is not the extreme of its line in
     the step's direction: prudence is one lookup.  push(d) needs legal(d).
-    lookahead() applies both rules to the lines and box push(d) would leave,
-    for every legal d, and changes nothing.
+    lookahead() reads, for every legal d, only the cross line of the vertex
+    push(d) would reach and the box it would grow, and changes nothing.
     """
 
     lattice = "square"
@@ -249,44 +249,24 @@ class SquareState:
         """(d, the steps that would be legal after push(d)) for each legal
         step d, in N, E, S, W order, read off the state without pushing.
 
-        The walker becomes the extreme of its own line in d's direction; the
-        new vertex's cross line widens to it or, as the box grows past it, is
-        new.  Those two lines and the grown box go through the same rules as
-        legal_steps."""
+        The new vertex is the extreme of its own line in d's direction, with
+        the old one behind it, so along that line only d is free.  Across, a
+        step is free iff the new vertex's cross line is new (the box grows
+        past it) or holds no visited vertex beyond it; the grown box then
+        goes through the same edge rule as legal_steps."""
         k, x, y = self.k, self.x, self.y
         row, col = self.row, self.col
         x_min, x_max, y_max = self.x_min, self.x_max, self.y_max
-        south0, north0 = col[x]
-        west0, east0 = row[y]
         out = []
         for d in self.legal_steps():
             dx, dy = SQ_STEP_VECTORS[d]
             px, py = x + dx, y + dy
-            if dx:
-                west, east = (west0, px) if dx > 0 else (px, east0)
+            if dx:  # N and S, by column px
                 cross = col.get(px)
-                if cross is None:
-                    south = north = py
-                else:
-                    south, north = cross
-                    if py < south:
-                        south = py
-                    elif py > north:
-                        north = py
-            else:
-                south, north = (south0, py) if dy > 0 else (py, north0)
+                mask = 1 << d | (5 if cross is None else (cross[1] <= py) | (cross[0] >= py) << 2)
+            else:  # E and W, by row py
                 cross = row.get(py)
-                if cross is None:
-                    west = east = px
-                else:
-                    west, east = cross
-                    if px < west:
-                        west = px
-                    elif px > east:
-                        east = px
-            # legal_steps' prudence mask, written out so that legal_steps,
-            # which the kinetic sampler calls per step, stays free of a call
-            mask = (north == py) | (east == px) << 1 | (south == py) << 2 | (west == px) << 3
+                mask = 1 << d | (10 if cross is None else (cross[1] <= px) << 1 | (cross[0] >= px) << 3)
             if k is not None:
                 mask &= _edge_steps(
                     k,
@@ -384,9 +364,6 @@ _MASK_STEPS = tuple(tuple(d for d in range(6) if mask >> d & 1) for mask in rang
 # and the other steps along an edge
 _TRI_INFLATES = tuple(0 if dx < 0 else 1 if dy < 0 else 2 for dx, dy in TRI_STEP_VECTORS)
 _TRI_RUNS_ALONG = tuple(0 if dx == 0 else 1 if dy == 0 else 2 for dx, dy in TRI_STEP_VECTORS)
-# per step, its vector and the edge it moves away from, so never lands on:
-# bottom for dy > 0, left for dx > 0, right for dx + dy < 0
-_TRI_PUSH = tuple((dx, dy, 1 if dy > 0 else 0 if dx > 0 else 2) for dx, dy in TRI_STEP_VECTORS)
 _TRI_INFLATE = tuple(sum(1 << d for d in range(6) if on >> _TRI_INFLATES[d] & 1) for on in range(8))
 _TRI_ALONG = tuple(
     sum(1 << d for d in range(6) if on >> _TRI_RUNS_ALONG[d] & 1) & ~_TRI_INFLATE[on] for on in range(8)
@@ -453,7 +430,7 @@ class TriState:
         return out
 
     def push(self, d):
-        dx, dy, away = _TRI_PUSH[d]
+        dx, dy = TRI_STEP_VECTORS[d]
         x, y, x_min, y_min, s_max = self.x, self.y, self.x_min, self.y_min, self.s_max
         left, bottom, right = self.left, self.bottom, self.right
         self.trail.append((x, y, x_min, y_min, s_max, left, bottom, right))
@@ -461,17 +438,11 @@ class TriState:
         self.y = y = y + dy
         # the new vertex is alone on an edge the box grows past, and past one
         # end of any other it lands on: it left that edge's extreme, or is a
-        # corner.  Only the two edges the step does not move away from are tested
-        if away:
-            if x <= x_min:
-                lo, hi = left if x == x_min else (y, y)
-                self.x_min, self.left = x, ((y, hi) if y < lo else (lo, y))
-            if away == 2:
-                if y <= y_min:
-                    lo, hi = bottom if y == y_min else (x, x)
-                    self.y_min, self.bottom = y, ((x, hi) if x < lo else (lo, x))
-                return
-        elif y <= y_min:
+        # corner
+        if x <= x_min:
+            lo, hi = left if x == x_min else (y, y)
+            self.x_min, self.left = x, ((y, hi) if y < lo else (lo, y))
+        if y <= y_min:
             lo, hi = bottom if y == y_min else (x, x)
             self.y_min, self.bottom = y, ((x, hi) if x < lo else (lo, x))
         if x + y >= s_max:

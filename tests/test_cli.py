@@ -12,7 +12,7 @@ import prudentwalks
 import prudentwalks.verify as verify_mod
 from prudentwalks.cli import main
 from prudentwalks.verify import first_divergence, run_verify
-from prudentwalks.walks import WalkClass
+from prudentwalks.walks import SquareWalk, WalkClass
 
 
 def run(capsys, *argv):
@@ -459,13 +459,17 @@ def test_cli_reads_the_route_table(capsys, monkeypatch):
     # one row per walk class; only general prudent walks lack a closed form
     assert list(verify_mod.ROUTES) == list(WalkClass)
     assert [wc for wc, row in verify_mod.ROUTES.items() if row.closed_form is None] == [WalkClass.PRUDENT4]
+    assert [wc for wc, row in verify_mod.ROUTES.items() if row.kinetic is not None] == [WalkClass.PRUDENT4]
     # count, series, closedform and verify take a lowered row's caps and
     # refuse one past them; verify's --max-n takes the chosen rows' largest
-    # search cap, and each oracle stops at its own row's cap
+    # search cap, and each oracle stops at its own row's cap; sample
+    # --kinetic runs the row's kinetic sampler
     row = verify_mod.ROUTES[WalkClass.ONE_SIDED]
     monkeypatch.setitem(
-        verify_mod.ROUTES, WalkClass.ONE_SIDED, row._replace(count_n_max=3, oracle_n_max=2, order_max=5)
+        verify_mod.ROUTES, WalkClass.ONE_SIDED, row._replace(
+            count_n_max=3, oracle_n_max=2, order_max=5, kinetic=lambda n, rng: SquareWalk("N" * n))
     )
+    assert run(capsys, "sample", "--class", "1-sided", "--length", "3", "--kinetic") == (0, "NNN\n", "")
     for argv, flag, cap in (
         (("count", "--class", "1-sided", "--n-max"), "--n-max", 3),
         (("series", "--class", "1-sided", "--order"), "--order", 5),
@@ -496,6 +500,23 @@ def test_first_divergence_reports_smallest():
     d = first_divergence(routes)
     assert d["n"] == 1
     assert {d["route_a"], d["route_b"]} == {"a", "c"} or {d["route_a"], d["route_b"]} == {"b", "c"}
+
+
+def test_first_divergence_takes_the_smallest_n_then_the_first_pair():
+    # a and b differ at n = 3; a and c, and b and c, at n = 2
+    routes = {"c": [1, 2, 9, 4], "b": [1, 2, 3, 5], "a": [1, 2, 3, 4]}
+    assert first_divergence(routes) == {"n": 2, "route_a": "a", "route_b": "c", "value_a": "3", "value_b": "9"}
+    assert first_divergence({"a": [1, 2], "b": [1, 2, 3], "c": []}) is None
+
+
+@pytest.mark.parametrize(
+    "classes, listed",
+    [("2-sided,2-sided", ["2-sided"]), ("2-sided,1-sided,2-sided", ["2-sided", "1-sided"])],
+)
+def test_verify_lists_each_class_once(capsys, classes, listed):
+    code, out, _ = run(capsys, "verify", "--classes", classes, "--max-n", "3", "--order", "4")
+    assert code == 0
+    assert [entry["class"] for entry in json.loads(out)["classes"]] == listed
 
 
 def test_run_verify_report_shape():

@@ -685,6 +685,40 @@ def test_tri_state_matches_reference_on_long_uniform_walks():
         assert state.s_max - state.x_min - state.y_min >= 20
 
 
+def _square_state_snapshot(state):
+    return dict(state.row), dict(state.col), _box_and_position(state), list(state.trail)
+
+
+def _pushed_lookahead(state):
+    out = []
+    for d in state.legal_steps():
+        state.push(d)
+        out.append((d, state.legal_steps()))
+        state.pop()
+    return out
+
+
+def test_lookahead_matches_push_on_long_walks():
+    # long walks, whose cross lines hold many visited vertices on either side
+    # of the walker: at every step the lookahead equals pushing each legal
+    # step, and leaves the state as it was
+    rng = Random(33)
+    drawn = [(SquareState(), kinetic_sample(2000, seed)) for seed in range(2)]
+    for k, n in ((1, 400), (2, 400), (3, 120)):
+        drawn.append((SquareState(k), UniformSampler(SQUARE_CLASSES[k - 1], n).sample(rng)))
+    drawn.append((walks.TriState(), UniformSampler(WalkClass.TRIANGULAR, 150).sample(rng)))
+    for state, walk in drawn:
+        snapshot = _tri_state_snapshot if state.lattice == "tri" else _square_state_snapshot
+        for d in walk.steps + (None,):
+            before = snapshot(state)
+            ahead = state.lookahead()
+            assert snapshot(state) == before
+            assert ahead == _pushed_lookahead(state)
+            if d is not None:
+                state.push(d)
+        assert len(state.trail) == len(walk)
+
+
 @pytest.mark.parametrize("wc", SQUARE_CLASSES[:3])
 def test_k_sided_oracle_matches_funceq_at_14(wc):
     # the midpoint-only edge rule against the functional equations, whose
