@@ -91,20 +91,27 @@ def _iv(x):
 
 
 def _poly_eval(coeffs, x):
-    """Horner evaluation at a rational x; coeffs[k] multiplies t^k."""
-    acc = Fraction(0)
-    for c in reversed(list(coeffs)):
-        acc = acc * x + Fraction(c)
-    return acc
+    """Horner evaluation at a rational x = p/q; coeffs[k] multiplies t^k.
+    Runs on the integer sum of c_k p^k q^(d-k) (exact over Fraction
+    coefficients too) and divides it by q^d in one Fraction at the end."""
+    p, q = x.numerator, x.denominator
+    acc, den = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * p + c * den
+        den *= q
+    return Fraction(acc * q, den)
 
 
 def find_real_root(poly_coeffs, interval, tol):
     """Bisection root of a rational polynomial bracketing a sign change.
 
     Returns a RatInterval of width <= tol containing the root; deterministic.
+    A tol <= 0 is refused: bisection never narrows an irrational root to it.
     """
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
     tol = Fraction(tol)
+    if tol <= 0:
+        raise ValueError("root tolerance must be > 0, got %s" % tol)
     flo = _poly_eval(poly_coeffs, lo)
     fhi = _poly_eval(poly_coeffs, hi)
     if flo == 0:
@@ -126,10 +133,11 @@ def find_real_root(poly_coeffs, interval, tol):
 
 
 def sqrt_interval(n, tol):
-    """sqrt(n) for a positive rational n, as a RatInterval of width <= tol."""
+    """sqrt(n) for a positive rational n = p/q, as a RatInterval of width
+    <= tol: the positive root of q t^2 - p, whose signs are those of t^2 - n."""
     n = Fraction(n)
     hi = max(Fraction(1), n)
-    return find_real_root([-n, 0, 1], (Fraction(0), hi), tol)
+    return find_real_root([-n.numerator, 0, n.denominator], (Fraction(0), hi), tol)
 
 
 # defining polynomials (constant term first)
@@ -166,82 +174,73 @@ class Constant:
         }
 
 
-def _paper(name, interval):
-    return Constant(name, interval, "paper-closed-form")
-
-
 _TOL = Fraction(1, 10**12)
+
+# Each class's closed-form constants, in report order: (name, rule), where
+# rule takes the values before it by name and returns a RatInterval.  A name
+# with a leading underscore is a step, not reported; a rule of None marks an
+# amplitude known only empirically, read off the counting coefficients when
+# they are given.  Each root and square root is bracketed to width _TOL.
+# 2- and 3-sided walks share rho, mu and t_c: their growth constants are equal.
+_ROWS_2_3_SIDED = (
+    ("rho", lambda **_: find_real_root(POLY_RHO_2SIDED, (Fraction(3, 10), Fraction(1, 2)), _TOL)),
+    ("mu", lambda rho, **_: 1 / rho),
+    ("t_c", lambda **_: find_real_root(POLY_TC_SQUARE, (Fraction(1, 3), Fraction(1, 2)), _TOL)),
+)
+CONSTANTS = {
+    WalkClass.ONE_SIDED: (  # partially directed: mu = 1 + sqrt(2), rho = sqrt(2) - 1
+        ("_s2", lambda **_: sqrt_interval(2, _TOL)),
+        ("rho", lambda _s2, **_: _s2 - 1),
+        ("mu", lambda _s2, **_: 1 + _s2),
+    ),
+    WalkClass.TWO_SIDED: _ROWS_2_3_SIDED + (
+        ("kappa", lambda rho, **_: rho * (3 * rho - 1) / ((3 * rho + 1) * (5 * rho - 2))),
+        ("ne_dist_mean", lambda rho, **_: 2 * rho / (1 - 2 * rho)),
+        ("drift_sum", lambda rho, **_: (rho + 1) / (3 * rho + 1)),
+        ("var_sum", lambda rho, **_: 4 * (rho + 1) * (rho + 1) * rho
+                                     / ((3 * rho + 1) * (3 * rho + 1) * (3 * rho + 1) * (1 - rho))),
+        ("var_diff", lambda rho, **_: rho * (rho * rho - 2) * (1 + rho)
+                                      / ((rho * rho + rho - 1) * (3 * rho - 1) * (1 + 3 * rho))),
+    ),
+    WalkClass.THREE_SIDED: _ROWS_2_3_SIDED + (
+        ("drift_width", lambda rho, **_: (1 + rho) / (2 * (1 + 3 * rho))),
+        ("_r2", lambda rho, **_: rho * rho),
+        ("_c3", lambda rho, **_: (3 * rho - 1) * (3 * rho - 1) * (3 * rho - 1)),
+        ("_d3", lambda rho, **_: (1 + 3 * rho) * (1 + 3 * rho) * (1 + 3 * rho)),
+        ("var_width", lambda rho, _r2, _c3, _d3, **_: 3 * rho * (1 + rho) * (385 - 1148 * _r2 - 494 * rho)
+                                                      / ((_r2 + rho - 1) * _c3 * _d3 * 16)),
+        ("kappa", None),
+    ),
+    WalkClass.TRIANGULAR: (
+        ("rho", lambda **_: find_real_root(POLY_RHO_TRI, (Fraction(1, 4), Fraction(3, 10)), _TOL)),
+        ("_s17", lambda **_: sqrt_interval(17, _TOL)),
+        ("mu", lambda _s17, **_: (3 + _s17) / 2),
+        ("drift_box", lambda _s17, **_: (1 + 1 / _s17) / 2),
+        ("var_box", lambda _s17, **_: 12 / (17 * _s17)),
+        ("t_0", lambda **_: find_real_root(POLY_T0_TRI, (Fraction(1, 4), Fraction(3, 10)), _TOL)),
+        ("t_c", lambda **_: find_real_root(POLY_TC_TRI, (Fraction(1, 5), Fraction(2, 5)), _TOL)),
+        ("kappa", None),
+    ),
+}
 
 
 def constants(walk_class, coeffs=None):
-    """The class's asymptotic constants, keyed by name.
-
-    Closed-form constants are evaluated on exact intervals at the bisected
-    root location, each root and square root bracketed to width _TOL.  An
-    amplitude for the 3-sided and triangular classes is only available
-    empirically (pass the counting coefficients to get it).
-    """
-    out = {}
-    if walk_class in (WalkClass.TWO_SIDED, WalkClass.THREE_SIDED, WalkClass.ONE_SIDED):
-        if walk_class is WalkClass.ONE_SIDED:
-            # partially directed: mu = 1 + sqrt(2), rho = sqrt(2) - 1
-            s2 = sqrt_interval(2, _TOL)
-            rho = s2 - 1
-            out["rho"] = _paper("rho", rho)
-            out["mu"] = _paper("mu", 1 + s2)
-            return out
-        rho = find_real_root(POLY_RHO_2SIDED, (Fraction(3, 10), Fraction(1, 2)), _TOL)
-        out["rho"] = _paper("rho", rho)
-        out["mu"] = _paper("mu", 1 / rho)
-        tc = find_real_root(POLY_TC_SQUARE, (Fraction(1, 3), Fraction(1, 2)), _TOL)
-        out["t_c"] = _paper("t_c", tc)
-        if walk_class is WalkClass.TWO_SIDED:
-            out["kappa"] = _paper(
-                "kappa", rho * (3 * rho - 1) / ((3 * rho + 1) * (5 * rho - 2))
-            )
-            out["ne_dist_mean"] = _paper("ne_dist_mean", 2 * rho / (1 - 2 * rho))
-            out["drift_sum"] = _paper("drift_sum", (rho + 1) / (3 * rho + 1))
-            out["var_sum"] = _paper(
-                "var_sum",
-                4 * (rho + 1) * (rho + 1) * rho
-                / ((3 * rho + 1) * (3 * rho + 1) * (3 * rho + 1) * (1 - rho)),
-            )
-            out["var_diff"] = _paper(
-                "var_diff",
-                rho * (rho * rho - 2) * (1 + rho)
-                / ((rho * rho + rho - 1) * (3 * rho - 1) * (1 + 3 * rho)),
-            )
-        else:
-            out["drift_width"] = _paper("drift_width", (1 + rho) / (2 * (1 + 3 * rho)))
-            r2 = rho * rho
-            num = 3 * rho * (1 + rho) * (385 - 1148 * r2 - 494 * rho)
-            c3 = (3 * rho - 1) * (3 * rho - 1) * (3 * rho - 1)
-            d3 = (1 + 3 * rho) * (1 + 3 * rho) * (1 + 3 * rho)
-            out["var_width"] = _paper(
-                "var_width", num / ((r2 + rho - 1) * c3 * d3 * 16)
-            )
-    elif walk_class is WalkClass.TRIANGULAR:
-        rho = find_real_root(POLY_RHO_TRI, (Fraction(1, 4), Fraction(3, 10)), _TOL)
-        s17 = sqrt_interval(17, _TOL)
-        out["rho"] = _paper("rho", rho)
-        out["mu"] = _paper("mu", (3 + s17) / 2)
-        out["drift_box"] = _paper("drift_box", (1 + 1 / s17) / 2)
-        out["var_box"] = _paper("var_box", 12 / (17 * s17))
-        out["t_0"] = _paper(
-            "t_0", find_real_root(POLY_T0_TRI, (Fraction(1, 4), Fraction(3, 10)), _TOL)
-        )
-        out["t_c"] = _paper(
-            "t_c", find_real_root(POLY_TC_TRI, (Fraction(1, 5), Fraction(2, 5)), _TOL)
-        )
-    else:
-        raise NotAvailableError(
-            "no asymptotic constants for %s: open problem" % walk_class.value
-        )
-    if coeffs is not None and walk_class in (WalkClass.THREE_SIDED, WalkClass.TRIANGULAR):
-        out["kappa"] = Constant(
-            "kappa", RatInterval(_amplitude_estimate(coeffs, out["rho"].interval.mid)),
-            "empirical",
-        )
+    """The class's asymptotic constants, keyed by name, evaluated on exact
+    intervals in the order of its CONSTANTS rows.  An empirical amplitude
+    is the Aitken limit of c_n rho^n at the midpoint of rho, and only given
+    with the counting coefficients."""
+    if walk_class not in CONSTANTS:
+        raise NotAvailableError("no asymptotic constants for %s: open problem" % walk_class.value)
+    values, out = {}, {}
+    for name, rule in CONSTANTS[walk_class]:
+        if rule is None:
+            if coeffs is not None:
+                amplitude = RatInterval(_amplitude_estimate(coeffs, values["rho"].mid))
+                out[name] = Constant(name, amplitude, "empirical")
+            continue
+        values[name] = rule(**values)
+        if not name.startswith("_"):
+            out[name] = Constant(name, values[name], "paper-closed-form")
     return out
 
 

@@ -30,7 +30,7 @@ from math import comb
 from operator import add, itemgetter
 
 from prudentwalks.labels import RULES
-from prudentwalks.walks import SquareState, SquareWalk, TriWalk, WalkClass
+from prudentwalks.walks import SquareState, SquareWalk, TriWalk, WalkClass, check_length
 
 DEFAULT_MAX_ENTRIES = 20_000_000
 
@@ -126,6 +126,7 @@ class ExtTable:
     """
 
     def __init__(self, walk_class, n, max_entries=DEFAULT_MAX_ENTRIES):
+        check_length(n)
         estimate = estimate_entries(walk_class, n)
         if estimate > max_entries:
             raise ResourceBudgetError(estimate, max_entries)
@@ -202,6 +203,7 @@ class UniformSampler:
     """
 
     def __init__(self, walk_class, n, max_entries=DEFAULT_MAX_ENTRIES, table=None):
+        check_length(n)
         self.n = n
         self.rules = RULES[walk_class]
         self.table = table if table is not None else ExtTable(walk_class, n, max_entries)
@@ -308,6 +310,7 @@ def exact_distribution(walk_class, n):
 def kinetic_sample(n, seed):
     """Length-n kinetic prudent walk: each step uniform over the currently
     legal prudent steps (non-uniform measure on length-n walks)."""
+    check_length(n)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     getrandbits = rng.getrandbits
     state = SquareState()

@@ -191,8 +191,8 @@ class SquareState:
     """Square-lattice walk state with prudence and k-sided step checks.
 
     k in {1, 2, 3} restricts the (continuous-time) endpoint to the top /
-    top+right / top+right+left edges of the instantaneous box; k=None checks
-    prudence only (general 4-sided prudent walks).  A degenerate box edge
+    top+right / top+right+left edges of the instantaneous box; k=None (or 4)
+    checks prudence only (general 4-sided prudent walks).  A degenerate box edge
     counts as all the edges it coincides with.
 
     The continuous rule is checked at the step's midpoint alone.  In doubled
@@ -200,7 +200,8 @@ class SquareState:
     box it extends iff the step leaves from that edge and does not point
     inward: from the top edge (y == y_max) N, E and W; from the right edge
     (k >= 2, x == x_max) N, E and S; from the left edge (k >= 3, x == x_min)
-    N, S and W (_edge_steps).  The endpoint (2x+2dx, 2y+2dy) then lies on the
+    N, S and W.  `edges` (_EDGES[k]) holds that mask for each set of box
+    edges the vertex is on.  The endpoint (2x+2dx, 2y+2dy) then lies on the
     same edge, since the coordinate that put the midpoint there is either
     unchanged or moved further out, so an endpoint check would refuse
     nothing more.
@@ -216,7 +217,7 @@ class SquareState:
     lattice = "square"
 
     def __init__(self, k=None):
-        self.k = k
+        self.edges = _EDGES.get(k)
         self.x = self.y = 0
         self.row = {0: (0, 0)}
         self.col = {0: (0, 0)}
@@ -231,8 +232,10 @@ class SquareState:
                 return False
         elif self.col[x][d < 2] != y:
             return False
-        k = self.k
-        return k is None or _edge_steps(k, x, y, self.x_min, self.x_max, self.y_max) >> d & 1 == 1
+        edges = self.edges
+        if edges is None:
+            return True
+        return edges[(y == self.y_max) | (x == self.x_max) << 1 | (x == self.x_min) << 2] >> d & 1 == 1
 
     def legal_steps(self):
         """The legal steps from the current vertex, in N, E, S, W order."""
@@ -240,9 +243,9 @@ class SquareState:
         south, north = self.col[x]
         west, east = self.row[y]
         mask = (north == y) | (east == x) << 1 | (south == y) << 2 | (west == x) << 3
-        k = self.k
-        if k is not None:
-            mask &= _edge_steps(k, x, y, self.x_min, self.x_max, self.y_max)
+        edges = self.edges
+        if edges is not None:
+            mask &= edges[(y == self.y_max) | (x == self.x_max) << 1 | (x == self.x_min) << 2]
         return _MASK_STEPS[mask]
 
     def lookahead(self):
@@ -254,7 +257,7 @@ class SquareState:
         step is free iff the new vertex's cross line is new (the box grows
         past it) or holds no visited vertex beyond it; the grown box then
         goes through the same edge rule as legal_steps."""
-        k, x, y = self.k, self.x, self.y
+        edges, x, y = self.edges, self.x, self.y
         row, col = self.row, self.col
         x_min, x_max, y_max = self.x_min, self.x_max, self.y_max
         out = []
@@ -267,15 +270,8 @@ class SquareState:
             else:  # E and W, by row py
                 cross = row.get(py)
                 mask = 1 << d | (10 if cross is None else (cross[1] <= px) << 1 | (cross[0] >= px) << 3)
-            if k is not None:
-                mask &= _edge_steps(
-                    k,
-                    px,
-                    py,
-                    px if px < x_min else x_min,
-                    px if px > x_max else x_max,
-                    py if py > y_max else y_max,
-                )
+            if edges is not None:
+                mask &= edges[(py >= y_max) | (px >= x_max) << 1 | (px <= x_min) << 2]
             out.append((d, _MASK_STEPS[mask]))
         return out
 
@@ -342,15 +338,16 @@ class SquareState:
                     self.y_min = y
 
 
-def _edge_steps(k, x, y, x_min, x_max, y_max):
-    """Mask of the steps (bit d for step d) from (x, y) whose midpoint lies
-    on an allowed edge of the box; k-sided walks only."""
-    mask = 11 if y == y_max else 0  # top: N, E, W
-    if k >= 2 and x == x_max:
-        mask |= 7  # right: N, E, S
-    if k >= 3 and x == x_min:
-        mask |= 13  # left: N, S, W
-    return mask
+# The k-sided edge rule: per k, for each set of box edges a vertex is on
+# (bit 0 top, y = y_max; bit 1 right, x = x_max; bit 2 left, x = x_min), the
+# steps (bit d for step d) that leave from an allowed edge without pointing
+# inward: from the top 11 (N, E, W), for k >= 2 from the right 7 (N, E, S),
+# for k >= 3 from the left 13 (N, S, W), and from two edges their union.
+_EDGES = {
+    1: (0, 11, 0, 11, 0, 11, 0, 11),
+    2: (0, 11, 7, 15, 0, 11, 7, 15),
+    3: (0, 11, 7, 15, 13, 15, 15, 15),
+}
 
 
 # the step codes of each mask of steps (bit d for step d), in code order
@@ -457,8 +454,7 @@ class TriState:
 def _make_state(walk_class):
     if walk_class is WalkClass.TRIANGULAR:
         return TriState()
-    k = SQUARE_CLASSES.index(walk_class) + 1
-    return SquareState(k=k if k != 4 else None)
+    return SquareState(SQUARE_CLASSES.index(walk_class) + 1)
 
 
 # --------------------------------------------------------------------------
@@ -510,7 +506,7 @@ def _dfs(state, visit):
         rec(0)
 
 
-def _check_length(n):
+def check_length(n):
     if n < 0:
         raise ValueError("walk length must be >= 0, got %d" % n)
 
@@ -649,7 +645,7 @@ def enumerate_counts(walk_class, n_max):
     steps legal after each.  At n_max = 2 the length-2 walks are counted as
     the legal steps of their length-1 parents.
     """
-    _check_length(n_max)
+    check_length(n_max)
     tail = [0] * n_max  # tail[i] counts the walks of length i + 1
     last = n_max - 3  # depth of the length n_max - 2 walks
 
@@ -678,7 +674,7 @@ def enumerate_counts(walk_class, n_max):
 
 def enumerate_walks(walk_class, n):
     """All length-n walks of the class (exhaustive; for small n)."""
-    _check_length(n)
+    check_length(n)
     make = TriWalk if walk_class is WalkClass.TRIANGULAR else SquareWalk
     code = {v: d for d, v in enumerate(make._vectors)}
     out = []
@@ -740,7 +736,7 @@ def endpoint_stats(walk_class, n):
     geometry of its children and grandchildren follows from its own and the
     steps.  At n = 2 the first step's walk is grown by its legal steps.
     """
-    _check_length(n)
+    check_length(n)
     tri = walk_class is WalkClass.TRIANGULAR
     state = _make_state(walk_class)
     last = n - 3  # depth of the length n - 2 walks

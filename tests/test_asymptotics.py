@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -49,6 +51,33 @@ def test_root_interval_contains_sign_change():
 def test_find_real_root_rejects_bad_interval():
     with pytest.raises(InvalidIntervalError):
         find_real_root(POLY_RHO_2SIDED, (Fraction(1, 10), Fraction(2, 10)), TOL)
+
+
+@pytest.mark.parametrize("tol", [0, -TOL])
+def test_find_real_root_rejects_nonpositive_tolerance(tol):
+    # bisection never narrows an irrational root to width 0: refused at once
+    with pytest.raises(ValueError):
+        find_real_root(POLY_RHO_2SIDED, (Fraction(3, 10), Fraction(1, 2)), tol)
+    with pytest.raises(ValueError):
+        sqrt_interval(2, tol)
+
+
+def _poly_eval_fractions(coeffs, x):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + Fraction(c)
+    return acc
+
+
+def test_poly_eval_matches_fraction_horner():
+    rng = random.Random(35)
+    for _ in range(300):
+        coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.5 and coeffs:
+            coeffs[rng.randrange(len(coeffs))] = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+        x = rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-99, 99), rng.randint(1, 99))])
+        got = _poly_eval(coeffs, x)
+        assert type(got) is Fraction and got == _poly_eval_fractions(coeffs, x)
 
 
 def test_sqrt_interval():
@@ -105,6 +134,27 @@ def test_mu_rho_reciprocal():
         cs = constants(wc)
         prod = cs["mu"].interval * cs["rho"].interval
         assert prod.lo <= 1 <= prod.hi
+
+
+# SHA-256 of repr([(name, provenance, lo, hi), ...]) over each class's
+# constants, with the empirical kappa read off PIN_COEFFS, recorded before the
+# closed forms moved into one table per class.  An interval's endpoints depend
+# on the written form of its expression, and the JSON floats can hide a
+# changed endpoint, so every exact endpoint is pinned here.
+PIN_COEFFS = [1, 3, 9, 26, 75, 214, 612, 1747]
+CONSTANT_PINS = {
+    WalkClass.ONE_SIDED: "e78250d0b593bbfb536fd8159b2e71c3ec155e1930214bbe81d97d2ea0a9f55d",
+    WalkClass.TWO_SIDED: "359a46ac0ad281cc413f7e64e428694660ff45648dca37d5c2a3127e4c6efdfc",
+    WalkClass.THREE_SIDED: "4b2a3a66e50458db90b041c2e0d1a5fa3c33cdc2cddb90bdc46aa2b2b26cf025",
+    WalkClass.TRIANGULAR: "7171868d2dab5da73655d7482351b69bd090bbf281816b4db74f6fdb88e0fe68",
+}
+
+
+@pytest.mark.parametrize("wc", list(CONSTANT_PINS), ids=lambda wc: wc.value)
+def test_constant_endpoints_pinned(wc):
+    cs = constants(wc, coeffs=PIN_COEFFS)
+    pin = repr([(c.name, c.provenance, c.interval.lo, c.interval.hi) for c in cs.values()])
+    assert hashlib.sha256(pin.encode()).hexdigest() == CONSTANT_PINS[wc]
 
 
 def test_prudent4_not_available():

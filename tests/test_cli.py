@@ -590,6 +590,10 @@ GOLDEN_STDOUT = [
      "ae4edbb59fbc7a1cc2fe5af6f782f5aaae375ac4b20fb754beae2b1144e3ca94"),
     ("asym --class 3-sided --growth-order 60", 0,
      "ccb12d466fa8557047ab2a392f0f4c84ffde5c1105fd2afa2f34092b189f86b5"),
+    # recorded at commit a94964a, before the closed-form constants moved
+    # into one table per class
+    ("asym --class 1-sided --growth-order 20", 0,
+     "74bb47c166c80721aa3d0ae6d0584111f05c62cdd208ca9720cd049a6da20b57"),
     ("closedform --class 2-sided --order 120 --full", 0,
      "d55250ac880231c8947ea3dfede089ae2be32dbfd42ba17e9e7c4bd33e02a08d"),
     # recorded at commit e1a2668, before the kinetic sampler moved onto the

@@ -118,6 +118,34 @@ def test_zero_length():
     assert len(UniformSampler(WalkClass.TWO_SIDED, 0).sample(random.Random(1))) == 0
 
 
+# a negative length is refused as the walks searches refuse it, before any
+# table is built or any step drawn
+NEGATIVE_LENGTH = "walk length must be >= 0"
+
+
+def test_ext_table_refuses_negative_length():
+    with pytest.raises(ValueError, match=NEGATIVE_LENGTH):
+        ExtTable(WalkClass.TWO_SIDED, -1)
+
+
+def test_uniform_sampler_refuses_negative_length():
+    with pytest.raises(ValueError, match=NEGATIVE_LENGTH):
+        UniformSampler(WalkClass.TWO_SIDED, -2)
+    table = ExtTable(WalkClass.TWO_SIDED, 2)
+    with pytest.raises(ValueError, match=NEGATIVE_LENGTH):
+        UniformSampler(WalkClass.TWO_SIDED, -2, table=table)
+
+
+def test_exact_distribution_refuses_negative_length():
+    with pytest.raises(ValueError, match=NEGATIVE_LENGTH):
+        exact_distribution(WalkClass.THREE_SIDED, -1)
+
+
+def test_kinetic_sample_refuses_negative_length():
+    with pytest.raises(ValueError, match=NEGATIVE_LENGTH):
+        kinetic_sample(-3, 1)
+
+
 def test_kinetic_sampler():
     w = kinetic_sample(500, seed=17)
     assert len(w) == 500
